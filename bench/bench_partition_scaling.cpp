@@ -5,6 +5,7 @@
 // forward and asks, year by year: does it fit the commodity mroute table,
 // and how wide do L1S merges have to get when strategies only have a few
 // market-data NICs?
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -14,6 +15,7 @@
 #include "core/mcast_analysis.hpp"
 #include "deploy/sharded_market.hpp"
 #include "l2/trends.hpp"
+#include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded_engine.hpp"
 #include "telemetry/report.hpp"
@@ -87,10 +89,9 @@ int main() {
 
   // Sharded simulation: the same partition-growth story from the simulator's
   // side. A 4-partition market runs one shard per partition under
-  // conservative lookahead windows; the gated rows are deterministic
-  // (sim-time throughput and the shard load-balance bound), because wall
-  // clock on a shared CI box is not. Wall times per worker count are
-  // reported informationally.
+  // conservative lookahead windows. Every windowed run must land on the
+  // golden digest; the wall-clock rows are informational, because wall
+  // clock on a shared CI box is too noisy to gate.
   std::printf("\nSharded engine: 4-partition market, conservative lookahead windows\n");
   deploy::ShardedMarketConfig market_config;
   market_config.partitions = 4;
@@ -98,10 +99,23 @@ int main() {
   market_config.events_per_second = 20'000.0;
   market_config.run_for = sim::millis(std::int64_t{40});
 
+  // Wall ms of one market run on `engine` (plain or sharded), and its
+  // end-state digest.
+  const auto timed_run = [](auto& engine, const deploy::ShardedMarketConfig& config,
+                            std::uint64_t& digest) {
+    deploy::ShardedMarket market{engine, config};
+    const auto wall_start = std::chrono::steady_clock::now();
+    market.run();
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                  wall_start)
+            .count();
+    digest = market.digest();
+    return wall_ms;
+  };
+
   std::uint64_t golden_digest = 0;
   std::uint64_t total_events = 0;
-  std::uint64_t max_shard_events = 0;
-  double sim_seconds = 0.0;
   {
     sim::ShardedEngine engine{
         {.domains = market_config.partitions, .mode = sim::SyncMode::kGolden}};
@@ -109,32 +123,15 @@ int main() {
     market.run();
     golden_digest = market.digest();
     total_events = engine.events_fired();
-    for (sim::DomainId d = 0; d < market_config.partitions; ++d) {
-      const std::uint64_t fired = engine.domain(d).events_fired();
-      if (fired > max_shard_events) max_shard_events = fired;
-    }
-    sim_seconds = static_cast<double>((market_config.run_for + market_config.drain).picos()) /
-                  1e12;
   }
-  // Load-balance bound on lookahead-parallel speedup: with one worker per
-  // shard, a window cannot finish before its busiest shard does, so the
-  // whole run cannot beat total/max. Symmetric partitions keep the shards
-  // balanced, which is exactly what makes sharding this topology pay off.
-  const double speedup_bound =
-      static_cast<double>(total_events) / static_cast<double>(max_shard_events);
   std::printf("%12s %14s %14s %12s\n", "workers", "events", "wall-ms", "digest-ok");
   for (const std::uint32_t workers : {1u, 2u, 4u}) {
     sim::ShardedEngine engine{{.domains = market_config.partitions,
                                .num_workers = workers,
                                .mode = sim::SyncMode::kWindowed}};
-    deploy::ShardedMarket market{engine, market_config};
-    const auto wall_start = std::chrono::steady_clock::now();
-    market.run();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  wall_start)
-            .count();
-    const bool digest_ok = market.digest() == golden_digest;
+    std::uint64_t digest = 0;
+    const double wall_ms = timed_run(engine, market_config, digest);
+    const bool digest_ok = digest == golden_digest;
     std::printf("%12u %14llu %14.1f %12s\n", workers,
                 static_cast<unsigned long long>(engine.events_fired()), wall_ms,
                 digest_ok ? "yes" : "NO");
@@ -143,14 +140,32 @@ int main() {
     bench_report.check(prefix + ".digest_matches_golden", digest_ok);
   }
   bench_report.metric("shard.events_total", static_cast<double>(total_events), "events");
-  // Deterministic throughput row (events per *simulated* second): identical
-  // on every machine and every run, so bench_compare can gate it hard.
-  bench_report.metric("shard.sim_rate", static_cast<double>(total_events) / sim_seconds,
-                      "ev/s");
-  bench_report.metric("shard.speedup_bound_4w", speedup_bound, "x");
-  std::printf("4-shard speedup bound (total/max shard load): %.2fx\n", speedup_bound);
-  bench_report.check("shard.speedup_bound_ge_2x", speedup_bound >= 2.0,
-                     "4 balanced shards must admit at least 2x lookahead parallelism");
+
+  // Measured parallel speedup at 200k events/s per partition: one plain
+  // Engine against 4-worker windowed mode on the same rig, each side's best
+  // of three runs.
+  deploy::ShardedMarketConfig busy_config = market_config;
+  busy_config.events_per_second = 200'000.0;
+  double plain_ms = 0.0;
+  double windowed_ms = 0.0;
+  bool busy_digest_ok = true;
+  for (int rep = 0; rep < 3; ++rep) {
+    std::uint64_t plain_digest = 0;
+    std::uint64_t windowed_digest = 0;
+    sim::Engine plain;
+    const double p = timed_run(plain, busy_config, plain_digest);
+    sim::ShardedEngine engine{{.domains = busy_config.partitions,
+                               .num_workers = 4,
+                               .mode = sim::SyncMode::kWindowed}};
+    const double w = timed_run(engine, busy_config, windowed_digest);
+    plain_ms = rep == 0 ? p : std::min(plain_ms, p);
+    windowed_ms = rep == 0 ? w : std::min(windowed_ms, w);
+    busy_digest_ok = busy_digest_ok && windowed_digest == plain_digest;
+  }
+  std::printf("200k ev/s per partition: plain %.1f ms, 4-worker windowed %.1f ms (%.2fx)\n",
+              plain_ms, windowed_ms, plain_ms / windowed_ms);
+  bench_report.metric("shard.wall_speedup", plain_ms / windowed_ms, "x");
+  bench_report.check("shard.busy_digest_matches_plain", busy_digest_ok);
 
   return bench_report.finish();
 }

@@ -16,6 +16,20 @@ namespace {
   return base + delta;
 }
 
+// Waits for `counter` to leave `seen` and returns its new value. A round
+// lasts microseconds and parking costs a futex round trip per wake-up, so
+// the waiter first polls, yielding between polls (DESIGN.md "Parallel
+// simulation" says why it yields instead of spinning on x86 `pause`).
+std::uint32_t await_change(const std::atomic<std::uint32_t>& counter, std::uint32_t seen) noexcept {
+  for (int poll = 0; poll < 256; ++poll) {
+    const std::uint32_t value = counter.load(std::memory_order_acquire);
+    if (value != seen) return value;
+    std::this_thread::yield();
+  }
+  counter.wait(seen, std::memory_order_acquire);
+  return counter.load(std::memory_order_acquire);
+}
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(ShardedConfig config) : config_(config) {
@@ -23,6 +37,12 @@ ShardedEngine::ShardedEngine(ShardedConfig config) : config_(config) {
   if (config_.num_workers == 0) config_.num_workers = 1;
   golden_ = config_.mode == SyncMode::kGolden ||
             (config_.mode == SyncMode::kAuto && config_.num_workers <= 1);
+  if (!golden_ && config_.num_workers > 1) {
+    const unsigned cores = std::thread::hardware_concurrency();  // 0 when unknown
+    std::uint32_t helpers = std::min(config_.num_workers, config_.domains - 1);
+    if (cores > 0) helpers = std::min(helpers, cores - 1);
+    threads_ = helpers + 1;
+  }
   lookahead_ = config_.lookahead;
   domains_.reserve(config_.domains);
   for (std::uint32_t i = 0; i < config_.domains; ++i) {
@@ -38,11 +58,10 @@ ShardedEngine::ShardedEngine(ShardedConfig config) : config_(config) {
 }
 
 ShardedEngine::~ShardedEngine() {
-  if (!workers_.empty()) {
-    shutdown_.store(true, std::memory_order_release);
-    window_start_->arrive_and_wait();
-    for (std::thread& t : workers_) t.join();
-  }
+  shutdown_.store(true, std::memory_order_relaxed);
+  round_.fetch_add(1);
+  round_.notify_all();
+  for (std::thread& t : helpers_) t.join();
 }
 
 void ShardedEngine::note_cross_domain_delay(Duration delay) {
@@ -129,8 +148,10 @@ std::uint64_t ShardedEngine::run_golden(Time deadline) {
 
 std::uint64_t ShardedEngine::run_windowed(Time deadline) {
   stop_requested_.store(false, std::memory_order_relaxed);
-  const bool threaded = config_.num_workers > 1;
-  if (threaded) ensure_workers();
+  // Helpers start on the first windowed run, not while a rig is built.
+  for (auto t = static_cast<std::uint32_t>(helpers_.size()) + 1; t < threads_; ++t) {
+    helpers_.emplace_back([this, t] { helper_loop(t); });
+  }
   // Events *at* the deadline must run (run_until is inclusive), and windows
   // are exclusive at the top, so the horizon sits one tick past it.
   const Time horizon = saturating_add(deadline, Duration{1});
@@ -142,20 +163,26 @@ std::uint64_t ShardedEngine::run_windowed(Time deadline) {
       if (entry != nullptr) t_min = std::min(t_min, entry->at);
     }
     if (t_min == Time::max() || t_min > deadline) break;
-    const Time window_end = std::min(saturating_add(t_min, lookahead_), horizon);
-    window_end_ = window_end;
-    if (threaded) {
-      next_domain_.store(0, std::memory_order_relaxed);
-      window_start_->arrive_and_wait();
-      // Workers claim domains and run the window; both barriers order the
-      // domain/mailbox state between coordinator and workers.
-      window_done_->arrive_and_wait();
-    } else {
-      for (auto& d : domains_) d->run_window(window_end);
+    window_end_ = std::min(saturating_add(t_min, lookahead_), horizon);
+    if (threads_ > 1) {
+      done_.store(0, std::memory_order_relaxed);
+      round_.fetch_add(1);  // publishes window_end_ and the drained queues
+      round_.notify_all();
     }
-    drain_mailboxes(window_end);
+    run_owned(0, window_end_);
+    // The helpers' done_ bumps publish their domains' queues and mailboxes.
+    for (std::uint32_t done = done_.load(std::memory_order_acquire); done != threads_ - 1;) {
+      done = await_change(done_, done);
+    }
+    drain_mailboxes(window_end_);
   }
   return events_fired() - fired_before;
+}
+
+void ShardedEngine::run_owned(std::uint32_t thread, Time window_end) {
+  for (std::size_t d = thread; d < domains_.size(); d += threads_) {
+    domains_[d]->run_window(window_end);
+  }
 }
 
 void ShardedEngine::drain_mailboxes(Time window_end) {
@@ -185,28 +212,15 @@ void ShardedEngine::drain_mailboxes(Time window_end) {
   }
 }
 
-void ShardedEngine::ensure_workers() {
-  if (!workers_.empty()) return;
-  const auto participants = static_cast<std::ptrdiff_t>(config_.num_workers) + 1;
-  window_start_ = std::make_unique<std::barrier<>>(participants);
-  window_done_ = std::make_unique<std::barrier<>>(participants);
-  workers_.reserve(config_.num_workers);
-  for (std::uint32_t i = 0; i < config_.num_workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-void ShardedEngine::worker_loop() {
-  while (true) {
-    window_start_->arrive_and_wait();
-    if (shutdown_.load(std::memory_order_acquire)) return;
-    // Claim domains one at a time; a domain is run by exactly one worker
-    // per window.
-    for (std::size_t i = next_domain_.fetch_add(1, std::memory_order_relaxed);
-         i < domains_.size(); i = next_domain_.fetch_add(1, std::memory_order_relaxed)) {
-      domains_[i]->run_window(window_end_);
-    }
-    window_done_->arrive_and_wait();
+void ShardedEngine::helper_loop(std::uint32_t thread) {
+  // Helpers start before the first round, so round_ is still 0 here. The
+  // coordinator bumps it once per round and only after every helper has
+  // reported, so each helper runs every round exactly once.
+  for (std::uint32_t seen = 0;;) {
+    seen = await_change(round_, seen);
+    if (shutdown_.load(std::memory_order_relaxed)) return;
+    run_owned(thread, window_end_);
+    if (done_.fetch_add(1) + 1 == threads_ - 1) done_.notify_one();
   }
 }
 

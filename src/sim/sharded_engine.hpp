@@ -20,14 +20,16 @@
 //              feed bytes — to running the same topology on a plain
 //              `Engine`. This is the reference mode.
 //
-//   kWindowed  Barrier-synchronized windows on a persistent worker pool.
-//              Each round the coordinator computes
+//   kWindowed  Lookahead windows on threads with fixed domains. Each round
+//              the coordinator (the calling thread) computes
 //                window_end = min(T_min + lookahead, deadline)
-//              (T_min = earliest pending event anywhere), workers claim
-//              domains and run events with `at < window_end`, then the
-//              coordinator drains mailboxes in a deterministic order
-//              (send time, source domain, per-source index) so results are
-//              identical for any worker count and across repeat runs.
+//              (T_min = earliest pending event anywhere) and hands it to the
+//              helpers with one counter bump. Thread t of T runs domains
+//              t, t + T, ... (the coordinator is thread 0) up to
+//              `at < window_end`, then the coordinator drains mailboxes in
+//              a deterministic order (send time, source domain, per-source
+//              index) so results are identical for any worker count and
+//              across repeat runs.
 //
 // kAuto picks kGolden when num_workers <= 1, else kWindowed. End-state
 // digests (book state, positions, metrics counters) of a windowed run match
@@ -37,7 +39,6 @@
 #pragma once
 
 #include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -56,8 +57,10 @@ enum class SyncMode : std::uint8_t {
 
 struct ShardedConfig {
   std::uint32_t domains = 1;
-  // Worker threads for windowed mode. 1 keeps everything on the calling
-  // thread (still windowed execution if mode forces it).
+  // Helper threads for windowed mode. 1 keeps everything on the calling
+  // thread (still windowed execution if mode forces it). Above 1 the
+  // calling thread runs domain 0 beside min(num_workers, domains - 1,
+  // hardware_concurrency - 1) helpers: none without a domain, none spare.
   std::uint32_t num_workers = 1;
   SyncMode mode = SyncMode::kAuto;
   // Upper bound on the lookahead window; tightened to the minimum
@@ -85,6 +88,8 @@ class ShardedEngine {
   // True when this engine executes in golden (merged reference) mode.
   [[nodiscard]] bool golden() const noexcept { return golden_; }
   [[nodiscard]] std::uint32_t num_workers() const noexcept { return config_.num_workers; }
+  // Helper threads started (on the first windowed run); at most domains - 1.
+  [[nodiscard]] std::size_t helper_threads() const noexcept { return helpers_.size(); }
 
   // Runs events with time <= deadline on every shard, then advances every
   // shard's clock to exactly `deadline`. Returns total events fired.
@@ -109,7 +114,7 @@ class ShardedEngine {
   friend class Domain;
 
   // One cross-domain message, parked in a per-(src, dst) mailbox until the
-  // window barrier. `sent`/`idx` give mailbox draining a total order that
+  // end-of-round drain. `sent`/`idx` give mailbox draining a total order that
   // does not depend on worker scheduling.
   struct Post {
     Time at;
@@ -134,8 +139,9 @@ class ShardedEngine {
   // Delivers parked posts into their destination queues in deterministic
   // order. Runs on the coordinator thread between windows.
   void drain_mailboxes(Time window_end);
-  void ensure_workers();
-  void worker_loop();
+  // Runs thread `thread`'s fixed share of domains: thread, thread + T, ...
+  void run_owned(std::uint32_t thread, Time window_end);
+  void helper_loop(std::uint32_t thread);
 
   [[nodiscard]] std::vector<Post>& mailbox(DomainId src, DomainId dst) noexcept {
     return mailboxes_[static_cast<std::size_t>(src) * domains_.size() + dst];
@@ -150,15 +156,16 @@ class ShardedEngine {
   std::uint64_t shared_seq_ = 1;  // golden mode: one counter across shards
   std::atomic<bool> stop_requested_{false};
 
-  // Windowed-mode worker pool (lazily started). The coordinator publishes
-  // window_end_ before the start barrier; barrier phases order all access
-  // to domain and mailbox state between coordinator and workers.
-  std::vector<std::thread> workers_;
-  std::unique_ptr<std::barrier<>> window_start_;
-  std::unique_ptr<std::barrier<>> window_done_;
-  std::atomic<std::size_t> next_domain_{0};
-  std::atomic<bool> shutdown_{false};
+  // Windowed-mode helpers (started lazily). The coordinator publishes
+  // window_end_ and its drained queues by bumping round_; each helper
+  // publishes its domains by bumping done_. Those two edges order all
+  // access to domain and mailbox state between the threads.
+  std::uint32_t threads_ = 1;  // helpers + the coordinator
   Time window_end_ = Time::zero();
+  std::atomic<bool> shutdown_{false};
+  alignas(64) std::atomic<std::uint32_t> round_{0};
+  alignas(64) std::atomic<std::uint32_t> done_{0};
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace tsn::sim

@@ -1,10 +1,8 @@
 // The metrics vocabulary: one Counter / Histogram / gauge API for every sim
 // entity, plus a Registry that names them and snapshots deterministically.
 //
-// Histogram and WindowedCounter began life as sim::SampleStats /
-// sim::WindowedCounter (sim/stats.hpp now aliases them for existing call
-// sites); LatencyTracker began life in capture/tap.hpp. Folding them here
-// gives switches, mroute tables, WAN links, sessions and capture appliances
+// Histogram, WindowedCounter and LatencyTracker are the only stats types:
+// switches, mroute tables, WAN links, sessions and capture appliances share
 // a single registration surface (`register_metrics`) and a single export
 // path (`Registry::to_json`).
 #pragma once

@@ -5,7 +5,7 @@
 // Three gates:
 //   * golden vs plain Engine — the same rig over both schedulers lands on
 //     the same digest (the bridged links change only the delivery hop);
-//   * golden vs windowed at 1, 2 and 4 workers — digest equality;
+//   * golden vs windowed at 1, 2, 3, 4 and 16 workers — digest equality;
 //   * run-twice — a windowed run repeated with the same seed exports
 //     byte-identical telemetry JSON (and digests).
 #include <gtest/gtest.h>
@@ -78,7 +78,7 @@ TEST(ShardDrills, ParallelDigestsMatchGoldenAtEveryWorkerCount) {
   const deploy::ShardedMarketConfig config = drill_market();
   const RunResult golden = run_sharded(config, sim::SyncMode::kGolden, 1);
   ASSERT_NE(golden.digest, 0u);
-  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+  for (const std::uint32_t workers : {1u, 2u, 3u, 4u, 16u}) {
     const RunResult windowed = run_sharded(config, sim::SyncMode::kWindowed, workers);
     EXPECT_EQ(windowed.digest, golden.digest) << "workers=" << workers;
     EXPECT_EQ(windowed.metrics_json, golden.metrics_json) << "workers=" << workers;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -151,8 +152,9 @@ TEST(ShardedEngine, GoldenModeIsByteIdenticalToPlainEngine) {
 
 TEST(ShardedEngine, WindowedModeMatchesGoldenPerDomainAtAnyWorkerCount) {
   // Golden per-domain firing sequences are the oracle; windowed execution
-  // must reproduce them exactly for 1, 2, and 4 workers — and across
-  // repeated runs (the run-twice determinism gate).
+  // must reproduce them exactly at every worker count — one thread owning
+  // two domains at 2 workers, the helper cap at 16 — and across repeated
+  // runs (the run-twice determinism gate).
   std::array<std::vector<Firing>, 4> golden;
   {
     ShardedEngine engine{{.domains = 4, .mode = SyncMode::kGolden}};
@@ -164,7 +166,7 @@ TEST(ShardedEngine, WindowedModeMatchesGoldenPerDomainAtAnyWorkerCount) {
   }
   ASSERT_FALSE(golden[0].empty());
 
-  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+  for (const std::uint32_t workers : {1u, 2u, 3u, 4u, 16u}) {
     for (int repeat = 0; repeat < 2; ++repeat) {
       ShardedEngine engine{
           {.domains = 4, .num_workers = workers, .mode = SyncMode::kWindowed}};
@@ -175,6 +177,12 @@ TEST(ShardedEngine, WindowedModeMatchesGoldenPerDomainAtAnyWorkerCount) {
       run_script(script, out);
       engine.note_cross_domain_delay(kHop);
       engine.run();
+      // The calling thread owns domain 0: no helper is started without a
+      // domain of its own, whatever num_workers asks for.
+      EXPECT_LE(engine.helper_threads(), 3u) << "workers " << workers;
+      if (workers == 1) {
+        EXPECT_EQ(engine.helper_threads(), 0u);
+      }
       for (std::size_t d = 0; d < 4; ++d) {
         EXPECT_EQ(fired[d], golden[d]) << "domain " << d << " workers " << workers
                                        << " repeat " << repeat;
@@ -199,11 +207,12 @@ TEST(ShardedEngine, UnboundedLookaheadRunsWithoutOverflow) {
   // No cross-domain links registered: lookahead stays Duration::max() and
   // each domain free-runs its whole queue in one saturated window.
   ShardedEngine engine{{.domains = 2, .num_workers = 2, .mode = SyncMode::kWindowed}};
-  int hits = 0;
+  // Both domains run in the same window on different threads.
+  std::atomic<int> hits{0};
   engine.domain(0).schedule_at(Time{1'000}, [&hits] { ++hits; });
   engine.domain(1).schedule_at(Time{2'000}, [&hits] { ++hits; });
   EXPECT_EQ(engine.run(), 2u);
-  EXPECT_EQ(hits, 2);
+  EXPECT_EQ(hits.load(), 2);
 }
 
 TEST(ShardedEngine, PostToIsDeliveredAtTheRequestedTime) {
@@ -261,7 +270,7 @@ TEST(ShardedEngine, ShardContextKeepsSpansAcrossWorkerThreads) {
     ASSERT_EQ(golden[d].spans().size(), kEventsPerDomain) << "domain " << d;
   }
 
-  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+  for (const std::uint32_t workers : {1u, 2u, 3u, 4u, 16u}) {
     std::array<telemetry::TraceSink, kDomains> windowed;
     run_mode(SyncMode::kWindowed, workers, windowed);
     for (DomainId d = 0; d < kDomains; ++d) {
