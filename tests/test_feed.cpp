@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "feed/burst.hpp"
 #include "feed/framelen.hpp"
@@ -175,6 +176,11 @@ struct ProfileCase {
   double median_target;
   double max_target;
 };
+
+// Without this, gtest names each case by a byte dump of ProfileCase, which
+// holds pointers, so the ctest names discovered at build time would change
+// from one build (and one process) to the next.
+void PrintTo(const ProfileCase& c, std::ostream* os) { *os << "Exchange " << c.label; }
 
 class FrameLengthTest : public ::testing::TestWithParam<ProfileCase> {};
 
