@@ -50,31 +50,6 @@ void BM_PitchEncodeAddOrder(benchmark::State& state) {
 }
 BENCHMARK(BM_PitchEncodeAddOrder);
 
-void BM_PitchDecodeFrame(benchmark::State& state) {
-  std::vector<std::byte> payload;
-  proto::pitch::FrameBuilder builder{1, 1458,
-                                     [&payload](std::vector<std::byte> p,
-                                                const proto::pitch::UnitHeader&) {
-                                       payload = std::move(p);
-                                     }};
-  proto::pitch::AddOrder add;
-  add.order_id = 1;
-  add.symbol = proto::Symbol{"ACME"};
-  add.quantity = 100;
-  add.price = 60'000;
-  for (int i = 0; i < 20; ++i) builder.append(proto::pitch::Message{add});
-  builder.flush();
-  std::uint64_t count = 0;
-  for (auto _ : state) {
-    (void)proto::pitch::for_each_message(payload, [&count](const proto::pitch::Message&) {
-      ++count;
-    });
-  }
-  benchmark::DoNotOptimize(count);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 20);
-}
-BENCHMARK(BM_PitchDecodeFrame);
-
 void BM_NormDecodeUpdate(benchmark::State& state) {
   std::vector<std::byte> wire;
   net::WireWriter w{wire};
@@ -513,6 +488,6 @@ int main(int argc, char** argv) {
   bench_report.check("book.updates_per_s.reported", book_mix_ns > 0.0);
   bench_report.check("pitch.batch_decode_msgs_per_s.reported", batch_decode_ns > 0.0);
   bench_report.check("replay.to_book_msgs_per_s.reported", replay_to_book_ns > 0.0);
-  bench_report.check("all_benchmarks_ran", reporter.timings().size() >= 17);
+  bench_report.check("all_benchmarks_ran", reporter.timings().size() >= 16);
   return bench_report.finish();
 }

@@ -40,6 +40,7 @@ int main() {
               kFrames);
   std::printf("%-12s %8s %8s %8s %8s    %s\n", "Feed", "min", "avg", "median", "max",
               "(paper: min/avg/median/max)");
+  proto::pitch::DecodedBatch batch;
   for (const Row& row : rows) {
     feed::FrameLengthSampler sampler{row.profile, 0x71feedULL};
     telemetry::Histogram lengths;
@@ -54,10 +55,8 @@ int main() {
                       net::kEthernetFcsSize + proto::pitch::kUnitHeaderSize;
       const auto decoded = net::decode_frame(frame);
       if (decoded) {
-        (void)proto::pitch::for_each_message(decoded->payload,
-                                             [&messages](const proto::pitch::Message&) {
-                                               ++messages;
-                                             });
+        (void)proto::pitch::decode_batch(decoded->payload, batch);
+        messages += batch.count;
       }
     }
     std::printf("%-12s %8.0f %8.1f %8.0f %8.0f    (%d / %d / %d / %d)\n", row.name,

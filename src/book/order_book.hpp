@@ -17,8 +17,8 @@
 //
 // The book reports every state change through a listener interface, which
 // the exchange turns into market-data messages. Event order, execution ids,
-// and all query results are byte-identical to the node-based ReferenceBook
-// (asserted by tests/test_book_differential.cpp).
+// and all query results are byte-identical to the node-based reference book
+// in tests/reference_book.hpp (asserted by tests/test_book_differential.cpp).
 #pragma once
 
 #include <cstddef>

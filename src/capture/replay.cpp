@@ -71,7 +71,7 @@ std::uint64_t BookReplayer::replay_frame(std::span<const std::byte> frame) {
 std::uint64_t BookReplayer::replay_payload(std::span<const std::byte> payload) {
   ++stats_.datagrams;
   if (!proto::pitch::decode_batch(payload, batch_)) {
-    // The valid prefix still applies (mirrors the normalizer's lane).
+    // The valid prefix still applies, as in the normalizer.
     ++stats_.malformed_datagrams;
   }
   return apply(batch_);

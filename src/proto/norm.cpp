@@ -114,16 +114,4 @@ bool for_each_update(std::span<const std::byte> payload,
   return true;
 }
 
-std::optional<ParsedDatagram> parse(std::span<const std::byte> payload) {
-  const auto header = peek_header(payload);
-  if (!header) return std::nullopt;
-  ParsedDatagram out;
-  out.header = *header;
-  out.updates.reserve(header->count);
-  if (!for_each_update(payload, [&out](const Update& u) { out.updates.push_back(u); })) {
-    return std::nullopt;
-  }
-  return out;
-}
-
 }  // namespace tsn::proto::norm

@@ -82,13 +82,9 @@ class DatagramBuilder {
   std::size_t count_ = 0;
 };
 
-struct ParsedDatagram {
-  DatagramHeader header;
-  std::vector<Update> updates;
-};
-
-[[nodiscard]] std::optional<ParsedDatagram> parse(std::span<const std::byte> payload);
+// nullopt on a bad magic or a buffer too short for the updates it claims.
 [[nodiscard]] std::optional<DatagramHeader> peek_header(std::span<const std::byte> payload);
+// Invokes `fn` per update; false on a bad header or update.
 [[nodiscard]] bool for_each_update(std::span<const std::byte> payload,
                                    const std::function<void(const Update&)>& fn);
 

@@ -24,12 +24,6 @@ void write_symbol(net::WireWriter& w, const Symbol& symbol) {
   w.ascii(std::string_view{symbol.raw().data(), Symbol::kWidth}, Symbol::kWidth);
 }
 
-// Callers check r.ok() after the surrounding fixed-size message read; the
-// sticky failure flag makes the deferred check safe.
-Symbol read_symbol(net::WireReader& r) {  // tsn-lint: allow(unchecked-reader)
-  return Symbol{r.ascii(Symbol::kWidth)};
-}
-
 }  // namespace
 
 std::size_t encoded_size(const Message& message) noexcept {
@@ -145,116 +139,6 @@ void encode(const Message& message, net::WireWriter& w) {
              "encoded PITCH message must match its declared length byte");
 }
 
-// tsn-lint: hotpath
-std::optional<Message> decode_one(net::WireReader& r) {
-  const std::uint8_t length = r.u8();
-  const std::uint8_t type = r.u8();
-  if (!r.ok()) return std::nullopt;
-  switch (static_cast<MessageType>(type)) {
-    case MessageType::kTime: {
-      if (length != kTimeSize) return std::nullopt;
-      Time m;
-      m.seconds_since_midnight = r.u32_le();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-    case MessageType::kAddOrderShort: {
-      if (length != kAddShortSize) return std::nullopt;
-      AddOrder m;
-      m.time_offset_ns = r.u32_le();
-      m.order_id = r.u64_le();
-      m.side = static_cast<Side>(r.u8());
-      m.quantity = r.u16_le();
-      m.symbol = read_symbol(r);
-      m.price = r.u16_le();
-      m.flags = r.u8();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-    case MessageType::kAddOrderLong: {
-      if (length != kAddLongSize) return std::nullopt;
-      AddOrder m;
-      m.time_offset_ns = r.u32_le();
-      m.order_id = r.u64_le();
-      m.side = static_cast<Side>(r.u8());
-      m.quantity = r.u32_le();
-      m.symbol = read_symbol(r);
-      m.price = static_cast<Price>(r.u64_le());
-      m.flags = r.u8();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-    case MessageType::kOrderExecuted: {
-      if (length != kExecutedSize) return std::nullopt;
-      OrderExecuted m;
-      m.time_offset_ns = r.u32_le();
-      m.order_id = r.u64_le();
-      m.executed_quantity = r.u32_le();
-      m.execution_id = r.u64_le();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-    case MessageType::kReduceSize: {
-      if (length != kReduceSize_) return std::nullopt;
-      ReduceSize m;
-      m.time_offset_ns = r.u32_le();
-      m.order_id = r.u64_le();
-      m.cancelled_quantity = r.u32_le();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-    case MessageType::kModifyOrder: {
-      if (length != kModifySize) return std::nullopt;
-      ModifyOrder m;
-      m.time_offset_ns = r.u32_le();
-      m.order_id = r.u64_le();
-      m.quantity = r.u32_le();
-      m.price = static_cast<Price>(r.u64_le());
-      m.flags = r.u8();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-    case MessageType::kDeleteOrder: {
-      if (length != kDeleteSize) return std::nullopt;
-      DeleteOrder m;
-      m.time_offset_ns = r.u32_le();
-      m.order_id = r.u64_le();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-    case MessageType::kSnapshotBegin: {
-      if (length != kSnapshotBeginSize) return std::nullopt;
-      SnapshotBegin m;
-      m.unit = r.u8();
-      m.next_sequence = r.u32_le();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-    case MessageType::kSnapshotEnd: {
-      if (length != kSnapshotEndSize) return std::nullopt;
-      SnapshotEnd m;
-      m.unit = r.u8();
-      m.order_count = r.u32_le();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-    case MessageType::kTrade: {
-      if (length != kTradeSize) return std::nullopt;
-      Trade m;
-      m.time_offset_ns = r.u32_le();
-      m.order_id = r.u64_le();
-      m.side = static_cast<Side>(r.u8());
-      m.quantity = r.u32_le();
-      m.symbol = read_symbol(r);
-      m.price = static_cast<Price>(r.u64_le());
-      m.execution_id = r.u64_le();
-      if (!r.ok()) return std::nullopt;
-      return Message{m};
-    }
-  }
-  return std::nullopt;
-}
-
 FrameBuilder::FrameBuilder(std::uint8_t unit, std::size_t max_payload, Sink sink)
     : unit_(unit), max_payload_(max_payload), sink_(std::move(sink)) {
   if (max_payload_ < kUnitHeaderSize + kTradeSize) {
@@ -310,20 +194,6 @@ std::optional<UnitHeader> peek_header(std::span<const std::byte> payload) {
   h.sequence = r.u32_le();
   if (!r.ok() || h.length < kUnitHeaderSize || h.length > payload.size()) return std::nullopt;
   return h;
-}
-
-// tsn-lint: hotpath
-bool for_each_message(std::span<const std::byte> payload,
-                      const std::function<void(const Message&)>& fn) {
-  const auto header = peek_header(payload);
-  if (!header) return false;
-  net::WireReader r{payload.subspan(kUnitHeaderSize, header->length - kUnitHeaderSize)};
-  for (std::uint8_t i = 0; i < header->count; ++i) {
-    auto message = decode_one(r);
-    if (!message) return false;
-    fn(*message);
-  }
-  return r.remaining() == 0;
 }
 
 namespace {
@@ -499,17 +369,6 @@ Message DecodedBatch::message_at(std::size_t i) const {
       return SnapshotEnd{flags[i], u32a[i]};
   }
   return Time{};  // unreachable: kind only ever holds the enumerators above
-}
-
-std::optional<ParsedFrame> parse_frame(std::span<const std::byte> payload) {
-  const auto header = peek_header(payload);
-  if (!header) return std::nullopt;
-  ParsedFrame out;
-  out.header = *header;
-  out.messages.reserve(header->count);
-  const bool ok = for_each_message(payload, [&out](const Message& m) { out.messages.push_back(m); });
-  if (!ok) return std::nullopt;
-  return out;
 }
 
 }  // namespace tsn::proto::pitch

@@ -130,10 +130,6 @@ inline constexpr std::size_t kUnitHeaderSize = 8;
 // Appends one message to `w`.
 void encode(const Message& message, net::WireWriter& w);
 
-// Decodes one message; advances the reader past it. nullopt on malformed or
-// unknown-type input.
-[[nodiscard]] std::optional<Message> decode_one(net::WireReader& r);
-
 struct UnitHeader {
   std::uint16_t length = 0;  // bytes including this header
   std::uint8_t count = 0;    // messages in the datagram
@@ -171,31 +167,18 @@ class FrameBuilder {
   std::size_t count_ = 0;
 };
 
-// Parses a datagram payload. Returns nullopt when the unit header or any
-// message is malformed.
-struct ParsedFrame {
-  UnitHeader header;
-  std::vector<Message> messages;
-};
-[[nodiscard]] std::optional<ParsedFrame> parse_frame(std::span<const std::byte> payload);
-
-// Zero-copy variant: invokes `fn` per message. Returns false on malformed
-// input (fn may have been called for a prefix).
-[[nodiscard]] bool for_each_message(std::span<const std::byte> payload,
-                                    const std::function<void(const Message&)>& fn);
-
 // Parses just the unit header (e.g. for gap detection at taps).
 [[nodiscard]] std::optional<UnitHeader> peek_header(std::span<const std::byte> payload);
 
 // ---------------------------------------------------------------------------
-// Batch decode (ROADMAP item 4).
+// Decode.
 //
-// `decode_batch` walks a whole datagram's messages into a caller-provided
-// struct-of-arrays buffer in one pass: the per-message cost is one length/
-// type load, one bounds check, and straight-line little-endian field loads
-// into flat columns — no variant construction, no per-field reader checks,
-// no callback dispatch. Consumers iterate `kind[0..count)` and read only the
-// columns their switch arm needs.
+// `decode_batch` is the one PITCH decoder. It walks a whole datagram's
+// messages into a caller-provided struct-of-arrays buffer in one pass: the
+// per-message cost is one length/type load, one bounds check, and
+// straight-line little-endian field loads into flat columns — no variant
+// construction, no per-field reader checks, no callback dispatch. Consumers
+// iterate `kind[0..count)` and read only the columns their switch arm needs.
 
 enum class DecodedKind : std::uint8_t {
   kTime = 0,
@@ -241,16 +224,15 @@ struct DecodedBatch {
   std::vector<Symbol> symbol;
   std::vector<std::uint8_t> flags;
 
-  void clear() noexcept { count = 0; }
-
-  // AoS view of row i, for slow consumers and differential tests.
+  // AoS view of row i, for tests and tools that want the variant.
   [[nodiscard]] Message message_at(std::size_t i) const;
 };
 
 // Decodes every message of `payload` into `out`. Returns true when the whole
 // datagram parsed; on malformed input returns false with `out.count` set to
-// the valid message prefix (mirroring `for_each_message`, which invokes its
-// callback for the prefix before reporting failure).
+// the valid message prefix. Bytes past the unit header's `length` are not
+// read. The fuzz suite checks every verdict and row against a scalar
+// reference decoder (tests/pitch_oracle.hpp).
 [[nodiscard]] bool decode_batch(std::span<const std::byte> payload, DecodedBatch& out);
 
 }  // namespace tsn::proto::pitch

@@ -83,52 +83,44 @@ void Normalizer::on_feed_datagram(std::span<const std::byte> payload, sim::Time 
         Recovery& recovery = recovery_[header->unit];
         if (!recovery.recovering) {
           recovery.recovering = true;
-          recovery.snapshot_active = false;
-          recovery.buffered.clear();
           ++stats_.resyncs_started;
-        } else {
-          // A second gap while recovering punches a hole in the buffered
-          // tail: it cannot be replayed. Abandon the in-flight cycle and
-          // rebuild from the next snapshot with a fresh buffer.
-          recovery.buffered.clear();
-          recovery.snapshot_active = false;
         }
+        // A gap while already recovering punches a hole in the buffered
+        // tail, so the tail always restarts here.
+        recovery.restart_tail(header->sequence);
       }
     }
   }
   it->second = header->sequence + header->count;
 
-  // During recovery, buffer the live stream for replay past the snapshot's
-  // resume point instead of applying it to stale state.
+  // One decode into the reusable SoA buffer. A malformed tail leaves the
+  // valid prefix in `batch_.count`.
+  (void)proto::pitch::decode_batch(payload, batch_);
+
+  // During recovery, buffer the datagram's bytes for replay past the
+  // snapshot's resume point instead of applying it to stale state.
   if (recovery_enabled()) {
     if (auto rec_it = recovery_.find(header->unit);
         rec_it != recovery_.end() && rec_it->second.recovering) {
       Recovery& recovery = rec_it->second;
-      std::uint32_t seq = header->sequence;
-      (void)proto::pitch::for_each_message(
-          payload, [&recovery, &seq, this](const proto::pitch::Message& m) {
-            if (recovery.buffered.size() < kRecoveryBufferLimit) {
-              recovery.buffered.emplace_back(seq, m);
-              ++stats_.messages_buffered_in_recovery;
-            }
-            ++seq;
-          });
+      // A full buffer restarts the tail, as a gap does.
+      if (recovery.tail_messages + batch_.count > kRecoveryBufferLimit) {
+        recovery.restart_tail(header->sequence);
+      }
+      const auto datagram = payload.first(header->length);
+      recovery.tail.insert(recovery.tail.end(), datagram.begin(), datagram.end());
+      recovery.tail_messages += batch_.count;
+      stats_.messages_buffered_in_recovery += batch_.count;
       return;
     }
   }
-  // Fast lane (ROADMAP item 4): one batch decode into the reusable SoA
-  // buffer, then a flat-column switch — no variant construction and no
-  // per-message callback hop. A malformed tail leaves the valid prefix in
-  // `batch_.count`, matching the slow lane's prefix semantics. Recovery
-  // bypasses this path above: the buffered tail must hold Messages.
-  (void)proto::pitch::decode_batch(payload, batch_);
   apply_batch(batch_);
 }
 
 // tsn-lint: hotpath
-void Normalizer::apply_batch(const proto::pitch::DecodedBatch& batch) {
+void Normalizer::apply_batch(const proto::pitch::DecodedBatch& batch, std::size_t first) {
   using proto::pitch::DecodedKind;
-  for (std::size_t i = 0; i < batch.count; ++i) {
+  for (std::size_t i = first; i < batch.count; ++i) {
     ++stats_.messages_in;
     switch (batch.kind[i]) {
       case DecodedKind::kTime:
@@ -158,8 +150,7 @@ void Normalizer::apply_batch(const proto::pitch::DecodedBatch& batch) {
         break;
       case DecodedKind::kSnapshotBegin:
       case DecodedKind::kSnapshotEnd:
-        // No book state on the live feed: counted and dropped, exactly like
-        // the variant path.
+        // No book state on the live feed: counted and dropped.
         break;
     }
   }
@@ -192,36 +183,65 @@ void Normalizer::on_snapshot_datagram(std::span<const std::byte> payload) {
   auto rec_it = recovery_.find(unit);
   if (rec_it == recovery_.end() || !rec_it->second.recovering) return;  // healthy: ignore
   Recovery& recovery = rec_it->second;
-  (void)proto::pitch::for_each_message(payload, [&](const proto::pitch::Message& m) {
-    if (const auto* begin = std::get_if<proto::pitch::SnapshotBegin>(&m)) {
-      // A fresh cycle: rebuild from scratch.
-      purge_unit_state(unit);
-      recovery.snapshot_active = true;
-      recovery.resume_sequence = begin->next_sequence;
-      return;
+  (void)proto::pitch::decode_batch(payload, snapshot_batch_);
+  const proto::pitch::DecodedBatch& snap = snapshot_batch_;
+  using proto::pitch::DecodedKind;
+  for (std::size_t i = 0; i < snap.count; ++i) {
+    switch (snap.kind[i]) {
+      case DecodedKind::kSnapshotBegin:
+        // A fresh cycle: rebuild from scratch.
+        purge_unit_state(unit);
+        recovery.snapshot_active = true;
+        recovery.resume_sequence = snap.u32a[i];
+        recovery.snapshot_orders = 0;
+        break;
+      case DecodedKind::kAddOrder:
+        if (!recovery.snapshot_active) break;  // mid-cycle join: wait for the next begin
+        orders_[snap.order_id[i]] =
+            OrderInfo{snap.symbol[i], snap.side[i], snap.price[i], snap.quantity[i]};
+        (void)apply_depth(snap.symbol[i], snap.side[i], snap.price[i], snap.quantity[i]);
+        ++stats_.snapshot_orders_applied;
+        ++recovery.snapshot_orders;
+        break;
+      case DecodedKind::kSnapshotEnd:
+        if (!recovery.snapshot_active) break;
+        recovery.snapshot_active = false;
+        // Complete only a whole rebuild: every order the cycle carried was
+        // applied (no snapshot datagram lost), and the buffered tail reaches
+        // back to the resume point (no live message lost after it).
+        // Otherwise drop the cycle, keep the tail, and wait for the next
+        // begin, which purges the partial rebuild.
+        if (recovery.snapshot_orders != snap.u32a[i] ||
+            recovery.tail_start > recovery.resume_sequence) {
+          break;
+        }
+        recovery.recovering = false;
+        replay_tail(recovery);
+        ++stats_.resyncs_completed;
+        return;  // the unit is healthy again: the rest is not for it
+      default:
+        break;  // a snapshot cycle carries only begin, adds and end
     }
-    if (!recovery.snapshot_active) return;  // mid-cycle join: wait for the next begin
-    if (const auto* add = std::get_if<proto::pitch::AddOrder>(&m)) {
-      orders_[add->order_id] =
-          OrderInfo{add->symbol, add->side, add->price, add->quantity};
-      (void)apply_depth(add->symbol, add->side, add->price, add->quantity);
-      ++stats_.snapshot_orders_applied;
-      return;
+  }
+}
+
+void Normalizer::replay_tail(const Recovery& recovery) {
+  // Each stored datagram passed peek_header on arrival, so decoding the
+  // rest of the arena decodes exactly the next datagram, and its header
+  // length says where the one after it starts.
+  std::span<const std::byte> rest{recovery.tail};
+  while (!rest.empty()) {
+    (void)proto::pitch::decode_batch(rest, batch_);
+    const std::uint32_t sequence = batch_.header.sequence;
+    // Rows before the resume point are already in the snapshot.
+    const std::size_t first =
+        recovery.resume_sequence > sequence ? recovery.resume_sequence - sequence : 0;
+    if (first < batch_.count) {
+      apply_batch(batch_, first);
+      stats_.messages_replayed_after_recovery += batch_.count - first;
     }
-    if (std::get_if<proto::pitch::SnapshotEnd>(&m) != nullptr) {
-      // Snapshot complete: replay the buffered live tail past the resume
-      // point, then return to normal processing.
-      recovery.snapshot_active = false;
-      recovery.recovering = false;
-      for (const auto& [seq, buffered] : recovery.buffered) {
-        if (seq < recovery.resume_sequence) continue;  // included in the snapshot
-        handle_message(buffered);
-        ++stats_.messages_replayed_after_recovery;
-      }
-      recovery.buffered.clear();
-      ++stats_.resyncs_completed;
-    }
-  });
+    rest = rest.subspan(batch_.header.length);
+  }
 }
 
 Normalizer::TopChange Normalizer::apply_depth(const proto::Symbol& symbol,
@@ -274,27 +294,6 @@ void Normalizer::emit_bbo(const proto::Symbol& symbol, proto::Side side,
   update.order_id = 0;
   update.exchange_time_ns = exchange_time_ns;
   emit(update);
-}
-
-void Normalizer::handle_message(const proto::pitch::Message& message) {
-  ++stats_.messages_in;
-  using namespace proto::pitch;
-  if (const auto* time = std::get_if<Time>(&message)) {
-    handle_time(time->seconds_since_midnight);
-  } else if (const auto* add = std::get_if<AddOrder>(&message)) {
-    handle_add(*add);
-  } else if (const auto* exec = std::get_if<OrderExecuted>(&message)) {
-    handle_exec(*exec);
-  } else if (const auto* reduce = std::get_if<ReduceSize>(&message)) {
-    handle_reduce(*reduce);
-  } else if (const auto* modify = std::get_if<ModifyOrder>(&message)) {
-    handle_modify(*modify);
-  } else if (const auto* del = std::get_if<DeleteOrder>(&message)) {
-    handle_delete(*del);
-  } else if (const auto* trade = std::get_if<Trade>(&message)) {
-    handle_trade(*trade);
-  }
-  // SnapshotBegin/End on the live feed: counted and dropped.
 }
 
 Normalizer::OrderInfo* Normalizer::resolve(proto::OrderId id) {

@@ -37,9 +37,9 @@ struct NormalizerConfig {
   std::vector<net::Ipv4Addr> feed_groups;
   std::uint16_t feed_port = 30001;
   // Snapshot (gap-recovery) channel. When configured, a detected sequence
-  // gap puts the affected unit into recovery: live messages are buffered,
-  // the next snapshot cycle rebuilds the unit's order state, and buffered
-  // messages past the snapshot's resume point are replayed. Requires
+  // gap puts the affected unit into recovery: live datagrams are buffered,
+  // the next whole snapshot cycle rebuilds the unit's order state, and
+  // buffered messages past its resume point are replayed. Requires
   // exchange_partitioning (to know which symbols belong to the unit).
   std::vector<net::Ipv4Addr> snapshot_groups;
   std::uint16_t snapshot_port = 30002;
@@ -129,16 +129,16 @@ class Normalizer {
   };
 
   struct Partition;
+  struct Recovery;
 
   void on_feed_datagram(std::span<const std::byte> payload, sim::Time arrival);
   void on_snapshot_datagram(std::span<const std::byte> payload);
-  // Slow lane: variant dispatch, used for snapshot replay and the buffered
-  // recovery tail (which must hold Messages). Counts the message, then
-  // forwards to the per-type handler the fast lane shares.
-  void handle_message(const proto::pitch::Message& message);
-  // Fast lane: flat-column switch over one batch-decoded datagram — no
-  // variant construction, no per-message std::function hop.
-  void apply_batch(const proto::pitch::DecodedBatch& batch);
+  // Flat-column switch over rows [first, count) of one decoded datagram:
+  // counts each message and forwards it to its per-type handler.
+  void apply_batch(const proto::pitch::DecodedBatch& batch, std::size_t first = 0);
+  // Replays the buffered tail's messages from the resume point on. The
+  // tail is left as it is; the next recovery restarts it.
+  void replay_tail(const Recovery& recovery);
   void handle_time(std::uint32_t seconds_since_midnight);
   void handle_add(const proto::pitch::AddOrder& add);
   void handle_exec(const proto::pitch::OrderExecuted& exec);
@@ -174,9 +174,11 @@ class Normalizer {
   std::unique_ptr<net::NetStack> out_stack_;
   std::unique_ptr<mcast::IgmpResponder> responder_;
   std::vector<std::unique_ptr<Partition>> partitions_;
-  // Reusable batch-decode buffer for the fast lane (warm after the first
-  // datagram; columns keep their capacity).
+  // Reusable decode buffers (warm after the first datagram; columns keep
+  // their capacity). The snapshot loop iterates its own buffer, because a
+  // completing cycle replays the live tail through `batch_` mid-loop.
   proto::pitch::DecodedBatch batch_;
+  proto::pitch::DecodedBatch snapshot_batch_;
   std::unordered_map<proto::OrderId, OrderInfo> orders_;
   std::unordered_map<proto::Symbol, Ladder> ladders_;
   std::unordered_map<std::uint8_t, std::uint32_t> expected_seq_;  // per unit
@@ -190,7 +192,22 @@ class Normalizer {
     bool recovering = false;
     bool snapshot_active = false;
     std::uint32_t resume_sequence = 0;
-    std::vector<std::pair<std::uint32_t, proto::pitch::Message>> buffered;
+    std::uint32_t snapshot_orders = 0;  // adds applied in the active cycle
+    // Buffered live tail: whole datagrams back to back, each as it arrived
+    // (its unit header bounds it). The arena keeps its capacity across
+    // recoveries. `tail_start` is the sequence the tail covers from without
+    // a hole; `tail_messages` counts its decodable messages.
+    std::vector<std::byte> tail;
+    std::uint32_t tail_start = 0;
+    std::size_t tail_messages = 0;
+
+    // Starts the tail afresh at `sequence`, abandoning any in-flight cycle.
+    void restart_tail(std::uint32_t sequence) noexcept {
+      snapshot_active = false;
+      tail.clear();
+      tail_start = sequence;
+      tail_messages = 0;
+    }
   };
   std::unordered_map<std::uint8_t, Recovery> recovery_;
   static constexpr std::size_t kRecoveryBufferLimit = 100'000;

@@ -99,18 +99,22 @@ class OrderEntryRig {
                    [this](const net::Ipv4Header&, const net::UdpHeader&,
                           std::span<const std::byte> payload, sim::Time) {
                      feed_raw_.insert(feed_raw_.end(), payload.begin(), payload.end());
-                     (void)proto::pitch::for_each_message(
-                         payload, [this](const proto::pitch::Message& message) {
-                           if (std::holds_alternative<proto::pitch::AddOrder>(message)) {
-                             ++feed_adds_;
-                           } else if (std::holds_alternative<proto::pitch::DeleteOrder>(
-                                          message)) {
-                             ++feed_deletes_;
-                           } else if (std::holds_alternative<proto::pitch::OrderExecuted>(
-                                          message)) {
-                             ++feed_execs_;
-                           }
-                         });
+                     (void)proto::pitch::decode_batch(payload, feed_batch_);
+                     for (std::size_t i = 0; i < feed_batch_.count; ++i) {
+                       switch (feed_batch_.kind[i]) {
+                         case proto::pitch::DecodedKind::kAddOrder:
+                           ++feed_adds_;
+                           break;
+                         case proto::pitch::DecodedKind::kDeleteOrder:
+                           ++feed_deletes_;
+                           break;
+                         case proto::pitch::DecodedKind::kOrderExecuted:
+                           ++feed_execs_;
+                           break;
+                         default:
+                           break;
+                       }
+                     }
                    });
 
     injector_.register_link(*uplink_.a_to_b);
@@ -227,6 +231,7 @@ class OrderEntryRig {
                      net::Ipv4Addr{10, 0, 0, 11}};
   net::NetStack feed_{feed_nic_};
   std::vector<std::byte> feed_raw_;
+  proto::pitch::DecodedBatch feed_batch_;
   int feed_adds_ = 0;
   int feed_deletes_ = 0;
   int feed_execs_ = 0;

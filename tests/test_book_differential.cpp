@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "book/order_book.hpp"
-#include "book/reference_book.hpp"
 #include "proto/pitch.hpp"
+#include "reference_book.hpp"
 #include "sim/random.hpp"
 
 namespace {

@@ -115,19 +115,23 @@ TEST(Replay, ReplayReproducesTheLiveRunExactly) {
   // Datagram headers carry the normalizer's own send time, which shifts
   // with the replay's start offset; the updates themselves — symbol,
   // price, size, kind, exchange timestamp — must match exactly.
+  auto updates_of = [](std::span<const std::byte> payload) {
+    std::vector<proto::norm::Update> out;
+    EXPECT_TRUE(proto::norm::peek_header(payload).has_value());
+    EXPECT_TRUE(proto::norm::for_each_update(
+        payload, [&out](const proto::norm::Update& u) { out.push_back(u); }));
+    return out;
+  };
   for (std::size_t i = 0; i < live_output.payloads.size(); ++i) {
-    const auto live = proto::norm::parse(live_output.payloads[i]);
-    const auto replay = proto::norm::parse(replay_output.payloads[i]);
-    ASSERT_TRUE(live.has_value());
-    ASSERT_TRUE(replay.has_value());
-    ASSERT_EQ(live->updates.size(), replay->updates.size());
-    for (std::size_t u = 0; u < live->updates.size(); ++u) {
-      EXPECT_EQ(live->updates[u].symbol, replay->updates[u].symbol);
-      EXPECT_EQ(live->updates[u].price, replay->updates[u].price);
-      EXPECT_EQ(live->updates[u].quantity, replay->updates[u].quantity);
-      EXPECT_EQ(static_cast<int>(live->updates[u].kind),
-                static_cast<int>(replay->updates[u].kind));
-      EXPECT_EQ(live->updates[u].exchange_time_ns, replay->updates[u].exchange_time_ns);
+    const auto live = updates_of(live_output.payloads[i]);
+    const auto replay = updates_of(replay_output.payloads[i]);
+    ASSERT_EQ(live.size(), replay.size());
+    for (std::size_t u = 0; u < live.size(); ++u) {
+      EXPECT_EQ(live[u].symbol, replay[u].symbol);
+      EXPECT_EQ(live[u].price, replay[u].price);
+      EXPECT_EQ(live[u].quantity, replay[u].quantity);
+      EXPECT_EQ(static_cast<int>(live[u].kind), static_cast<int>(replay[u].kind));
+      EXPECT_EQ(live[u].exchange_time_ns, replay[u].exchange_time_ns);
     }
   }
 }

@@ -39,8 +39,10 @@ struct ExchangeRig {
   net::Nic client_nic{engine, "client", net::MacAddr::from_host_id(201),
                       net::Ipv4Addr{10, 0, 0, 201}};
   net::NetStack client;
-  std::vector<proto::pitch::ParsedFrame> frames;
+  // Each well-formed feed datagram, decoded message by message.
+  std::vector<std::vector<proto::pitch::Message>> frames;
   std::vector<net::Ipv4Addr> frame_groups;
+  proto::pitch::DecodedBatch batch;
 
   explicit ExchangeRig(ExchangeConfig config = base_config())
       : exchange(engine, std::move(config)), client(client_nic) {
@@ -50,17 +52,16 @@ struct ExchangeRig {
     feed_listener.set_rx_handler([this](const net::PacketPtr& packet, sim::Time) {
       const auto decoded = net::decode_frame(packet->frame());
       if (!decoded || !decoded->is_udp()) return;
-      auto parsed = proto::pitch::parse_frame(decoded->payload);
-      if (parsed) {
-        frames.push_back(std::move(*parsed));
-        frame_groups.push_back(decoded->ip->dst);
-      }
+      if (!proto::pitch::decode_batch(decoded->payload, batch)) return;
+      auto& messages = frames.emplace_back();
+      for (std::size_t i = 0; i < batch.count; ++i) messages.push_back(batch.message_at(i));
+      frame_groups.push_back(decoded->ip->dst);
     });
   }
 
   std::size_t total_messages() const {
     std::size_t n = 0;
-    for (const auto& f : frames) n += f.messages.size();
+    for (const auto& f : frames) n += f.size();
     return n;
   }
 };
@@ -81,9 +82,9 @@ TEST(Exchange, BookChangesArePublishedAsPitch) {
   ASSERT_EQ(rig.frames.size(), 1u);
   // First message of the first frame of the day is the Time tick, then the
   // add order.
-  ASSERT_EQ(rig.frames[0].messages.size(), 2u);
-  EXPECT_TRUE(std::holds_alternative<proto::pitch::Time>(rig.frames[0].messages[0]));
-  const auto* add = std::get_if<proto::pitch::AddOrder>(&rig.frames[0].messages[1]);
+  ASSERT_EQ(rig.frames[0].size(), 2u);
+  EXPECT_TRUE(std::holds_alternative<proto::pitch::Time>(rig.frames[0][0]));
+  const auto* add = std::get_if<proto::pitch::AddOrder>(&rig.frames[0][1]);
   ASSERT_NE(add, nullptr);
   EXPECT_EQ(add->symbol.view(), "AAA");
   EXPECT_EQ(add->quantity, 100u);
@@ -99,7 +100,7 @@ TEST(Exchange, SameInstantEventsPackIntoOneDatagram) {
   rig.engine.run();
   // All five adds happened at t=0: one datagram, six messages (time + 5).
   ASSERT_EQ(rig.frames.size(), 1u);
-  EXPECT_EQ(rig.frames[0].messages.size(), 6u);
+  EXPECT_EQ(rig.frames[0].size(), 6u);
 }
 
 TEST(Exchange, PartitioningRoutesSymbolsToUnits) {

@@ -213,16 +213,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FrameLength, FramesAreDecodableMarketData) {
   FrameLengthSampler sampler{exchange_a_profile(), 99};
+  proto::pitch::DecodedBatch batch;
   for (int i = 0; i < 200; ++i) {
     const auto frame = sampler.next_frame();
     const auto decoded = net::decode_frame(frame);
     ASSERT_TRUE(decoded.has_value());
     ASSERT_TRUE(decoded->is_udp());
     EXPECT_TRUE(decoded->ip->dst.is_multicast());
-    int messages = 0;
-    EXPECT_TRUE(proto::pitch::for_each_message(
-        decoded->payload, [&](const proto::pitch::Message&) { ++messages; }));
-    EXPECT_GT(messages, 0);
+    EXPECT_TRUE(proto::pitch::decode_batch(decoded->payload, batch));
+    EXPECT_GT(batch.count, 0u);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/headers.hpp"
+#include "pitch_oracle.hpp"
 #include "proto/boe.hpp"
 #include "proto/norm.hpp"
 #include "proto/pitch.hpp"
@@ -189,17 +190,19 @@ TEST_P(FuzzTest, RandomBytesNeverCrashAnyDecoder) {
     const auto bytes = random_bytes(rng, 200);
     // Every decoder either parses or rejects; none may crash or over-read.
     (void)net::decode_frame(bytes);
-    (void)proto::pitch::parse_frame(bytes);
     (void)proto::pitch::peek_header(bytes);
     proto::pitch::DecodedBatch batch;
     (void)proto::pitch::decode_batch(bytes, batch);
-    (void)proto::norm::parse(bytes);
+    (void)proto::norm::peek_header(bytes);
+    (void)proto::norm::for_each_update(bytes, [](const proto::norm::Update&) {});
     (void)proto::boe::decode(bytes);
     (void)proto::boe::complete_length(bytes);
     proto::xpress::Decompressor xr;
     (void)xr.decode(bytes);
+    // The oracle too: the parity tests below trust it on garbage.
+    (void)proto::pitch::oracle::for_each_message(bytes, [](const proto::pitch::Message&) {});
     net::WireReader r{bytes};
-    (void)proto::pitch::decode_one(r);
+    (void)proto::pitch::oracle::decode_one(r);
   }
 }
 
@@ -219,6 +222,7 @@ TEST_P(FuzzTest, MutatedValidPitchFramesAreParsedOrRejected) {
   for (int i = 0; i < 6; ++i) builder.append(proto::pitch::Message{add});
   builder.flush();
 
+  proto::pitch::DecodedBatch batch;
   for (int round = 0; round < 2'000; ++round) {
     auto mutated = valid;
     const auto flips = 1 + rng.next_below(4);
@@ -226,12 +230,10 @@ TEST_P(FuzzTest, MutatedValidPitchFramesAreParsedOrRejected) {
       mutated[rng.next_below(mutated.size())] ^=
           static_cast<std::byte>(1 << rng.next_below(8));
     }
-    int count = 0;
     // May fail, may succeed; must never crash and never claim more
     // messages than the (possibly mutated) header allows.
-    (void)proto::pitch::for_each_message(mutated,
-                                         [&count](const proto::pitch::Message&) { ++count; });
-    EXPECT_LE(count, 255);
+    (void)proto::pitch::decode_batch(mutated, batch);
+    EXPECT_LE(batch.count, std::size_t{255});
   }
 }
 
@@ -308,9 +310,10 @@ TEST_P(FuzzTest, PitchRandomMessagesRoundTripThroughFrames) {
     }
     builder.flush();
     std::vector<proto::pitch::Message> got;
+    proto::pitch::DecodedBatch batch;
     for (const auto& frame : frames) {
-      ASSERT_TRUE(proto::pitch::for_each_message(
-          frame, [&got](const proto::pitch::Message& m) { got.push_back(m); }));
+      ASSERT_TRUE(proto::pitch::decode_batch(frame, batch));
+      for (std::size_t i = 0; i < batch.count; ++i) got.push_back(batch.message_at(i));
     }
     ASSERT_EQ(got.size(), sent.size());
     for (std::size_t i = 0; i < sent.size(); ++i) {
@@ -392,16 +395,18 @@ TEST_P(FuzzTest, PitchTruncationSweepOverWholeFrames) {
       }};
   for (int i = 0; i < 10; ++i) builder.append(random_pitch_message(rng));
   builder.flush();
+  proto::pitch::DecodedBatch batch;
   for (std::size_t len = 0; len < frame.size(); ++len) {
     const auto prefix = std::span{frame}.subspan(0, len);
     // A truncated frame must be rejected whole: peek_header bounds-checks
-    // the length field against the buffer.
-    EXPECT_FALSE(proto::pitch::parse_frame(prefix).has_value());
+    // the length field against the buffer, so no row decodes.
+    EXPECT_FALSE(proto::pitch::decode_batch(prefix, batch));
+    EXPECT_EQ(batch.count, 0u);
   }
-  EXPECT_TRUE(proto::pitch::parse_frame(frame).has_value());
+  EXPECT_TRUE(proto::pitch::decode_batch(frame, batch));
 }
 
-// --- batch decoder (SoA lane) ----------------------------------------------
+// --- batch decoder vs the scalar oracle -------------------------------------
 
 // Re-encodes a message so structurally-equal messages compare byte-equal.
 std::vector<std::byte> reencoded(const proto::pitch::Message& message) {
@@ -425,19 +430,19 @@ TEST_P(FuzzTest, BatchDecodeMatchesVariantDecoderOnValidFrames) {
     for (std::uint64_t i = 0; i < n; ++i) builder.append(random_pitch_message(rng));
     builder.flush();
     for (const auto& frame : frames) {
-      std::vector<proto::pitch::Message> variant_messages;
-      ASSERT_TRUE(proto::pitch::for_each_message(
+      std::vector<proto::pitch::Message> oracle_messages;
+      ASSERT_TRUE(proto::pitch::oracle::for_each_message(
           frame,
-          [&variant_messages](const proto::pitch::Message& m) { variant_messages.push_back(m); }));
+          [&oracle_messages](const proto::pitch::Message& m) { oracle_messages.push_back(m); }));
       ASSERT_TRUE(proto::pitch::decode_batch(frame, batch));
-      ASSERT_EQ(batch.count, variant_messages.size());
+      ASSERT_EQ(batch.count, oracle_messages.size());
       const auto header = proto::pitch::peek_header(frame);
       ASSERT_TRUE(header.has_value());
       EXPECT_EQ(batch.header.sequence, header->sequence);
       EXPECT_EQ(batch.header.unit, header->unit);
       for (std::size_t i = 0; i < batch.count; ++i) {
         // Row-by-row: the SoA columns must reconstruct the exact message.
-        EXPECT_EQ(reencoded(batch.message_at(i)), reencoded(variant_messages[i]))
+        EXPECT_EQ(reencoded(batch.message_at(i)), reencoded(oracle_messages[i]))
             << "message " << i;
       }
     }
@@ -464,15 +469,15 @@ TEST_P(FuzzTest, BatchDecodeBitFlipParityWithForEachMessage) {
     }
     // Both decoders share prefix semantics: same verdict, same number of
     // messages surfaced, and identical messages for the shared prefix.
-    std::vector<proto::pitch::Message> variant_messages;
-    const bool variant_ok = proto::pitch::for_each_message(
+    std::vector<proto::pitch::Message> oracle_messages;
+    const bool oracle_ok = proto::pitch::oracle::for_each_message(
         mutated,
-        [&variant_messages](const proto::pitch::Message& m) { variant_messages.push_back(m); });
+        [&oracle_messages](const proto::pitch::Message& m) { oracle_messages.push_back(m); });
     const bool batch_ok = proto::pitch::decode_batch(mutated, batch);
-    EXPECT_EQ(batch_ok, variant_ok);
-    ASSERT_EQ(batch.count, variant_messages.size());
+    EXPECT_EQ(batch_ok, oracle_ok);
+    ASSERT_EQ(batch.count, oracle_messages.size());
     for (std::size_t i = 0; i < batch.count; ++i) {
-      EXPECT_EQ(reencoded(batch.message_at(i)), reencoded(variant_messages[i]));
+      EXPECT_EQ(reencoded(batch.message_at(i)), reencoded(oracle_messages[i]));
     }
   }
 }
@@ -491,7 +496,9 @@ TEST_P(FuzzTest, BatchDecodeTruncationSweepMatchesParseFrame) {
   for (std::size_t len = 0; len <= frame.size(); ++len) {
     const auto prefix = std::span{frame}.subspan(0, len);
     const bool ok = proto::pitch::decode_batch(prefix, batch);
-    EXPECT_EQ(ok, proto::pitch::parse_frame(prefix).has_value()) << "len=" << len;
+    const bool oracle_ok =
+        proto::pitch::oracle::for_each_message(prefix, [](const proto::pitch::Message&) {});
+    EXPECT_EQ(ok, oracle_ok) << "len=" << len;
     EXPECT_LE(batch.count, std::size_t{255});
   }
 }

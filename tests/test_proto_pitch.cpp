@@ -28,6 +28,19 @@ std::vector<std::byte> encode_to_bytes(const Message& m) {
   return out;
 }
 
+// Wraps raw message bytes in a unit header that claims one message and
+// covers exactly `body`, so decode_batch sees the bytes as they are.
+std::vector<std::byte> one_message_datagram(std::span<const std::byte> body) {
+  std::vector<std::byte> out;
+  net::WireWriter w{out};
+  w.u16_le(static_cast<std::uint16_t>(kUnitHeaderSize + body.size()));
+  w.u8(1);      // count
+  w.u8(0);      // unit
+  w.u32_le(1);  // sequence
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
 TEST(Pitch, MessageSizesMatchTheSpec) {
   // The paper quotes 26 bytes for a new order and 14 for a cancel (§5).
   EXPECT_EQ(encoded_size(sample_add(false)), 26u);
@@ -75,47 +88,46 @@ TEST(Pitch, RoundTripAllMessageTypes) {
       Message{DeleteOrder{12, 80}},
       Message{Trade{13, 81, Side::kBuy, 500, Symbol{"WIDGET"}, price_from_dollars(55.5), 999}},
   };
+  DecodedBatch batch;
   for (const auto& original : originals) {
     const auto bytes = encode_to_bytes(original);
-    net::WireReader r{bytes};
-    const auto decoded = decode_one(r);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->index(), original.index());
-    EXPECT_EQ(r.remaining(), 0u);
+    // true means every byte the header covers was consumed.
+    ASSERT_TRUE(decode_batch(one_message_datagram(bytes), batch));
+    ASSERT_EQ(batch.count, 1u);
+    EXPECT_EQ(batch.message_at(0).index(), original.index());
+    EXPECT_EQ(encode_to_bytes(batch.message_at(0)), bytes);
   }
 }
 
 TEST(Pitch, AddOrderFieldsSurviveRoundTrip) {
-  const auto bytes = encode_to_bytes(sample_add(true));
-  net::WireReader r{bytes};
-  const auto decoded = decode_one(r);
-  ASSERT_TRUE(decoded.has_value());
-  const auto* add = std::get_if<AddOrder>(&*decoded);
-  ASSERT_NE(add, nullptr);
-  EXPECT_EQ(add->order_id, 42u);
-  EXPECT_EQ(add->side, Side::kSell);
-  EXPECT_EQ(add->quantity, 100'000u);
-  EXPECT_EQ(add->price, price_from_dollars(123.45));
-  EXPECT_EQ(add->symbol.view(), "ACME");
-  EXPECT_EQ(add->time_offset_ns, 123'456u);
+  DecodedBatch batch;
+  ASSERT_TRUE(decode_batch(one_message_datagram(encode_to_bytes(sample_add(true))), batch));
+  ASSERT_EQ(batch.count, 1u);
+  EXPECT_EQ(batch.kind[0], DecodedKind::kAddOrder);
+  EXPECT_EQ(batch.order_id[0], 42u);
+  EXPECT_EQ(batch.side[0], Side::kSell);
+  EXPECT_EQ(batch.quantity[0], 100'000u);
+  EXPECT_EQ(batch.price[0], price_from_dollars(123.45));
+  EXPECT_EQ(batch.symbol[0].view(), "ACME");
+  EXPECT_EQ(batch.u32a[0], 123'456u);  // time_offset_ns
 }
 
 TEST(Pitch, DecodeRejectsTruncationAndBadType) {
   auto bytes = encode_to_bytes(sample_add(false));
-  {
-    net::WireReader r{std::span{bytes}.subspan(0, 10)};
-    EXPECT_FALSE(decode_one(r).has_value());
-  }
+  DecodedBatch batch;
+  EXPECT_FALSE(decode_batch(one_message_datagram(std::span{bytes}.subspan(0, 10)), batch));
+  EXPECT_EQ(batch.count, 0u);
   bytes[1] = std::byte{0x7f};  // unknown type
-  net::WireReader r{bytes};
-  EXPECT_FALSE(decode_one(r).has_value());
+  EXPECT_FALSE(decode_batch(one_message_datagram(bytes), batch));
+  EXPECT_EQ(batch.count, 0u);
 }
 
 TEST(Pitch, DecodeRejectsWrongLengthField) {
   auto bytes = encode_to_bytes(Message{DeleteOrder{1, 2}});
   bytes[0] = std::byte{13};  // claims 13, type says delete (14)
-  net::WireReader r{bytes};
-  EXPECT_FALSE(decode_one(r).has_value());
+  DecodedBatch batch;
+  EXPECT_FALSE(decode_batch(one_message_datagram(bytes), batch));
+  EXPECT_EQ(batch.count, 0u);
 }
 
 TEST(Pitch, FrameBuilderPacksAndSequences) {
@@ -172,13 +184,14 @@ TEST(Pitch, ParseFrameRoundTrip) {
   builder.append(sample_add(false));
   builder.append(Message{DeleteOrder{5, 42}});
   builder.flush();
-  const auto parsed = parse_frame(payload);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->header.count, 3);
-  ASSERT_EQ(parsed->messages.size(), 3u);
-  EXPECT_TRUE(std::holds_alternative<Time>(parsed->messages[0]));
-  EXPECT_TRUE(std::holds_alternative<AddOrder>(parsed->messages[1]));
-  EXPECT_TRUE(std::holds_alternative<DeleteOrder>(parsed->messages[2]));
+  DecodedBatch batch;
+  ASSERT_TRUE(decode_batch(payload, batch));
+  EXPECT_EQ(batch.header.count, 3);
+  EXPECT_EQ(batch.header.unit, 3);
+  ASSERT_EQ(batch.count, 3u);
+  EXPECT_EQ(batch.kind[0], DecodedKind::kTime);
+  EXPECT_EQ(batch.kind[1], DecodedKind::kAddOrder);
+  EXPECT_EQ(batch.kind[2], DecodedKind::kDeleteOrder);
 }
 
 TEST(Pitch, ForEachMessageRejectsCorruptFrame) {
@@ -189,8 +202,9 @@ TEST(Pitch, ForEachMessageRejectsCorruptFrame) {
   builder.append(sample_add(false));
   builder.flush();
   payload[9] = std::byte{0x00};  // clobber the first message's type
-  EXPECT_FALSE(for_each_message(payload, [](const Message&) {}));
-  EXPECT_FALSE(parse_frame(payload).has_value());
+  DecodedBatch batch;
+  EXPECT_FALSE(decode_batch(payload, batch));
+  EXPECT_EQ(batch.count, 0u);
 }
 
 TEST(Pitch, PeekHeaderRejectsShortOrInconsistentPayloads) {

@@ -147,90 +147,225 @@ TEST(SnapshotRecovery, WithoutSnapshotsStateStaysCorrupt) {
 // Replay matters when snapshots arrive over a separate path and interleave
 // with live traffic — emulated here by hand-sequencing datagrams straight
 // into the normalizer.
-TEST(SnapshotRecovery, BufferedLiveTailIsReplayed) {
+struct HandSequencedRig {
   sim::Engine engine;
   net::Fabric fabric{engine};
   Normalizer normalizer{engine, RecoveryRig::normalizer_config(true)};
-  net::Nic live{engine, "live", net::MacAddr::from_host_id(1), net::Ipv4Addr{10, 0, 0, 1}};
-  net::Nic snap{engine, "snap", net::MacAddr::from_host_id(2), net::Ipv4Addr{10, 0, 0, 2}};
-  // Two independent one-way paths into the normalizer's NIC.
-  net::Link& live_link = fabric.make_link("live->norm", net::LinkConfig{},
-                                          normalizer.in_nic(), 0);
-  live.attach_port(0, live_link);
-  net::Link& snap_link = fabric.make_link("snap->norm", net::LinkConfig{},
-                                          normalizer.in_nic(), 0);
-  snap.attach_port(0, snap_link);
-  normalizer.join_feeds();
-  engine.run();
+  net::Nic live_nic{engine, "live", net::MacAddr::from_host_id(1), net::Ipv4Addr{10, 0, 0, 1}};
+  net::Nic snap_nic{engine, "snap", net::MacAddr::from_host_id(2), net::Ipv4Addr{10, 0, 0, 2}};
 
-  auto live_frame = [&](std::uint32_t seq, proto::OrderId id, bool is_add) {
+  HandSequencedRig() {
+    // Two independent one-way paths into the normalizer's NIC.
+    net::Link& live_link =
+        fabric.make_link("live->norm", net::LinkConfig{}, normalizer.in_nic(), 0);
+    live_nic.attach_port(0, live_link);
+    net::Link& snap_link =
+        fabric.make_link("snap->norm", net::LinkConfig{}, normalizer.in_nic(), 0);
+    snap_nic.attach_port(0, snap_link);
+    normalizer.join_feeds();
+    engine.run();
+  }
+
+  // Sends one live datagram whose first message carries `sequence`
+  // (`messages` must fit in one datagram).
+  void live(std::uint32_t sequence, const std::vector<proto::pitch::Message>& messages) {
     std::vector<std::byte> payload;
     proto::pitch::FrameBuilder builder{
         0, 1458, [&payload](std::vector<std::byte> p, const proto::pitch::UnitHeader&) {
           payload = std::move(p);
         }};
-    // FrameBuilder numbers from 1; advance it to the target sequence.
-    while (builder.next_sequence() < seq) {
-      builder.append(proto::pitch::Message{proto::pitch::Time{34'200}});
-    }
-    // Drop the warm-up frames on the floor by flushing then rebuilding.
+    for (const auto& message : messages) builder.append(message);
     builder.flush();
-    payload.clear();
-    if (is_add) {
-      proto::pitch::AddOrder add;
-      add.order_id = id;
-      add.symbol = proto::Symbol{"AAA"};
-      add.price = proto::price_from_dollars(10);
-      add.quantity = 100;
-      builder.append(proto::pitch::Message{add});
-    } else {
-      builder.append(proto::pitch::Message{proto::pitch::DeleteOrder{0, id}});
+    // FrameBuilder numbers from 1; stamp the target sequence into the
+    // unit header (bytes 4..7, little-endian).
+    for (std::size_t i = 0; i < 4; ++i) {
+      payload[4 + i] = static_cast<std::byte>((sequence >> (8 * i)) & 0xff);
     }
-    builder.flush();
-    live.send_frame(net::build_multicast_frame(live.mac(), live.ip(),
-                                               net::Ipv4Addr{239, 100, 0, 0}, 30001, payload));
+    live_nic.send_frame(net::build_multicast_frame(live_nic.mac(), live_nic.ip(),
+                                                   net::Ipv4Addr{239, 100, 0, 0}, 30001,
+                                                   payload));
     engine.run();
-  };
+  }
 
-  // seq 1, 2 arrive; seq 3 is lost; seq 4, 5 arrive during the outage.
-  live_frame(1, 101, true);
-  live_frame(2, 102, true);
-  // (seq 3, an add of order 103, never arrives)
-  live_frame(4, 104, true);   // gap detected here; buffered
-  live_frame(5, 102, false);  // delete of order 102; buffered
-  EXPECT_EQ(normalizer.stats().sequence_gaps, 1u);
-  EXPECT_EQ(normalizer.stats().messages_buffered_in_recovery, 2u);
+  // Builds one snapshot cycle for unit 0 — begin, one add per (id, quantity),
+  // end — packed into datagrams of at most `max_payload` bytes.
+  static std::vector<std::vector<std::byte>> snapshot_cycle(
+      std::uint32_t resume_sequence,
+      const std::vector<std::pair<proto::OrderId, proto::Quantity>>& orders,
+      std::size_t max_payload = 1458) {
+    std::vector<std::vector<std::byte>> payloads;
+    proto::pitch::FrameBuilder builder{
+        0, max_payload, [&payloads](std::vector<std::byte> p, const proto::pitch::UnitHeader&) {
+          payloads.push_back(std::move(p));
+        }};
+    builder.append(proto::pitch::Message{proto::pitch::SnapshotBegin{0, resume_sequence}});
+    for (const auto& [id, quantity] : orders) builder.append(add(id, quantity));
+    builder.append(proto::pitch::Message{
+        proto::pitch::SnapshotEnd{0, static_cast<std::uint32_t>(orders.size())}});
+    builder.flush();
+    return payloads;
+  }
 
-  // Snapshot covering state as of seq 4 (orders 101, 102, 103 resting).
-  std::vector<std::vector<std::byte>> snapshot_payloads;
-  proto::pitch::FrameBuilder sbuilder{
-      0, 1458, [&](std::vector<std::byte> p, const proto::pitch::UnitHeader&) {
-        snapshot_payloads.push_back(std::move(p));
-      }};
-  sbuilder.append(proto::pitch::Message{proto::pitch::SnapshotBegin{0, 4}});
-  for (proto::OrderId id : {101, 102, 103}) {
+  void snapshot(const std::vector<std::byte>& payload) {
+    snap_nic.send_frame(net::build_multicast_frame(snap_nic.mac(), snap_nic.ip(),
+                                                   net::Ipv4Addr{239, 101, 0, 0}, 30002,
+                                                   payload));
+    engine.run();
+  }
+
+  static proto::pitch::Message add(proto::OrderId id, proto::Quantity quantity = 100) {
     proto::pitch::AddOrder add;
     add.order_id = id;
     add.symbol = proto::Symbol{"AAA"};
-    add.price = proto::price_from_dollars(10);
-    add.quantity = 100;
-    sbuilder.append(proto::pitch::Message{add});
+    add.price = proto::price_from_dollars(10);  // long form: 34 bytes
+    add.quantity = quantity;
+    return proto::pitch::Message{add};
   }
-  sbuilder.append(proto::pitch::Message{proto::pitch::SnapshotEnd{0, 3}});
-  sbuilder.flush();
-  for (auto& payload : snapshot_payloads) {
-    snap.send_frame(net::build_multicast_frame(snap.mac(), snap.ip(),
-                                               net::Ipv4Addr{239, 101, 0, 0}, 30002, payload));
+  static proto::pitch::Message del(proto::OrderId id) {
+    return proto::pitch::Message{proto::pitch::DeleteOrder{0, id}};
   }
-  engine.run();
+};
 
-  const auto& stats = normalizer.stats();
+TEST(SnapshotRecovery, BufferedLiveTailIsReplayed) {
+  HandSequencedRig rig;
+  // seq 1, 2 arrive; seq 3 is lost; seq 4, 5 arrive during the outage.
+  rig.live(1, {HandSequencedRig::add(101)});
+  rig.live(2, {HandSequencedRig::add(102)});
+  // (seq 3, an add of order 103, never arrives)
+  rig.live(4, {HandSequencedRig::add(104)});  // gap detected here; buffered
+  rig.live(5, {HandSequencedRig::del(102)});  // delete of order 102; buffered
+  EXPECT_EQ(rig.normalizer.stats().sequence_gaps, 1u);
+  EXPECT_EQ(rig.normalizer.stats().messages_buffered_in_recovery, 2u);
+
+  // Snapshot covering state as of seq 4 (orders 101, 102, 103 resting).
+  for (const auto& payload :
+       HandSequencedRig::snapshot_cycle(4, {{101, 100}, {102, 100}, {103, 100}})) {
+    rig.snapshot(payload);
+  }
+
+  const auto& stats = rig.normalizer.stats();
   EXPECT_EQ(stats.resyncs_completed, 1u);
   EXPECT_EQ(stats.snapshot_orders_applied, 3u);
   // The buffered tail (seq 4 add of 104, seq 5 delete of 102) replayed.
   EXPECT_EQ(stats.messages_replayed_after_recovery, 2u);
   // Final state: orders 101, 103, 104 tracked (102 deleted by the replay).
-  EXPECT_EQ(normalizer.tracked_orders(), 3u);
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 3u);
+}
+
+// A lost snapshot datagram leaves the rebuild short of the cycle's
+// order_count: that cycle must not complete, and the next whole one must.
+TEST(SnapshotRecovery, CycleMissingADatagramIsDroppedUntilAWholeOne) {
+  HandSequencedRig rig;
+  rig.live(1, {HandSequencedRig::add(101)});
+  rig.live(2, {HandSequencedRig::add(102)});
+  // (seq 3, an add of order 103, never arrives)
+  rig.live(4, {HandSequencedRig::add(104)});
+  rig.live(5, {HandSequencedRig::del(101)});
+
+  // 49-byte datagrams: [begin + add 101] [add 102] [add 103 + end].
+  const auto cycle =
+      HandSequencedRig::snapshot_cycle(4, {{101, 100}, {102, 100}, {103, 100}}, 49);
+  ASSERT_EQ(cycle.size(), 3u);
+  rig.snapshot(cycle[0]);
+  rig.snapshot(cycle[2]);  // the middle datagram (order 102) never arrives
+  EXPECT_EQ(rig.normalizer.stats().snapshot_orders_applied, 2u);
+  EXPECT_EQ(rig.normalizer.stats().resyncs_completed, 0u);
+  EXPECT_EQ(rig.normalizer.stats().messages_replayed_after_recovery, 0u);
+
+  for (const auto& payload : cycle) rig.snapshot(payload);
+  const auto& stats = rig.normalizer.stats();
+  EXPECT_EQ(stats.resyncs_completed, 1u);
+  EXPECT_EQ(stats.snapshot_orders_applied, 5u);
+  EXPECT_EQ(stats.messages_replayed_after_recovery, 2u);
+  // 102 and 103 from the snapshot, 104 from the replay; 101 deleted.
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 3u);
+}
+
+// A second gap restarts the buffered tail after the resume point of the
+// next snapshot: the messages between them are gone, so that snapshot
+// cannot complete the resync. A later snapshot whose resume point the
+// tail reaches does.
+TEST(SnapshotRecovery, TailStartingPastTheResumePointWaitsForALaterSnapshot) {
+  HandSequencedRig rig;
+  rig.live(1, {HandSequencedRig::add(101)});
+  rig.live(2, {HandSequencedRig::add(102)});
+  // (seq 3, an add of order 103, never arrives)
+  rig.live(4, {HandSequencedRig::add(104)});  // first gap: recovery starts
+  // (seq 5, an add of order 105, never arrives)
+  rig.live(6, {HandSequencedRig::del(101)});  // second gap: the tail restarts at 6
+  EXPECT_EQ(rig.normalizer.stats().sequence_gaps, 2u);
+  EXPECT_EQ(rig.normalizer.stats().resyncs_started, 1u);
+
+  // State as of seq 3, resuming at 4: the tail no longer holds seq 4 or 5.
+  for (const auto& payload :
+       HandSequencedRig::snapshot_cycle(4, {{101, 100}, {102, 100}, {103, 100}})) {
+    rig.snapshot(payload);
+  }
+  EXPECT_EQ(rig.normalizer.stats().resyncs_completed, 0u);
+  EXPECT_EQ(rig.normalizer.stats().messages_replayed_after_recovery, 0u);
+
+  // State as of seq 5, resuming at 6.
+  for (const auto& payload : HandSequencedRig::snapshot_cycle(
+           6, {{101, 100}, {102, 100}, {103, 100}, {104, 100}, {105, 100}})) {
+    rig.snapshot(payload);
+  }
+  const auto& stats = rig.normalizer.stats();
+  EXPECT_EQ(stats.resyncs_completed, 1u);
+  EXPECT_EQ(stats.messages_replayed_after_recovery, 1u);
+  // 102..105 from the snapshot; the replayed seq 6 deleted 101.
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 4u);
+}
+
+// One buffered datagram whose rows straddle the resume point: replay starts
+// at the first row at or past it, not at the datagram's start.
+TEST(SnapshotRecovery, ReplayStartsMidDatagramAtTheResumePoint) {
+  HandSequencedRig rig;
+  rig.live(1, {HandSequencedRig::add(101)});
+  // (seq 2, an add of order 102, never arrives)
+  // seq 3 executes half of 102, seq 4 adds 104, seq 5 deletes 101.
+  rig.live(3, {proto::pitch::Message{proto::pitch::OrderExecuted{0, 102, 50, 1}},
+               HandSequencedRig::add(104), HandSequencedRig::del(101)});
+  EXPECT_EQ(rig.normalizer.stats().messages_buffered_in_recovery, 3u);
+
+  // State as of seq 3 (102 already down to 50), resuming at 4.
+  for (const auto& payload : HandSequencedRig::snapshot_cycle(4, {{101, 100}, {102, 50}})) {
+    rig.snapshot(payload);
+  }
+  const auto& stats = rig.normalizer.stats();
+  EXPECT_EQ(stats.resyncs_completed, 1u);
+  // Only seq 4 and 5 replay. Replaying seq 3 too would execute 102's last
+  // 50 and drop it from the book.
+  EXPECT_EQ(stats.messages_replayed_after_recovery, 2u);
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 2u);  // 102 and 104
+  EXPECT_EQ(stats.unknown_orders, 0u);
+}
+
+// The recovery buffer holds at most 100,000 messages. A datagram that
+// would overflow it restarts the tail, as a gap does, so a snapshot from
+// before the restart can no longer complete the resync.
+TEST(SnapshotRecovery, FullRecoveryBufferRestartsTheTail) {
+  HandSequencedRig rig;
+  rig.live(1, {HandSequencedRig::add(101)});
+  // (seq 2 never arrives)
+  const std::vector<proto::pitch::Message> ticks(240,
+                                                 proto::pitch::Message{proto::pitch::Time{34'200}});
+  for (std::uint32_t i = 0; i < 417; ++i) rig.live(3 + i * 240, ticks);
+  EXPECT_EQ(rig.normalizer.stats().messages_buffered_in_recovery, 417u * 240u);
+  // 416 datagrams fill 99,840 slots; the 417th restarts the tail.
+  const std::uint32_t restarted_at = 3 + 416 * 240;
+
+  for (const auto& payload : HandSequencedRig::snapshot_cycle(3, {{101, 100}})) {
+    rig.snapshot(payload);
+  }
+  EXPECT_EQ(rig.normalizer.stats().resyncs_completed, 0u);
+
+  for (const auto& payload : HandSequencedRig::snapshot_cycle(restarted_at, {{101, 100}})) {
+    rig.snapshot(payload);
+  }
+  const auto& stats = rig.normalizer.stats();
+  EXPECT_EQ(stats.resyncs_completed, 1u);
+  EXPECT_EQ(stats.messages_replayed_after_recovery, 240u);
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 1u);
 }
 
 TEST(SnapshotRecovery, RequiresExchangePartitioning) {

@@ -52,12 +52,12 @@ struct NormalizerRig {
     collector.set_rx_handler([this](const net::PacketPtr& packet, sim::Time) {
       const auto decoded = net::decode_frame(packet->frame());
       if (!decoded || !decoded->is_udp()) return;
-      const auto parsed = proto::norm::parse(decoded->payload);
-      if (!parsed) return;
-      for (const auto& u : parsed->updates) {
+      const auto header = proto::norm::peek_header(decoded->payload);
+      if (!header) return;
+      (void)proto::norm::for_each_update(decoded->payload, [&](const proto::norm::Update& u) {
         updates.push_back(u);
-        update_partitions.push_back(parsed->header.partition);
-      }
+        update_partitions.push_back(header->partition);
+      });
     });
     engine.run();  // flush the IGMP joins
   }
