@@ -52,8 +52,8 @@ bool FpgaSwitch::passes_filter(net::PortId port, net::Ipv4Addr group) const noex
 }
 
 void FpgaSwitch::receive(const net::PacketPtr& packet, net::PortId in_port) {
-  auto frame = net::decode_frame(packet->frame());
-  if (!frame || !frame->ip || !frame->ip->dst.is_multicast()) {
+  const net::DecodedFrame* frame = packet->decoded();
+  if (frame == nullptr || !frame->ip || !frame->ip->dst.is_multicast()) {
     // The FPGA fabric here is multicast-only (the quad networks of §4.3
     // carry feeds); anything else is dropped.
     ++stats_.no_group_drops;

@@ -128,8 +128,8 @@ void CommoditySwitch::receive(const net::PacketPtr& packet, net::PortId in_port)
     ++stats_.fault_loss_drops;
     return;
   }
-  auto frame = net::decode_frame(packet->frame());
-  if (!frame || !frame->ip) {
+  const net::DecodedFrame* frame = packet->decoded();
+  if (frame == nullptr || !frame->ip) {
     ++stats_.no_route_drops;  // non-IP traffic is not carried on these fabrics
     return;
   }
@@ -193,15 +193,15 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
   // This mirrors a PIM rendezvous-point tree and keeps leaf-spine fabrics
   // loop-free for multicast.
   const bool from_router = in_port < router_port_.size() && router_port_[in_port];
-  std::vector<net::PortId> extra;
+  // Final egress set: router-port pushes, then learned receiver ports.
+  std::vector<net::PortId>& out = egress_scratch_;
+  out.clear();
   if (!from_router) {
     for (net::PortId p = 0; p < router_port_.size(); ++p) {
-      if (router_port_[p] && p != in_port) extra.push_back(p);
+      if (router_port_[p] && p != in_port) out.push_back(p);
     }
   }
   const auto entry = mroutes_.lookup(group);
-  // Final egress set: learned receiver ports plus the router-port pushes.
-  std::vector<net::PortId> out = extra;
   if (entry.ports != nullptr) {
     for (net::PortId p : *entry.ports) {
       if (std::find(out.begin(), out.end(), p) == out.end()) out.push_back(p);
@@ -210,11 +210,10 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
   if (out.empty()) {
     if (entry.ports == nullptr && config_.flood_unknown_multicast) {
       // Flood out of every attached port except the ingress.
-      std::vector<net::PortId> all;
       for (net::PortId p = 0; p < egress_.size(); ++p) {
-        if (egress_[p] != nullptr) all.push_back(p);
+        if (egress_[p] != nullptr) out.push_back(p);
       }
-      replicate(packet, all, in_port, config_.forwarding_latency);
+      replicate(packet, in_port, config_.forwarding_latency);
       ++stats_.multicast_hw_forwarded;
       return;
     }
@@ -224,7 +223,7 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
   const bool hardware = entry.ports == nullptr || entry.hardware;
   if (hardware) {
     ++stats_.multicast_hw_forwarded;
-    replicate(packet, out, in_port, config_.forwarding_latency);
+    replicate(packet, in_port, config_.forwarding_latency);
     return;
   }
   // Software path: single-server queue with bounded depth. Queue depth is
@@ -242,23 +241,49 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
   TSN_DCHECK(done >= now, "software service completion cannot precede now");
   software_free_at_ = done;
   ++stats_.multicast_sw_forwarded;
-  replicate(packet, out, in_port, done - now);
+  replicate(packet, in_port, done - now);
 }
 
-void CommoditySwitch::replicate(const net::PacketPtr& packet,
-                                const std::vector<net::PortId>& ports, net::PortId in_port,
+void CommoditySwitch::replicate(const net::PacketPtr& packet, net::PortId in_port,
                                 sim::Duration extra_delay) {
+  std::uint32_t fanout = 0;
+  if (free_fanouts_.empty()) {
+    fanout = static_cast<std::uint32_t>(fanouts_.size());
+    fanouts_.emplace_back();
+    free_fanouts_.reserve(fanouts_.size());  // so releasing never allocates
+  } else {
+    fanout = free_fanouts_.back();
+    free_fanouts_.pop_back();
+  }
+  std::vector<net::PortId>& ports = fanouts_[fanout];
+  for (net::PortId port : egress_scratch_) {
+    if (port != in_port) ports.push_back(port);
+  }
+  if (ports.empty()) {
+    free_fanouts_.push_back(fanout);
+    return;
+  }
+  stats_.replications += ports.size();
+  // One event for the whole fan-out. Per-port events scheduled here would
+  // take consecutive sequence numbers at one instant, so nothing could fire
+  // between them; doing their work in port order inside one event keeps
+  // every delivery, span and random draw where it was.
   auto self = this;
   const sim::Time rx = engine_.now();
-  for (net::PortId port : ports) {
-    if (port == in_port) continue;
-    ++stats_.replications;
-    engine_.schedule_in(extra_delay, [self, packet, port, rx] {
-      telemetry::record_span(packet->trace(), self->name_, telemetry::SpanKind::kSwitch, rx,
-                             self->engine_.now());
-      self->transmit_on(port, packet);
-    });
+  engine_.schedule_in(extra_delay,
+                      [self, packet, fanout, rx] { self->fire_fanout(packet, fanout, rx); });
+}
+
+void CommoditySwitch::fire_fanout(const net::PacketPtr& packet, std::uint32_t fanout,
+                                  sim::Time rx) {
+  // transmit_on only schedules, so no fan-out is added while this one runs.
+  for (net::PortId port : fanouts_[fanout]) {
+    telemetry::record_span(packet->trace(), name_, telemetry::SpanKind::kSwitch, rx,
+                           engine_.now());
+    transmit_on(port, packet);
   }
+  fanouts_[fanout].clear();
+  free_fanouts_.push_back(fanout);
 }
 
 void CommoditySwitch::handle_igmp(const net::PacketPtr& packet,
@@ -278,11 +303,11 @@ void CommoditySwitch::handle_igmp(const net::PacketPtr& packet,
   }
   // Relay the report toward router ports so upstream switches learn that
   // this subtree has receivers.
-  std::vector<net::PortId> uplinks;
+  egress_scratch_.clear();
   for (net::PortId p = 0; p < router_port_.size(); ++p) {
-    if (router_port_[p] && p != in_port) uplinks.push_back(p);
+    if (router_port_[p] && p != in_port) egress_scratch_.push_back(p);
   }
-  replicate(packet, uplinks, in_port, config_.forwarding_latency);
+  replicate(packet, in_port, config_.forwarding_latency);
 }
 
 void CommoditySwitch::register_metrics(telemetry::Registry& registry,

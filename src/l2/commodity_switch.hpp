@@ -133,8 +133,10 @@ class CommoditySwitch final : public net::PortedDevice, public net::FaultHook {
   void forward_unicast(const net::PacketPtr& packet, const net::DecodedFrame& frame,
                        net::PortId in_port);
   void forward_multicast(const net::PacketPtr& packet, net::Ipv4Addr group, net::PortId in_port);
-  void replicate(const net::PacketPtr& packet, const std::vector<net::PortId>& ports,
-                 net::PortId in_port, sim::Duration extra_delay);
+  // Copies `egress_scratch_` minus `in_port` into a pending fan-out and
+  // schedules the one event that transmits on all of them.
+  void replicate(const net::PacketPtr& packet, net::PortId in_port, sim::Duration extra_delay);
+  void fire_fanout(const net::PacketPtr& packet, std::uint32_t fanout, sim::Time rx);
   void handle_igmp(const net::PacketPtr& packet, const mcast::IgmpMessage& message,
                    net::PortId in_port);
   void transmit_on(net::PortId port, const net::PacketPtr& packet);
@@ -175,6 +177,13 @@ class CommoditySwitch final : public net::PortedDevice, public net::FaultHook {
   // allocation-free for pool-inlined frame sizes.
   net::PacketFactory factory_;
   std::vector<std::byte> rewrite_scratch_;
+  // Multicast egress ports of the frame being received, in forwarding order.
+  std::vector<net::PortId> egress_scratch_;
+  // Egress lists of fan-outs whose event has not fired yet, and the indices
+  // of released ones. Released lists keep their capacity, so a warm fan-out
+  // allocates nothing.
+  std::vector<std::vector<net::PortId>> fanouts_;
+  std::vector<std::uint32_t> free_fanouts_;
   bool querier_running_ = false;
   std::uint64_t aged_out_ = 0;
 };

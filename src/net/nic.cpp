@@ -42,11 +42,11 @@ PacketPtr Nic::send_frame(std::span<const std::byte> frame) {
 
 void Nic::receive(const PacketPtr& packet, PortId /*port*/) {
   if (!promiscuous_) {
-    WireReader r{packet->frame()};
-    const auto eth = EthernetHeader::decode(r);
+    const EthernetHeader* eth = packet->ethernet();
     const bool accept =
-        eth && (eth->dst == mac_ || eth->dst.is_broadcast() ||
-                std::find(mcast_macs_.begin(), mcast_macs_.end(), eth->dst) != mcast_macs_.end());
+        eth != nullptr &&
+        (eth->dst == mac_ || eth->dst.is_broadcast() ||
+         std::find(mcast_macs_.begin(), mcast_macs_.end(), eth->dst) != mcast_macs_.end());
     if (!accept) {
       ++rx_filtered_;
       return;

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/headers.hpp"
 #include "sim/time.hpp"
 #include "telemetry/trace.hpp"
 
@@ -78,6 +79,10 @@ class Packet {
     }
   }
 
+  // The parse cache's payload span points into this object's own storage.
+  Packet(const Packet&) = delete;
+  Packet& operator=(const Packet&) = delete;
+
   [[nodiscard]] std::span<const std::byte> frame() const noexcept {
     return inline_stored_ ? std::span<const std::byte>{inline_frame_.data(), size_}
                           : std::span<const std::byte>{heap_frame_};
@@ -96,7 +101,41 @@ class Packet {
   // of a frame (switch MAC rewrite, protocol relays) must carry it forward.
   [[nodiscard]] telemetry::TraceId trace() const noexcept { return trace_; }
 
+  // The frame as `decode_frame` parses it, or nullptr when it rejects the
+  // frame. Parsed on the first read of either view and kept, so every hop
+  // after the first reads headers without re-parsing them.
+  // tsn-lint: hotpath
+  [[nodiscard]] const DecodedFrame* decoded() const {
+    if (parse_ == Parse::kPending) parse();
+    return parse_ == Parse::kDecoded ? &parsed_ : nullptr;
+  }
+  // The Ethernet header alone, which a NIC's MAC filter needs: present even
+  // when `decoded()` is null because a later header failed to parse, and
+  // null only for frames shorter than an Ethernet header.
+  // tsn-lint: hotpath
+  [[nodiscard]] const EthernetHeader* ethernet() const {
+    if (parse_ == Parse::kPending) parse();
+    return parse_ == Parse::kNoEthernet ? nullptr : &parsed_.eth;
+  }
+
  private:
+  enum class Parse : std::uint8_t { kPending, kNoEthernet, kEthernetOnly, kDecoded };
+
+  void parse() const {
+    if (auto frame_view = decode_frame(frame())) {
+      parsed_ = *frame_view;
+      parse_ = Parse::kDecoded;
+      return;
+    }
+    WireReader r{frame()};
+    if (auto eth = EthernetHeader::decode(r)) {
+      parsed_.eth = *eth;
+      parse_ = Parse::kEthernetOnly;
+    } else {
+      parse_ = Parse::kNoEthernet;
+    }
+  }
+
   std::vector<std::byte> heap_frame_;  // empty when inline_stored_
   std::array<std::byte, kInlineCapacity> inline_frame_;
   sim::Time created_;
@@ -104,6 +143,14 @@ class Packet {
   telemetry::TraceId trace_ = 0;
   std::uint32_t size_ = 0;
   bool inline_stored_ = true;
+  // Parse cache behind decoded()/ethernet(). Filled lazily, not at
+  // construction, so packets no hop parses (pool warm-up, drops) never pay
+  // for it. Unlocked mutation of a shared immutable packet is safe because
+  // a PacketPtr never crosses shards: net/bridge.hpp copies the bytes and
+  // rebuilds the packet on the far shard, so every reader of one Packet
+  // runs on one thread.
+  mutable Parse parse_ = Parse::kPending;
+  mutable DecodedFrame parsed_;
 };
 
 using PacketPtr = std::shared_ptr<const Packet>;

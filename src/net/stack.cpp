@@ -58,8 +58,8 @@ std::size_t NetStack::reap_closed() {
 }
 
 void NetStack::on_frame(const PacketPtr& packet, sim::Time arrival) {
-  auto frame = decode_frame(packet->frame());
-  if (!frame || !frame->ip) return;
+  const DecodedFrame* frame = packet->decoded();
+  if (frame == nullptr || !frame->ip) return;
   if (frame->udp) {
     ++udp_rx_;
     auto it = udp_handlers_.find(frame->udp->dst_port);

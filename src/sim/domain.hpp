@@ -75,6 +75,8 @@ class Domain final : public Scheduler {
   [[nodiscard]] ShardContext* context() const noexcept { return context_; }
 
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.live(); }
+  // Heap entries, pending events plus cancelled ones not yet purged.
+  [[nodiscard]] std::size_t heap_entries() const noexcept { return queue_.heap_entries(); }
   [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
   [[nodiscard]] std::size_t pool_capacity() const noexcept { return queue_.pool_capacity(); }
   [[nodiscard]] std::size_t pool_in_use() const noexcept { return queue_.pool_in_use(); }

@@ -12,10 +12,11 @@
 //
 // Hot-path memory model: actions are stored in pooled, slab-allocated slots
 // (`EventPool`) as `InlineAction`s — no heap allocation per event once the
-// pool and the heap vector are warm. Cancellation is genuinely O(1): a
-// handle names (slot, generation); cancelling releases the slot immediately
-// and the stale heap entry is discarded when it surfaces at the top. The
-// queue core lives in sim/event_queue.hpp, shared with `Domain`.
+// pool and the heap vector are warm. Cancellation is O(1) amortized: a
+// handle names (slot, generation); cancelling releases the slot immediately,
+// and stale heap entries are purged once they outnumber live ones (plus a
+// small slack). The queue core lives in sim/event_queue.hpp, shared with
+// `Domain`.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +64,9 @@ class Engine final : public Scheduler {
   void reserve(std::size_t events) { queue_.reserve(events); }
 
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.live(); }
+  // Heap entries, pending events plus cancelled ones not yet purged; at most
+  // 2 x pending_events() + EventQueue::kStaleSlack.
+  [[nodiscard]] std::size_t heap_entries() const noexcept { return queue_.heap_entries(); }
   [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
   // Pool introspection (tests and capacity planning).
   [[nodiscard]] std::size_t pool_capacity() const noexcept { return queue_.pool_capacity(); }

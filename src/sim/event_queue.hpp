@@ -1,11 +1,12 @@
 // The time-ordered event queue core shared by `Engine` and `Domain`.
 //
 // Extracted from the PR 3 engine: pooled slab-allocated slots (`EventPool`),
-// a lazy-pruned binary heap, and O(1) generation-checked cancellation. The
-// queue owns neither the clock nor the sequence counter — its owner passes
-// `seq` into push() (a Domain under a golden-mode ShardedEngine shares one
-// counter across all shards so the merged run is byte-identical to a plain
-// Engine) and advances its own `now` from the entries the queue pops.
+// a binary heap purged of cancelled entries, and generation-checked
+// cancellation in O(1) amortized. The queue owns neither the clock nor the
+// sequence counter — its owner passes `seq` into push() (a Domain under a
+// golden-mode ShardedEngine shares one counter across all shards so the
+// merged run is byte-identical to a plain Engine) and advances its own
+// `now` from the entries the queue pops.
 #pragma once
 
 #include <algorithm>
@@ -23,7 +24,7 @@ namespace tsn::sim {
 class EventQueue {
  public:
   // Heap entries are small POD (the action stays in the pool slot); a
-  // cancelled event's entry lingers, detected by generation mismatch.
+  // cancelled event's entry goes stale, detected by generation mismatch.
   struct HeapEntry {
     Time at;
     std::uint64_t seq = 0;
@@ -52,9 +53,13 @@ class EventQueue {
     return EventHandle{index, slot.generation, domain_};
   }
 
-  // O(1) cancel; see Scheduler::cancel for the handle-staleness contract.
-  // The caller is responsible for the domain check — this queue only checks
-  // slot liveness.
+  // Stale entries the heap may hold beyond one per live event before they
+  // are purged; keeps purges rare when few events are pending.
+  static constexpr std::size_t kStaleSlack = 64;
+
+  // O(1) amortized cancel; see Scheduler::cancel for the handle-staleness
+  // contract. The caller is responsible for the domain check — this queue
+  // only checks slot liveness.
   // tsn-lint: hotpath
   bool cancel(EventHandle handle) {
     if (!handle.valid() || handle.slot_ >= pool_.capacity()) return false;
@@ -62,8 +67,9 @@ class EventQueue {
     // A fired, cancelled, or reused slot has moved past the handle's
     // generation; only the live original matches.
     if (!slot.armed || slot.generation != handle.generation_) return false;
-    pool_.release(handle.slot_);  // heap entry goes stale; pruned at peek
+    pool_.release(handle.slot_);  // its heap entry goes stale
     --live_;
+    purge_if_mostly_stale();
     return true;
   }
 
@@ -72,11 +78,7 @@ class EventQueue {
   // tsn-lint: hotpath
   const HeapEntry* peek_live() {
     while (!heap_.empty()) {
-      const HeapEntry& top = heap_.front();
-      const EventPool::Slot& slot = pool_.slot(top.slot);
-      if (slot.armed && slot.generation == top.generation) return &heap_.front();
-      // Cancelled: the slot was released (and possibly re-armed under a new
-      // generation); this entry is stale.
+      if (is_live(heap_.front())) return &heap_.front();
       std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
       heap_.pop_back();
     }
@@ -98,6 +100,7 @@ class EventQueue {
     InlineAction action = std::move(slot.action);
     pool_.release(entry.slot);
     --live_;
+    purge_if_mostly_stale();
     TSN_DCHECK(entry.at >= now, "event queue must never run time backwards");
     now = entry.at;
     ++fired;
@@ -114,6 +117,8 @@ class EventQueue {
 
   [[nodiscard]] DomainId domain() const noexcept { return domain_; }
   [[nodiscard]] std::size_t live() const noexcept { return live_; }
+  // Heap entries, live plus not yet purged stale ones.
+  [[nodiscard]] std::size_t heap_entries() const noexcept { return heap_.size(); }
   [[nodiscard]] std::size_t pool_capacity() const noexcept { return pool_.capacity(); }
   [[nodiscard]] std::size_t pool_in_use() const noexcept { return pool_.in_use(); }
 
@@ -126,6 +131,27 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
+
+  // False once the entry's event was cancelled: its slot was released (and
+  // possibly re-armed under a new generation).
+  [[nodiscard]] bool is_live(const HeapEntry& entry) const noexcept {
+    const EventPool::Slot& slot = pool_.slot(entry.slot);
+    return slot.armed && slot.generation == entry.generation;
+  }
+
+  // Called wherever the live count drops. Once stale entries outnumber live
+  // ones plus the slack, erases them all in place and rebuilds the heap, so
+  // the heap never holds more than 2 x live + slack entries. A purge walks
+  // fewer than twice as many entries as it drops, and each cancel leaves
+  // one stale entry, so the cost is O(1) amortized per cancel.
+  // Allocation-free, and firing order is unchanged: (at, seq) is unique per
+  // queue, so any valid heap over the live entries pops them in the same
+  // order.
+  void purge_if_mostly_stale() {
+    if (heap_.size() - live_ <= live_ + kStaleSlack) return;
+    std::erase_if(heap_, [this](const HeapEntry& entry) { return !is_live(entry); });
+    std::make_heap(heap_.begin(), heap_.end(), FiresLater{});
+  }
 
   std::vector<HeapEntry> heap_;
   EventPool pool_;

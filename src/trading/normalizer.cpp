@@ -97,24 +97,30 @@ void Normalizer::on_feed_datagram(std::span<const std::byte> payload, sim::Time 
   // valid prefix in `batch_.count`.
   (void)proto::pitch::decode_batch(payload, batch_);
 
-  // During recovery, buffer the datagram's bytes for replay past the
-  // snapshot's resume point instead of applying it to stale state.
+  std::size_t first = 0;
   if (recovery_enabled()) {
-    if (auto rec_it = recovery_.find(header->unit);
-        rec_it != recovery_.end() && rec_it->second.recovering) {
+    if (auto rec_it = recovery_.find(header->unit); rec_it != recovery_.end()) {
       Recovery& recovery = rec_it->second;
-      // A full buffer restarts the tail, as a gap does.
-      if (recovery.tail_messages + batch_.count > kRecoveryBufferLimit) {
-        recovery.restart_tail(header->sequence);
+      if (recovery.recovering) {
+        // During recovery, buffer the datagram's bytes for replay past the
+        // snapshot's resume point instead of applying it to stale state. A
+        // full buffer restarts the tail, as a gap does.
+        if (recovery.tail_messages + batch_.count > kRecoveryBufferLimit) {
+          recovery.restart_tail(header->sequence);
+        }
+        const auto datagram = payload.first(header->length);
+        recovery.tail.insert(recovery.tail.end(), datagram.begin(), datagram.end());
+        recovery.tail_messages += batch_.count;
+        stats_.messages_buffered_in_recovery += batch_.count;
+        return;
       }
-      const auto datagram = payload.first(header->length);
-      recovery.tail.insert(recovery.tail.end(), datagram.begin(), datagram.end());
-      recovery.tail_messages += batch_.count;
-      stats_.messages_buffered_in_recovery += batch_.count;
-      return;
+      // After a resync, rows below the snapshot's resume point are already
+      // in the rebuilt state; they arrive only when the live path lags the
+      // snapshot path.
+      first = recovery.rows_in_snapshot(header->sequence);
     }
   }
-  apply_batch(batch_);
+  apply_batch(batch_, first);
 }
 
 // tsn-lint: hotpath
@@ -232,10 +238,7 @@ void Normalizer::replay_tail(const Recovery& recovery) {
   std::span<const std::byte> rest{recovery.tail};
   while (!rest.empty()) {
     (void)proto::pitch::decode_batch(rest, batch_);
-    const std::uint32_t sequence = batch_.header.sequence;
-    // Rows before the resume point are already in the snapshot.
-    const std::size_t first =
-        recovery.resume_sequence > sequence ? recovery.resume_sequence - sequence : 0;
+    const std::size_t first = recovery.rows_in_snapshot(batch_.header.sequence);
     if (first < batch_.count) {
       apply_batch(batch_, first);
       stats_.messages_replayed_after_recovery += batch_.count - first;

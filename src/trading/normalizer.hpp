@@ -201,6 +201,12 @@ class Normalizer {
     std::uint32_t tail_start = 0;
     std::size_t tail_messages = 0;
 
+    // Leading rows of a datagram whose first row is `sequence` that the
+    // snapshot already holds: those below the resume point.
+    [[nodiscard]] std::size_t rows_in_snapshot(std::uint32_t sequence) const noexcept {
+      return resume_sequence > sequence ? resume_sequence - sequence : 0;
+    }
+
     // Starts the tail afresh at `sequence`, abandoning any in-flight cycle.
     void restart_tail(std::uint32_t sequence) noexcept {
       snapshot_active = false;

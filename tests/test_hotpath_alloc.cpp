@@ -6,8 +6,11 @@
 //
 // The contract under test (DESIGN.md "Hot-path memory model"): once pools
 // and scratch buffers are warm, (a) an Engine schedule → fire (or cancel)
-// cycle, (b) a PacketFactory make → drop cycle for small frames, and (c) a
-// full NIC → link → NIC UDP delivery perform zero heap allocations.
+// cycle, (b) a PacketFactory make → drop cycle for small frames, (c) a
+// full NIC → link → NIC UDP delivery, (d) a NIC → commodity switch →
+// three-receiver multicast fan-out, (e) SoA book updates, (f) the session
+// store's lifecycle and (g) a PITCH batch decode perform zero heap
+// allocations.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +19,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "book/order_book.hpp"
 #include "exchange/session_store.hpp"
+#include "l2/commodity_switch.hpp"
+#include "mcast/subscribe.hpp"
 #include "net/fabric.hpp"
 #include "net/nic.hpp"
 #include "net/packet.hpp"
@@ -160,6 +167,55 @@ TEST(HotPathAlloc, EndToEndUdpDeliveryIsAllocationFree) {
   EXPECT_EQ(allocations() - before, 0u)
       << "warm NIC -> link -> NIC UDP delivery must not touch the heap";
   EXPECT_EQ(received_bytes, 128u * 18u);
+}
+
+TEST(HotPathAlloc, WarmMulticastFanOutIsAllocationFree) {
+  // The switch's one fan-out event captures the switch, the PacketPtr, the
+  // pending fan-out's index and the rx time; it must stay inline.
+  struct SwitchFanoutCapture {
+    void* self;
+    std::shared_ptr<const int> packet;
+    std::uint32_t fanout;
+    sim::Time rx;
+  };
+  static_assert(sim::InlineAction::stores_inline<SwitchFanoutCapture>());
+
+  sim::Engine engine;
+  net::Fabric fabric{engine};
+  l2::CommoditySwitch sw{engine, "sw", l2::CommoditySwitchConfig{.port_count = 4}};
+  net::Nic source{engine, "src", net::MacAddr::from_host_id(1), net::Ipv4Addr{10, 0, 0, 1}};
+  fabric.connect(sw, 0, source, 0, net::LinkConfig{});
+  const net::Ipv4Addr group{239, 1, 1, 1};
+  std::vector<std::unique_ptr<net::Nic>> receivers;
+  std::uint64_t delivered = 0;
+  for (std::uint32_t r = 1; r <= 3; ++r) {
+    receivers.push_back(std::make_unique<net::Nic>(engine, "rx" + std::to_string(r),
+                                                   net::MacAddr::from_host_id(r + 1),
+                                                   net::Ipv4Addr{10, 0, 0, static_cast<std::uint8_t>(r + 1)}));
+    fabric.connect(sw, r, *receivers.back(), 0, net::LinkConfig{});
+    receivers.back()->set_rx_handler(
+        [&delivered](const net::PacketPtr&, sim::Time) { ++delivered; });
+    mcast::join_group(*receivers.back(), group);
+  }
+  engine.run();  // IGMP reports program the switch's mroute
+  const std::array<std::byte, 18> payload{};
+  const auto frame = net::build_multicast_frame(source.mac(), source.ip(), group, 30001,
+                                                std::span<const std::byte>{payload});
+  auto send_batch = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      source.send_frame(std::span<const std::byte>{frame});
+      engine.run();
+    }
+  };
+  send_batch(64);  // warm: pools, fan-out lists, engine heap, link path
+  ASSERT_EQ(delivered, 3u * 64u);
+
+  const std::uint64_t before = allocations();
+  send_batch(64);
+  EXPECT_EQ(allocations() - before, 0u)
+      << "warm NIC -> switch -> 3-receiver multicast fan-out must not touch the heap";
+  EXPECT_EQ(delivered, 3u * 128u);
+  EXPECT_EQ(sw.stats().replications, 3u * 128u);
 }
 
 TEST(HotPathAlloc, WarmBookUpdateMixIsAllocationFree) {

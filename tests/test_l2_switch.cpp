@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mcast/subscribe.hpp"
 #include "net/fabric.hpp"
 #include "net/stack.hpp"
+#include "telemetry/trace.hpp"
 
 namespace tsn::l2 {
 namespace {
@@ -201,6 +205,85 @@ TEST(CommoditySwitch, HairpinDropCounted) {
   rig.nic(0).send_frame(udp_to(rig.nic(0), rig.nic(0).ip()));
   rig.engine.run();
   EXPECT_EQ(rig.sw.stats().no_route_drops, 1u);
+}
+
+// Three traced frames fan out to three receivers while one egress port is
+// stalled. The switch and link spans and the deliveries must come in the
+// order the switch produced when it scheduled one event per egress port.
+TEST(CommoditySwitch, StalledFanOutKeepsSpanAndDeliveryOrder) {
+  SwitchRig rig;
+  const net::Ipv4Addr group{239, 1, 1, 7};
+  // Joined out of port order: the fan-out follows the mroute's join order.
+  for (std::size_t r : {3, 1, 2}) mcast::join_group(rig.nic(r), group);
+  rig.engine.run();
+
+  std::vector<std::string> deliveries;
+  for (std::size_t r = 1; r <= 3; ++r) {
+    rig.nic(r).set_rx_handler([&deliveries, r](const net::PacketPtr& p, sim::Time at) {
+      deliveries.push_back("h" + std::to_string(r) + " #" + std::to_string(p->id()) + " @" +
+                           std::to_string(at.picos()));
+    });
+  }
+  telemetry::TraceSink sink;
+  telemetry::ScopedTraceSink scoped{sink};
+  rig.sw.stall_port(1, sim::nanos(std::int64_t{2'000}));
+  const std::vector<std::byte> payload(8, std::byte{0x11});
+  for (int i = 0; i < 3; ++i) {
+    telemetry::TraceScope trace{sink.begin_trace(rig.engine.now())};
+    rig.nic(0).send_frame(
+        net::build_multicast_frame(rig.nic(0).mac(), rig.nic(0).ip(), group, 30001, payload));
+  }
+  rig.engine.run();
+
+  std::vector<std::string> spans;
+  for (const auto& span : sink.spans()) {
+    if (span.kind != telemetry::SpanKind::kSwitch && span.kind != telemetry::SpanKind::kLink) {
+      continue;
+    }
+    spans.push_back(std::to_string(span.trace) + " " + span.entity + " " +
+                    std::string{telemetry::span_kind_name(span.kind)} + " " +
+                    std::to_string(span.t_in.picos()) + "-" + std::to_string(span.t_out.picos()));
+  }
+  // Recorded from the one-event-per-port switch. Port 1 is stalled until
+  // 2,117,200 ps, so its three copies leave after the other ports' in order.
+  const std::vector<std::string> expected_spans = {
+      "1 h0->sw link 117200-234400",
+      "2 h0->sw link 117200-301600",
+      "3 h0->sw link 117200-368800",
+      "1 sw switch 234400-734400",
+      "1 sw->h3 link 734400-851600",
+      "1 sw switch 234400-734400",
+      "1 sw switch 234400-734400",
+      "1 sw->h2 link 734400-851600",
+      "2 sw switch 301600-801600",
+      "2 sw->h3 link 801600-918800",
+      "2 sw switch 301600-801600",
+      "2 sw switch 301600-801600",
+      "2 sw->h2 link 801600-918800",
+      "3 sw switch 368800-868800",
+      "3 sw->h3 link 868800-986000",
+      "3 sw switch 368800-868800",
+      "3 sw switch 368800-868800",
+      "3 sw->h2 link 868800-986000",
+      "1 sw->h1 link 2117200-2234400",
+      "2 sw->h1 link 2117200-2301600",
+      "3 sw->h1 link 2117200-2368800",
+  };
+  const std::vector<std::string> expected_deliveries = {
+      "h3 #1 @851600",
+      "h2 #1 @851600",
+      "h3 #2 @918800",
+      "h2 #2 @918800",
+      "h3 #3 @986000",
+      "h2 #3 @986000",
+      "h1 #1 @2234400",
+      "h1 #2 @2301600",
+      "h1 #3 @2368800",
+  };
+  EXPECT_EQ(spans, expected_spans);
+  EXPECT_EQ(deliveries, expected_deliveries);
+  EXPECT_EQ(rig.sw.stats().replications, 9u);
+  EXPECT_EQ(rig.sw.stats().frames_stalled, 3u);
 }
 
 }  // namespace

@@ -8,11 +8,14 @@
 #include <vector>
 
 #include "net/headers.hpp"
+#include "net/nic.hpp"
+#include "net/packet.hpp"
 #include "pitch_oracle.hpp"
 #include "proto/boe.hpp"
 #include "proto/norm.hpp"
 #include "proto/pitch.hpp"
 #include "proto/xpress.hpp"
+#include "sim/engine.hpp"
 #include "sim/random.hpp"
 
 namespace tsn {
@@ -182,14 +185,69 @@ proto::boe::Message random_boe_message(sim::Rng& rng) {
   }
 }
 
+// A Packet built from `bytes` must carry the view decode_frame gives, field
+// by field, with the payload at the same offset and length; its Ethernet
+// view must exist whenever the Ethernet header parses, even when a later
+// header does not.
+void expect_packet_view_matches(net::PacketFactory& factory, std::span<const std::byte> bytes) {
+  const auto packet = factory.make(bytes, sim::Time{});
+  const auto expected = net::decode_frame(bytes);
+  net::WireReader r{bytes};
+  const auto eth = net::EthernetHeader::decode(r);
+
+  const net::EthernetHeader* got_eth = packet->ethernet();
+  ASSERT_EQ(got_eth != nullptr, eth.has_value());
+  if (eth) {
+    EXPECT_EQ(got_eth->dst, eth->dst);
+    EXPECT_EQ(got_eth->src, eth->src);
+    EXPECT_EQ(got_eth->ethertype, eth->ethertype);
+  }
+  const net::DecodedFrame* got = packet->decoded();
+  ASSERT_EQ(got != nullptr, expected.has_value());
+  if (!expected) return;
+  EXPECT_EQ(&got->eth, got_eth);
+  ASSERT_EQ(got->ip.has_value(), expected->ip.has_value());
+  if (expected->ip) {
+    EXPECT_EQ(got->ip->dscp, expected->ip->dscp);
+    EXPECT_EQ(got->ip->total_length, expected->ip->total_length);
+    EXPECT_EQ(got->ip->identification, expected->ip->identification);
+    EXPECT_EQ(got->ip->ttl, expected->ip->ttl);
+    EXPECT_EQ(got->ip->protocol, expected->ip->protocol);
+    EXPECT_EQ(got->ip->checksum, expected->ip->checksum);
+    EXPECT_EQ(got->ip->src, expected->ip->src);
+    EXPECT_EQ(got->ip->dst, expected->ip->dst);
+  }
+  ASSERT_EQ(got->udp.has_value(), expected->udp.has_value());
+  if (expected->udp) {
+    EXPECT_EQ(got->udp->src_port, expected->udp->src_port);
+    EXPECT_EQ(got->udp->dst_port, expected->udp->dst_port);
+    EXPECT_EQ(got->udp->length, expected->udp->length);
+  }
+  ASSERT_EQ(got->tcp.has_value(), expected->tcp.has_value());
+  if (expected->tcp) {
+    EXPECT_EQ(got->tcp->src_port, expected->tcp->src_port);
+    EXPECT_EQ(got->tcp->dst_port, expected->tcp->dst_port);
+    EXPECT_EQ(got->tcp->seq, expected->tcp->seq);
+    EXPECT_EQ(got->tcp->ack, expected->tcp->ack);
+    EXPECT_EQ(got->tcp->flags, expected->tcp->flags);
+    EXPECT_EQ(got->tcp->window, expected->tcp->window);
+  }
+  // The cached payload points into the packet's own copy of the bytes.
+  EXPECT_EQ(got->payload.data() - packet->frame().data(),
+            expected->payload.data() - bytes.data());
+  EXPECT_EQ(got->payload.size(), expected->payload.size());
+}
+
 class FuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzTest, RandomBytesNeverCrashAnyDecoder) {
   sim::Rng rng{GetParam()};
+  net::PacketFactory packets;
   for (int i = 0; i < 2'000; ++i) {
     const auto bytes = random_bytes(rng, 200);
     // Every decoder either parses or rejects; none may crash or over-read.
     (void)net::decode_frame(bytes);
+    expect_packet_view_matches(packets, bytes);
     (void)proto::pitch::peek_header(bytes);
     proto::pitch::DecodedBatch batch;
     (void)proto::pitch::decode_batch(bytes, batch);
@@ -276,8 +334,10 @@ TEST_P(FuzzTest, TruncationSweepOverEveryPrefix) {
   const auto frame = net::build_udp_frame(
       net::MacAddr::from_host_id(1), net::MacAddr::from_host_id(2), net::Ipv4Addr{10, 0, 0, 1},
       net::Ipv4Addr{10, 0, 0, 2}, 1, 2, random_bytes(rng, 100));
+  net::PacketFactory packets;
   for (std::size_t len = 0; len <= frame.size(); ++len) {
     const auto decoded = net::decode_frame(std::span{frame}.subspan(0, len));
+    expect_packet_view_matches(packets, std::span{frame}.subspan(0, len));
     if (len == frame.size()) {
       EXPECT_TRUE(decoded.has_value());
     }
@@ -288,6 +348,43 @@ TEST_P(FuzzTest, TruncationSweepOverEveryPrefix) {
       EXPECT_GE(decoded->payload.data(), begin);
       EXPECT_LE(decoded->payload.data() + decoded->payload.size(), begin + len);
     }
+  }
+}
+
+TEST_P(FuzzTest, PacketViewsMatchDecodeFrameForTcpAndCorruptIpv4) {
+  sim::Rng rng{GetParam() ^ 0x7c9};
+  net::PacketFactory packets;
+  const net::MacAddr nic_mac = net::MacAddr::from_host_id(2);
+  for (int round = 0; round < 200; ++round) {
+    net::TcpHeader tcp;
+    tcp.src_port = static_cast<std::uint16_t>(rng.next_below(65'536));
+    tcp.dst_port = static_cast<std::uint16_t>(rng.next_below(65'536));
+    tcp.seq = static_cast<std::uint32_t>(rng.next_u64());
+    tcp.ack = static_cast<std::uint32_t>(rng.next_u64());
+    tcp.flags = static_cast<std::uint8_t>(rng.next_below(32));
+    const auto dst_mac = rng.bernoulli(0.5) ? nic_mac : net::MacAddr::from_host_id(3);
+    auto frame = net::build_tcp_frame(net::MacAddr::from_host_id(1), dst_mac,
+                                      net::Ipv4Addr{10, 0, 0, 1}, net::Ipv4Addr{10, 0, 0, 2}, tcp,
+                                      random_bytes(rng, 100));
+    for (std::size_t len = 0; len <= frame.size(); len += 1 + rng.next_below(9)) {
+      expect_packet_view_matches(packets, std::span{frame}.subspan(0, len));
+    }
+    expect_packet_view_matches(packets, frame);
+
+    // One flipped bit in the IPv4 header fails its checksum: decode_frame
+    // rejects the frame, but the Ethernet header still parses.
+    frame[net::kEthernetHeaderSize + rng.next_below(net::kIpv4HeaderSize)] ^=
+        static_cast<std::byte>(1 << rng.next_below(8));
+    ASSERT_FALSE(net::decode_frame(frame).has_value());
+    expect_packet_view_matches(packets, frame);
+
+    // A NIC's MAC filter still reads that Ethernet header: accepted when it
+    // names the NIC, filtered otherwise, exactly as for an intact frame.
+    sim::Engine engine;
+    net::Nic nic{engine, "nic", nic_mac, net::Ipv4Addr{10, 0, 0, 2}};
+    nic.receive(packets.make(std::span<const std::byte>{frame}, sim::Time{}), 0);
+    EXPECT_EQ(nic.rx_frames(), dst_mac == nic_mac ? 1u : 0u);
+    EXPECT_EQ(nic.rx_filtered(), dst_mac == nic_mac ? 0u : 1u);
   }
 }
 

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "sim/random.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace tsn::sim {
 namespace {
@@ -281,6 +289,139 @@ TEST(Engine, ManyCancelsStayCheap) {
   EXPECT_EQ(engine.pending_events(), 0u);
   EXPECT_EQ(engine.run(), 0u);
   EXPECT_EQ(engine.events_fired(), 0u);
+}
+
+// A seeded mix of schedule (with same-instant ties), cancel and step on
+// `sched`, checked event by event against a reference ordered by (time,
+// scheduling order). `step` fires at least the earliest pending event;
+// `drain` fires the rest. Every cancel's result is checked too, and after
+// every operation the heap must hold at most 2 x live + slack entries.
+// Cancels mostly hit recent, still-pending events, so stale entries pile up
+// and purges run mid-storm (counted: a cancel that shrinks the heap).
+struct CancelStorm {
+  struct Pending {
+    Time at;
+    std::uint64_t order = 0;
+    auto operator<=>(const Pending&) const = default;
+  };
+
+  std::set<Pending> reference;  // pending events, next to fire first
+  std::uint64_t fired = 0;
+  std::uint64_t out_of_order = 0;
+  std::uint64_t wrong_cancels = 0;
+  std::uint64_t heap_over_bound = 0;
+  std::uint64_t purges = 0;
+
+  void run(Scheduler& sched, const std::function<void()>& step,
+           const std::function<void()>& drain, const std::function<std::size_t()>& heap_entries,
+           std::uint64_t seed) {
+    Rng rng{seed};
+    std::vector<std::pair<EventHandle, Pending>> scheduled;
+    std::uint64_t order = 0;
+    for (int op = 0; op < 20'000; ++op) {
+      const std::uint64_t pick = rng.next_below(10);
+      if (pick < 4) {
+        // Half near-term events, half far-off timers (the retransmit-timer
+        // shape), eight instants each: most schedules tie with another.
+        const std::int64_t base = rng.bernoulli(0.5) ? 0 : 1'000'000;
+        const Time at =
+            sched.now() + Duration{base + static_cast<std::int64_t>(rng.next_below(8)) * 1'000};
+        const Pending pending{at, order++};
+        CancelStorm* self = this;
+        Scheduler* clock = &sched;
+        scheduled.emplace_back(sched.schedule_at(at, [self, clock, pending] {
+                                 self->on_fire(*clock, pending);
+                               }),
+                               pending);
+        reference.insert(pending);
+      } else if (pick < 8 && !scheduled.empty()) {
+        // One of the 32 newest handles: fired and cancelled ones must refuse.
+        const std::size_t recent = std::min<std::size_t>(scheduled.size(), 32);
+        const auto& [handle, pending] =
+            scheduled[scheduled.size() - 1 - rng.next_below(recent)];
+        const bool live = reference.erase(pending) == 1;
+        const std::size_t entries = heap_entries();
+        if (sched.cancel(handle) != live) ++wrong_cancels;
+        if (heap_entries() < entries) ++purges;
+      } else {
+        step();
+      }
+      if (heap_entries() > 2 * reference.size() + EventQueue::kStaleSlack) ++heap_over_bound;
+    }
+    drain();
+  }
+
+  void on_fire(const Scheduler& sched, const Pending& pending) {
+    ++fired;
+    if (reference.empty() || *reference.begin() != pending || sched.now() != pending.at) {
+      ++out_of_order;
+    }
+    reference.erase(pending);
+  }
+};
+
+TEST(Engine, CancelStormFiresInTimeThenSchedulingOrder) {
+  Engine engine;
+  CancelStorm storm;
+  storm.run(
+      engine, [&engine] { engine.step(); }, [&engine] { engine.run(); },
+      [&engine] { return engine.heap_entries(); }, 0x5eed);
+  EXPECT_GT(storm.fired, 1'000u);
+  EXPECT_GT(storm.purges, 0u);
+  EXPECT_EQ(storm.out_of_order, 0u);
+  EXPECT_EQ(storm.wrong_cancels, 0u);
+  EXPECT_EQ(storm.heap_over_bound, 0u);
+  EXPECT_TRUE(storm.reference.empty());
+  EXPECT_EQ(engine.pending_events(), 0u);
+}
+
+TEST(Domain, CancelStormFiresInTimeThenSchedulingOrder) {
+  ShardedEngine engine{{.domains = 2}};
+  Domain& domain = engine.domain(1);
+  CancelStorm storm;
+  Rng steps{0xd0a1};
+  storm.run(
+      domain,
+      [&engine, &steps] {
+        engine.run_until(engine.now() +
+                         Duration{static_cast<std::int64_t>(steps.next_below(3)) * 1'000});
+      },
+      [&engine] { engine.run(); }, [&domain] { return domain.heap_entries(); }, 0xd0a1);
+  EXPECT_GT(storm.fired, 1'000u);
+  EXPECT_GT(storm.purges, 0u);
+  EXPECT_EQ(storm.out_of_order, 0u);
+  EXPECT_EQ(storm.wrong_cancels, 0u);
+  EXPECT_EQ(storm.heap_over_bound, 0u);
+  EXPECT_TRUE(storm.reference.empty());
+  EXPECT_EQ(domain.pending_events(), 0u);
+}
+
+TEST(Engine, CancelledTimersArePurgedFromTheHeap) {
+  // A retransmit timer re-armed on every send leaves one cancelled entry
+  // per send; the heap must not keep them all.
+  Engine engine;
+  std::vector<EventHandle> handles;
+  std::vector<int> order;
+  for (int i = 0; i < 10'000; ++i) {
+    handles.push_back(engine.schedule_at(Time{1'000 + (i * 37) % 101},
+                                         [&order, i] { order.push_back(i); }));
+  }
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    if (i % 100 != 0) {
+      EXPECT_TRUE(engine.cancel(handles[i]));
+    }
+  }
+  ASSERT_EQ(engine.pending_events(), 100u);
+  EXPECT_LE(engine.heap_entries(), 2 * engine.pending_events() + EventQueue::kStaleSlack);
+
+  // Survivors fire by time, then in scheduling order.
+  std::vector<std::pair<int, int>> expected;  // (time, index)
+  for (int i = 0; i < 10'000; i += 100) expected.emplace_back(1'000 + (i * 37) % 101, i);
+  std::sort(expected.begin(), expected.end());
+  engine.run();
+  ASSERT_EQ(order.size(), expected.size());
+  for (std::size_t k = 0; k < order.size(); ++k) EXPECT_EQ(order[k], expected[k].second);
+  EXPECT_EQ(engine.heap_entries(), 0u);
 }
 
 }  // namespace

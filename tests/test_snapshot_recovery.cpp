@@ -340,6 +340,42 @@ TEST(SnapshotRecovery, ReplayStartsMidDatagramAtTheResumePoint) {
   EXPECT_EQ(stats.unknown_orders, 0u);
 }
 
+// The live path can lag the snapshot path: a datagram below the resume
+// point may arrive after the resync completed. The snapshot already holds
+// its rows, so applying them again would double the order's depth.
+TEST(SnapshotRecovery, LateLiveRowsBelowTheResumePointAreDropped) {
+  HandSequencedRig rig;
+  rig.live(1, {HandSequencedRig::add(101)});
+  rig.live(2, {HandSequencedRig::add(102)});
+  // (seq 3, an add of order 103, never arrives)
+  rig.live(4, {HandSequencedRig::add(104)});  // gap detected here; buffered
+
+  // State as of seq 5, resuming at 6: the snapshot path is ahead of live.
+  for (const auto& payload : HandSequencedRig::snapshot_cycle(
+           6, {{101, 100}, {102, 100}, {103, 100}, {104, 100}, {105, 100}})) {
+    rig.snapshot(payload);
+  }
+  ASSERT_EQ(rig.normalizer.stats().resyncs_completed, 1u);
+  ASSERT_EQ(rig.normalizer.stats().messages_replayed_after_recovery, 0u);
+
+  // Seq 5 reaches the live path only now.
+  const std::uint64_t updates_before = rig.normalizer.stats().updates_out;
+  rig.live(5, {HandSequencedRig::add(105)});
+  EXPECT_EQ(rig.normalizer.stats().updates_out, updates_before)
+      << "a late row below the resume point was republished";
+  EXPECT_EQ(rig.normalizer.stats().sequence_gaps, 1u);
+
+  // Rows at and past the resume point still apply.
+  for (proto::OrderId id = 101; id <= 105; ++id) {
+    rig.live(static_cast<std::uint32_t>(id - 95), {HandSequencedRig::del(id)});
+  }
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 0u);
+  EXPECT_EQ(rig.normalizer.stats().unknown_orders, 0u);
+  const auto bbo = rig.normalizer.best_of(proto::Symbol{"AAA"});
+  ASSERT_TRUE(bbo.has_value());
+  EXPECT_EQ(bbo->bid, 0);
+}
+
 // The recovery buffer holds at most 100,000 messages. A datagram that
 // would overflow it restarts the tail, as a gap does, so a snapshot from
 // before the restart can no longer complete the resync.
