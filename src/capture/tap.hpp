@@ -93,9 +93,4 @@ class Tap final : public net::PortedDevice {
   std::uint64_t bytes_tapped_ = 0;
 };
 
-// Cause/effect latency matching — the paper's strategy-latency measurement
-// (order-out time minus most recent input-event time) — moved behind the
-// telemetry metrics API; aliased here for existing call sites.
-using LatencyTracker = telemetry::LatencyTracker;
-
 }  // namespace tsn::capture

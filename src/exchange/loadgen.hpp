@@ -60,11 +60,6 @@ struct LoadGenConfig {
   std::uint32_t target_open_orders = 4;   // resting sells per session (<= 8)
   proto::Quantity quantity = 100;
   std::uint32_t session_id_base = 1'000'000;
-  // Re-rest cancel-on-disconnect'ed orders (fresh ids) after a reconnect.
-  bool resubmit_cod = true;
-  // Answer exchange heartbeats (refreshes the exchange's liveness timer; no
-  // ping-pong — the exchange never replies to heartbeats).
-  bool answer_heartbeats = true;
 };
 
 struct LoadGenStats {

@@ -208,15 +208,7 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
     }
   }
   if (out.empty()) {
-    if (entry.ports == nullptr && config_.flood_unknown_multicast) {
-      // Flood out of every attached port except the ingress.
-      for (net::PortId p = 0; p < egress_.size(); ++p) {
-        if (egress_[p] != nullptr) out.push_back(p);
-      }
-      replicate(packet, in_port, config_.forwarding_latency);
-      ++stats_.multicast_hw_forwarded;
-      return;
-    }
+    // No receivers and no router port: snooping drops the frame.
     ++stats_.no_group_drops;
     return;
   }

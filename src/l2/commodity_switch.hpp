@@ -43,8 +43,6 @@ struct CommoditySwitchConfig {
   // per-packet service time and bounded queue.
   sim::Duration software_service_time = sim::micros(std::int64_t{40});
   std::size_t software_queue_packets = 256;
-  // Frames to unknown multicast groups are dropped (snooping, no querier).
-  bool flood_unknown_multicast = false;
   // Querier + membership aging (both disabled when zero). With a querier
   // running, receiver ports that stop answering queries are aged out of
   // the mroute table after `membership_timeout` — how real snooping state

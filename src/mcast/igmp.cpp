@@ -68,12 +68,4 @@ std::vector<std::byte> build_igmp_frame(net::MacAddr src_mac, net::Ipv4Addr src_
   return frame;
 }
 
-std::optional<IgmpMessage> parse_igmp_frame(std::span<const std::byte> frame) {
-  auto decoded = net::decode_frame(frame);
-  if (!decoded || !decoded->ip || decoded->ip->protocol != net::kIpProtoIgmp) {
-    return std::nullopt;
-  }
-  return IgmpMessage::decode(decoded->payload);
-}
-
 }  // namespace tsn::mcast

@@ -40,7 +40,4 @@ struct IgmpMessage {
 [[nodiscard]] std::vector<std::byte> build_igmp_frame(net::MacAddr src_mac, net::Ipv4Addr src_ip,
                                                       const IgmpMessage& message);
 
-// True if the frame is an IGMP message; decodes it if so.
-[[nodiscard]] std::optional<IgmpMessage> parse_igmp_frame(std::span<const std::byte> frame);
-
 }  // namespace tsn::mcast

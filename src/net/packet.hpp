@@ -54,8 +54,8 @@ class Packet {
       : created_(created), id_(id), trace_(trace) {
     if (frame.size() <= kInlineCapacity) {
       size_ = static_cast<std::uint32_t>(frame.size());
-      // Bounds-checked by the branch above (size <= kInlineCapacity).
-      if (!frame.empty()) std::memcpy(inline_frame_.data(), frame.data(), frame.size());  // tsn-lint: allow(raw-memcpy)
+      // tsn-lint: allow(raw-memcpy) bounds-checked by the branch above (size <= kInlineCapacity)
+      if (!frame.empty()) std::memcpy(inline_frame_.data(), frame.data(), frame.size());
     } else {
       heap_frame_ = std::move(frame);
       size_ = static_cast<std::uint32_t>(heap_frame_.size());
@@ -71,8 +71,8 @@ class Packet {
       : created_(created), id_(id), trace_(trace) {
     size_ = static_cast<std::uint32_t>(frame.size());
     if (frame.size() <= kInlineCapacity) {
-      // Bounds-checked by the branch above (size <= kInlineCapacity).
-      if (!frame.empty()) std::memcpy(inline_frame_.data(), frame.data(), frame.size());  // tsn-lint: allow(raw-memcpy)
+      // tsn-lint: allow(raw-memcpy) bounds-checked by the branch above (size <= kInlineCapacity)
+      if (!frame.empty()) std::memcpy(inline_frame_.data(), frame.data(), frame.size());
     } else {
       heap_frame_.assign(frame.begin(), frame.end());
       inline_stored_ = false;

@@ -32,8 +32,7 @@ void NetStack::send_multicast(Ipv4Addr group, std::uint16_t port,
 TcpEndpoint& NetStack::connect_tcp(MacAddr dst_mac, Ipv4Addr dst_ip, std::uint16_t dst_port,
                                    std::uint16_t src_port) {
   if (src_port == 0) src_port = next_ephemeral_++;
-  auto endpoint = std::make_unique<TcpEndpoint>(*this, dst_mac, dst_ip, dst_port, src_port,
-                                                TcpConfig{});
+  auto endpoint = std::make_unique<TcpEndpoint>(*this, dst_mac, dst_ip, dst_port, src_port);
   TcpEndpoint& ref = *endpoint;
   tcp_flows_.emplace(FlowKey{src_port, dst_ip.value(), dst_port}, std::move(endpoint));
   ref.start_connect();
@@ -94,7 +93,7 @@ void NetStack::handle_tcp(const DecodedFrame& frame, sim::Time arrival) {
   auto listener = tcp_listeners_.find(tcp.dst_port);
   if (listener == tcp_listeners_.end()) return;
   auto endpoint = std::make_unique<TcpEndpoint>(*this, frame.eth.src, frame.ip->src,
-                                                tcp.src_port, tcp.dst_port, TcpConfig{});
+                                                tcp.src_port, tcp.dst_port);
   TcpEndpoint& ref = *endpoint;
   tcp_flows_.emplace(key, std::move(endpoint));
   ref.accept_syn(tcp.seq);

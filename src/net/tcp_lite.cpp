@@ -8,13 +8,12 @@
 namespace tsn::net {
 
 TcpEndpoint::TcpEndpoint(NetStack& stack, MacAddr peer_mac, Ipv4Addr peer_ip,
-                         std::uint16_t peer_port, std::uint16_t local_port, TcpConfig config)
+                         std::uint16_t peer_port, std::uint16_t local_port)
     : stack_(stack),
       peer_mac_(peer_mac),
       peer_ip_(peer_ip),
       peer_port_(peer_port),
-      local_port_(local_port),
-      config_(config) {}
+      local_port_(local_port) {}
 
 TcpEndpoint::~TcpEndpoint() {
   // A pending RTO lambda captures `this`; cancel it so destruction (e.g.
@@ -66,7 +65,7 @@ void TcpEndpoint::send(std::span<const std::byte> bytes) {
   // unacked_ and flush once the handshake completes.
   std::size_t offset = 0;
   while (offset < bytes.size()) {
-    const std::size_t len = std::min(config_.mss, bytes.size() - offset);
+    const std::size_t len = std::min(kTcpMss, bytes.size() - offset);
     std::vector<std::byte> segment{bytes.begin() + static_cast<std::ptrdiff_t>(offset),
                                    bytes.begin() + static_cast<std::ptrdiff_t>(offset + len)};
     const std::uint32_t seq = snd_next_;
@@ -119,14 +118,14 @@ void TcpEndpoint::send_ack() {
 
 void TcpEndpoint::arm_rto() {
   stack_.engine().cancel(rto_timer_);
-  rto_timer_ = stack_.engine().schedule_in(config_.rto, [this] { on_rto(); });
+  rto_timer_ = stack_.engine().schedule_in(kTcpRto, [this] { on_rto(); });
 }
 
 void TcpEndpoint::on_rto() {
   if (state_ == TcpState::kClosed) return;
   // Retransmissions are recovery traffic, not part of the original path.
   telemetry::TraceScope untraced{0};
-  if (++rto_strikes_ > config_.max_retransmits) {
+  if (++rto_strikes_ > kTcpMaxRetransmits) {
     // The peer is unreachable. Tell the owner — stalling here silently is
     // exactly how a gateway loses track of its exchange session.
     set_state(TcpState::kClosed);

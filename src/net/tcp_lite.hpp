@@ -33,18 +33,17 @@ enum class TcpState : std::uint8_t {
   kCloseWait,
 };
 
-struct TcpConfig {
-  std::size_t mss = 1400;
-  sim::Duration rto = sim::millis(std::int64_t{5});
-  int max_retransmits = 8;
-};
+// Every endpoint's segment size, retransmission timeout and strike limit.
+inline constexpr std::size_t kTcpMss = 1400;
+inline constexpr sim::Duration kTcpRto = sim::millis(std::int64_t{5});
+inline constexpr int kTcpMaxRetransmits = 8;
 
 // Why a connection died. Delivered once through the closed handler so the
 // owner (e.g. the order gateway) can react instead of silently stalling.
 enum class TcpCloseReason : std::uint8_t {
   kNone,                  // still open, or closed locally via close()
   kPeerFin,               // orderly shutdown initiated by the peer
-  kRetransmitExhausted,   // max_retransmits strikes without an ACK
+  kRetransmitExhausted,   // kTcpMaxRetransmits strikes without an ACK
   kAborted,               // local abort() — immediate teardown, nothing on the wire
 };
 
@@ -56,7 +55,7 @@ class TcpEndpoint {
 
   // Construction is done by NetStack (active or passive open).
   TcpEndpoint(NetStack& stack, MacAddr peer_mac, Ipv4Addr peer_ip, std::uint16_t peer_port,
-              std::uint16_t local_port, TcpConfig config);
+              std::uint16_t local_port);
   ~TcpEndpoint();
 
   void set_data_handler(DataHandler handler) { data_handler_ = std::move(handler); }
@@ -103,7 +102,6 @@ class TcpEndpoint {
   Ipv4Addr peer_ip_;
   std::uint16_t peer_port_;
   std::uint16_t local_port_;
-  TcpConfig config_;
   TcpState state_ = TcpState::kClosed;
 
   // Send side.

@@ -124,8 +124,8 @@ class WireReader {
     auto raw = bytes(width);
     std::size_t len = raw.size();
     while (len > 0 && static_cast<char>(raw[len - 1]) == ' ') --len;
-    // The span is bounds-checked by bytes(); viewing it as chars is safe.
-    return {reinterpret_cast<const char*>(raw.data()), len};  // tsn-lint: allow(raw-cast)
+    // tsn-lint: allow(raw-cast) the span is bounds-checked by bytes(); viewing it as chars is safe
+    return {reinterpret_cast<const char*>(raw.data()), len};
   }
 
   void skip(std::size_t n) noexcept { (void)bytes(n); }

@@ -75,25 +75,4 @@ class HashPartition final : public PartitionScheme {
   std::uint32_t count_;
 };
 
-// kind-major composite: partition = kind_index * inner_count + inner.
-class CompositePartition final : public PartitionScheme {
- public:
-  explicit CompositePartition(std::shared_ptr<const PartitionScheme> inner)
-      : inner_(std::move(inner)) {
-    if (!inner_) throw std::invalid_argument{"inner scheme required"};
-  }
-
-  [[nodiscard]] std::uint32_t partition_of(const Symbol& symbol,
-                                           InstrumentKind kind) const noexcept override {
-    return static_cast<std::uint32_t>(kind) * inner_->partition_count() +
-           inner_->partition_of(symbol, kind);
-  }
-  [[nodiscard]] std::uint32_t partition_count() const noexcept override {
-    return 4 * inner_->partition_count();
-  }
-
- private:
-  std::shared_ptr<const PartitionScheme> inner_;
-};
-
 }  // namespace tsn::proto

@@ -21,15 +21,6 @@ void write_full_header(net::WireWriter& w, std::uint8_t ctx, std::uint16_t strea
 
 }  // namespace
 
-std::vector<std::byte> encode_full(std::uint16_t stream_id, std::uint32_t seq,
-                                   std::span<const std::byte> payload) {
-  std::vector<std::byte> out;
-  out.reserve(kFullHeaderSize + payload.size());
-  net::WireWriter w{out};
-  write_full_header(w, kNoContext, stream_id, seq, payload);
-  return out;
-}
-
 Compressor::Compressor(std::uint8_t ctx_base, std::uint8_t ctx_limit) noexcept
     : next_context_(ctx_base),
       end_context_(static_cast<std::uint8_t>(
@@ -131,13 +122,6 @@ std::optional<Decompressor::Result> Decompressor::decode(std::span<const std::by
   out.frame = Frame{ctx.stream_id, seq, data.subspan(header_size, length)};
   out.consumed = header_size + length;
   TSN_DCHECK(out.consumed <= data.size(), "decoded compact frame must stay inside the buffer");
-  return out;
-}
-
-OverheadComparison overhead_comparison() noexcept {
-  OverheadComparison out;
-  out.standard_headers = net::kEthernetHeaderSize + net::kIpv4HeaderSize + net::kUdpHeaderSize +
-                         net::kEthernetFcsSize;
   return out;
 }
 

@@ -72,41 +72,6 @@ std::string Histogram::table_row() const {
   return buf;
 }
 
-WindowedCounter::WindowedCounter(sim::Time origin, sim::Duration window)
-    : origin_(origin), window_(window) {
-  if (window.picos() <= 0) throw std::invalid_argument{"window must be positive"};
-}
-
-void WindowedCounter::record(sim::Time at, std::uint64_t count) {
-  if (at < origin_) return;
-  const auto index = static_cast<std::size_t>((at - origin_) / window_);
-  if (index >= counts_.size()) counts_.resize(index + 1, 0);
-  counts_[index] += count;
-}
-
-Histogram WindowedCounter::stats(bool include_empty) const {
-  Histogram out;
-  for (std::uint64_t c : counts_) {
-    if (c == 0 && !include_empty) continue;
-    out.add(static_cast<double>(c));
-  }
-  return out;
-}
-
-void LatencyTracker::record_cause(std::uint64_t cause_id, sim::Time at) {
-  causes_[cause_id] = at;
-}
-
-bool LatencyTracker::record_effect(std::uint64_t cause_id, sim::Time at) {
-  const auto it = causes_.find(cause_id);
-  if (it == causes_.end()) {
-    ++unmatched_;
-    return false;
-  }
-  samples_.add((at - it->second).nanos());
-  return true;
-}
-
 Counter& Registry::counter(const std::string& name) { return counters_[name]; }
 Histogram& Registry::histogram(const std::string& name) { return histograms_[name]; }
 

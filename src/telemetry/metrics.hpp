@@ -1,10 +1,9 @@
 // The metrics vocabulary: one Counter / Histogram / gauge API for every sim
 // entity, plus a Registry that names them and snapshots deterministically.
 //
-// Histogram, WindowedCounter and LatencyTracker are the only stats types:
-// switches, mroute tables, WAN links, sessions and capture appliances share
-// a single registration surface (`register_metrics`) and a single export
-// path (`Registry::to_json`).
+// Histogram is the only stats type: switches, mroute tables, WAN links,
+// sessions and capture appliances share a single registration surface
+// (`register_metrics`) and a single export path (`Registry::to_json`).
 #pragma once
 
 #include <cstddef>
@@ -13,7 +12,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -69,47 +67,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-// Fixed-width time-window counter: counts events per window of a given
-// duration, for reproducing Figure 2(b) (1 s windows) and 2(c) (100 us
-// windows).
-class WindowedCounter {
- public:
-  WindowedCounter(sim::Time origin, sim::Duration window);
-
-  void record(sim::Time at, std::uint64_t count = 1);
-
-  [[nodiscard]] sim::Duration window() const noexcept { return window_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const noexcept { return counts_; }
-
-  // Statistics over the non-empty range of windows (or all windows when
-  // include_empty is true).
-  [[nodiscard]] Histogram stats(bool include_empty = false) const;
-
- private:
-  sim::Time origin_;
-  sim::Duration window_;
-  std::vector<std::uint64_t> counts_;
-};
-
-// Matches cause/effect event pairs and accumulates latency samples — the
-// paper's strategy-latency measurement (order-out time minus most recent
-// input-event time), as computed by a capture appliance.
-class LatencyTracker {
- public:
-  void record_cause(std::uint64_t cause_id, sim::Time at);
-  // Records the effect and, if the cause is known, adds a latency sample
-  // (in nanoseconds). Returns true when matched.
-  bool record_effect(std::uint64_t cause_id, sim::Time at);
-
-  [[nodiscard]] const Histogram& latencies_ns() const noexcept { return samples_; }
-  [[nodiscard]] std::uint64_t unmatched_effects() const noexcept { return unmatched_; }
-
- private:
-  std::unordered_map<std::uint64_t, sim::Time> causes_;
-  Histogram samples_;
-  std::uint64_t unmatched_ = 0;
 };
 
 // Named metrics for one run. Entities register counters/histograms they own

@@ -103,7 +103,6 @@ extern thread_local TraceId g_trace;
 
 [[nodiscard]] inline TraceSink* sink() noexcept { return detail::g_sink; }
 [[nodiscard]] inline TraceId current_trace() noexcept { return detail::g_trace; }
-[[nodiscard]] inline bool tracing_enabled() noexcept { return detail::g_sink != nullptr; }
 
 // The one call instrumented hops make. No sink or an untraced packet: one
 // predictable branch, no allocation.
@@ -136,6 +135,7 @@ class ScopedTraceSink {
 // and windowed runs deposit identical per-shard span sequences (windowed
 // mode may interleave *across* shards differently, which is why the
 // cross-mode contract compares per-sink contents, not a global stream).
+// tsn-lint: allow(unreached-symbol) test_sim_domain installs it; goes if windowed mode goes
 class DomainTraceContext final : public sim::ShardContext {
  public:
   explicit DomainTraceContext(TraceSink& sink) noexcept : sink_(&sink) {}

@@ -75,10 +75,9 @@ void LineArbiter::on_datagram(Line line, std::span<const std::byte> payload) {
   }
   // Ahead of sequence: the lagging line may still deliver the hole. Park
   // the datagram and start the dual-gap clock if it isn't already running.
-  // Parking a gap datagram copies the payload by design: it must outlive the
-  // caller's receive buffer, and the hold is bounded by the gap window.
-  const auto [it, inserted] =  // tsn-lint: allow(hotpath-alloc)
-      state.held.emplace(header->sequence, std::vector<std::byte>(payload.begin(), payload.end()));
+  // tsn-lint: allow(hotpath-alloc) the parked copy outlives the rx buffer; the gap window bounds it
+  std::vector<std::byte> parked(payload.begin(), payload.end());
+  const auto [it, inserted] = state.held.emplace(header->sequence, std::move(parked));
   if (inserted) {
     ++stats_.held;
   } else {
@@ -92,9 +91,7 @@ void LineArbiter::forward(std::uint8_t unit, std::uint32_t sequence,
                           std::span<const std::byte> payload) {
   ++stats_.forwarded;
   if (tap_) tap_(unit, sequence, payload);
-  if (config_.republish) {
-    out_stack_->send_multicast(out_group(unit), config_.out_port, payload);
-  }
+  out_stack_->send_multicast(out_group(unit), config_.out_port, payload);
 }
 
 // tsn-lint: hotpath

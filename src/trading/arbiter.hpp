@@ -1,4 +1,5 @@
 // Redundant A/B feed line arbitration (§4).
+// tsn-lint: allow(unreached-module) the A/B drills use it; a deployment would change Design outputs
 //
 // Exchanges publish every feed datagram twice, on two multicast groups that
 // are engineered onto disjoint physical paths. A receiver listens to both
@@ -52,9 +53,6 @@ struct ArbiterConfig {
   sim::Duration gap_timeout = sim::micros(std::int64_t{150});
   // Kernel-bypass arbitration hop (same order as the normalizer's, §3).
   sim::Duration software_latency = sim::nanos(std::int64_t{400});
-  // When false the arbiter never touches its output stack — drive
-  // on_datagram() directly and observe via set_output_tap() (unit tests).
-  bool republish = true;
   net::MacAddr a_mac;
   net::Ipv4Addr a_ip;
   net::MacAddr b_mac;

@@ -108,9 +108,9 @@ void Gateway::on_upstream_closed(net::TcpCloseReason /*reason*/) {
 }
 
 void Gateway::schedule_reconnect() {
-  if (!config_.reconnect_enabled || backoff_attempt_ >= config_.reconnect_max_attempts) {
+  if (backoff_attempt_ >= config_.reconnect_max_attempts) {
     set_upstream_state(UpstreamState::kFailed);
-    if (config_.reconnect_enabled) ++stats_.reconnects_given_up;
+    ++stats_.reconnects_given_up;
     return;
   }
   set_upstream_state(UpstreamState::kBackoff);
@@ -267,14 +267,11 @@ void Gateway::on_client_message(StrategySession& session, const proto::boe::Mess
     const proto::OrderId upstream_id = next_upstream_id_++;
     NewOrder forwarded = *order;
     forwarded.client_order_id = upstream_id;
-    if (config_.enable_risk_checks) {
-      const auto verdict = risk_.check_new_order(forwarded);
-      if (verdict != RiskEngine::Verdict::kAccept) {
-        ++stats_.orders_rejected_risk;
-        send_to_session(session,
-                        OrderRejected{order->client_order_id, to_reject_reason(verdict)});
-        return;
-      }
+    const auto verdict = risk_.check_new_order(forwarded);
+    if (verdict != RiskEngine::Verdict::kAccept) {
+      ++stats_.orders_rejected_risk;
+      send_to_session(session, OrderRejected{order->client_order_id, to_reject_reason(verdict)});
+      return;
     }
     OrderRoute route;
     route.session = &session;

@@ -44,7 +44,6 @@ struct GatewayConfig {
   net::Ipv4Addr upstream_ip;
   // Pre-trade risk gate (§4.2: firm-wide position and risk tracking sits
   // where every order passes).
-  bool enable_risk_checks = true;
   RiskLimits risk_limits;
   // When positive, the gateway keeps its exchange session alive with idle
   // heartbeats (exchanges enforce session timeouts; see Exchange's
@@ -54,10 +53,6 @@ struct GatewayConfig {
   // from the upstream NIC's IP so multiple gateways never share a session.
   std::uint32_t session_id = 0;
   std::uint64_t login_token = 0xca50ULL;
-  // Reconnect state machine: on connection death, back off exponentially
-  // (with deterministic jitter from reconnect_jitter_seed), re-login, and
-  // reconcile in-flight orders through replay + idempotent resubmission.
-  bool reconnect_enabled = true;
   // Hot-standby exchanges: reconnect attempt 1 retries the primary, later
   // attempts rotate through primary and backups, so a promoted standby is
   // found within a bounded number of backoff steps.
@@ -68,6 +63,9 @@ struct GatewayConfig {
   // answering (the kernel of a dead box still completes handshakes it had
   // queued). Zero disables.
   sim::Duration reconnect_response_timeout = sim::Duration::zero();
+  // Reconnect state machine: on connection death, back off exponentially
+  // (with deterministic jitter from reconnect_jitter_seed), re-login, and
+  // reconcile in-flight orders through replay + idempotent resubmission.
   sim::Duration reconnect_backoff_initial = sim::millis(std::int64_t{2});
   double reconnect_backoff_multiplier = 2.0;
   sim::Duration reconnect_backoff_max = sim::millis(std::int64_t{50});
@@ -87,7 +85,7 @@ enum class UpstreamState : std::uint8_t {
   kReplaying = 2,  // resumed login, ReplayRequest sent, awaiting SequenceReset
   kReady = 3,      // logged in, orders flow
   kBackoff = 4,    // connection died, reconnect timer armed
-  kFailed = 5,     // reconnect attempts exhausted (or reconnect disabled)
+  kFailed = 5,     // reconnect attempts exhausted
 };
 
 struct GatewayStats {

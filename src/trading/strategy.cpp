@@ -89,17 +89,6 @@ proto::OrderId Strategy::send_order(proto::Side side, proto::Symbol symbol, prot
   return id;
 }
 
-void Strategy::send_cancel(proto::OrderId client_order_id) {
-  ++stats_.cancels_sent;
-  proto::boe::CancelOrder cancel;
-  cancel.client_order_id = client_order_id;
-  const telemetry::TraceId trace = telemetry::current_trace();
-  engine_.schedule_in(config_.decision_latency, [this, cancel, trace] {
-    telemetry::TraceScope scope{trace};
-    transmit(cancel);
-  });
-}
-
 void Strategy::register_metrics(telemetry::Registry& registry,
                                 const std::string& prefix) const {
   registry.gauge(prefix + ".updates_received",
@@ -132,27 +121,18 @@ void Strategy::dispatch_response(const proto::boe::Message& message) {
       order_rtt_.add((engine_.now() - it->second).nanos());
       order_sent_at_.erase(it);
     }
-    on_ack(*ack);
   } else if (const auto* reject = std::get_if<OrderRejected>(&message)) {
     ++stats_.rejects;
     open_orders_.erase(reject->client_order_id);
-    on_reject(*reject);
   } else if (const auto* fill = std::get_if<Fill>(&message)) {
     ++stats_.fills;
     if (fill->leaves_quantity == 0) open_orders_.erase(fill->client_order_id);
-    on_fill(*fill);
   } else if (const auto* cancelled = std::get_if<OrderCancelled>(&message)) {
     open_orders_.erase(cancelled->client_order_id);
-    on_cancelled(*cancelled);
   } else if (std::get_if<CancelRejected>(&message) != nullptr) {
     ++stats_.cancel_rejects;
   }
 }
-
-void Strategy::on_ack(const proto::boe::OrderAccepted&) {}
-void Strategy::on_reject(const proto::boe::OrderRejected&) {}
-void Strategy::on_fill(const proto::boe::Fill&) {}
-void Strategy::on_cancelled(const proto::boe::OrderCancelled&) {}
 
 // --- MomentumTaker -----------------------------------------------------------
 
@@ -180,103 +160,6 @@ void MomentumTaker::on_update(const proto::norm::Update& update, sim::Time /*nic
     }
   }
   s.last_price = update.price;
-}
-
-// --- MarketMaker -------------------------------------------------------------
-
-MarketMaker::MarketMaker(sim::Scheduler& engine, StrategyConfig config, proto::Price half_spread,
-                         proto::Quantity clip)
-    : Strategy(engine, std::move(config)), half_spread_(half_spread), clip_(clip) {}
-
-void MarketMaker::on_update(const proto::norm::Update& update, sim::Time /*nic_arrival*/) {
-  if (update.price <= 0) return;
-  Quote& quote = quotes_[update.symbol];
-  // Reprice when the market has drifted more than half the spread from the
-  // quote anchor (§2: repricing quickly is critical).
-  if (quote.anchor != 0 && std::abs(update.price - quote.anchor) < half_spread_ / 2) return;
-  if (quote.bid_id != 0) send_cancel(quote.bid_id);
-  if (quote.ask_id != 0) send_cancel(quote.ask_id);
-  quote.anchor = update.price;
-  quote.bid_id = send_order(proto::Side::kBuy, update.symbol, update.price - half_spread_, clip_);
-  quote.ask_id = send_order(proto::Side::kSell, update.symbol, update.price + half_spread_, clip_);
-}
-
-void MarketMaker::on_fill(const proto::boe::Fill& fill) {
-  // tsn-lint: allow(unordered-iter) order-independent: entries matched by unique order id
-  for (auto& [symbol, quote] : quotes_) {
-    if (quote.bid_id == fill.client_order_id && fill.leaves_quantity == 0) quote.bid_id = 0;
-    if (quote.ask_id == fill.client_order_id && fill.leaves_quantity == 0) quote.ask_id = 0;
-  }
-}
-
-// --- CompliantMarketMaker ----------------------------------------------------
-
-CompliantMarketMaker::CompliantMarketMaker(sim::Scheduler& engine, StrategyConfig config,
-                                           proto::Price half_spread, proto::Quantity clip,
-                                           proto::Price tick)
-    : Strategy(engine, std::move(config)),
-      half_spread_(half_spread),
-      clip_(clip),
-      tick_(tick) {}
-
-void CompliantMarketMaker::on_update(const proto::norm::Update& update,
-                                     sim::Time /*nic_arrival*/) {
-  monitor_.on_update(update);
-  if (update.price <= 0) return;
-  Quote& quote = quotes_[update.symbol];
-  if (quote.anchor != 0 && std::abs(update.price - quote.anchor) < half_spread_ / 2) return;
-  if (quote.bid_id != 0) send_cancel(quote.bid_id);
-  if (quote.ask_id != 0) send_cancel(quote.ask_id);
-  quote.anchor = update.price;
-  proto::Price bid = update.price - half_spread_;
-  proto::Price ask = update.price + half_spread_;
-  // SEC gate: never post a quote that locks or crosses an away market.
-  const proto::Price compliant_bid =
-      monitor_.clamp_to_compliant(update.symbol, proto::Side::kBuy, bid, tick_);
-  const proto::Price compliant_ask =
-      monitor_.clamp_to_compliant(update.symbol, proto::Side::kSell, ask, tick_);
-  if (compliant_bid != bid || compliant_ask != ask) ++quotes_clamped_;
-  quote.bid_id = send_order(proto::Side::kBuy, update.symbol, compliant_bid, clip_);
-  quote.ask_id = send_order(proto::Side::kSell, update.symbol, compliant_ask, clip_);
-}
-
-// --- CrossVenueArb -----------------------------------------------------------
-
-CrossVenueArb::CrossVenueArb(sim::Scheduler& engine, StrategyConfig config, std::uint8_t venue_a,
-                             std::uint8_t venue_b, proto::Price threshold,
-                             proto::Quantity clip)
-    : Strategy(engine, std::move(config)),
-      venue_a_(venue_a),
-      venue_b_(venue_b),
-      threshold_(threshold),
-      clip_(clip) {}
-
-void CrossVenueArb::on_update(const proto::norm::Update& update, sim::Time /*nic_arrival*/) {
-  if (update.price <= 0) return;
-  VenuePrices& v = prices_[update.symbol];
-  if (update.exchange_id == venue_a_) {
-    v.price_a = update.price;
-  } else if (update.exchange_id == venue_b_) {
-    v.price_b = update.price;
-  } else {
-    return;
-  }
-  if (v.price_a == 0 || v.price_b == 0) return;
-  const proto::Price edge = v.price_a - v.price_b;
-  if (edge >= threshold_) {
-    ++opportunities_;
-    // Buy cheap on B, sell rich on A.
-    (void)send_order(proto::Side::kBuy, update.symbol, v.price_b, clip_,
-                     proto::boe::TimeInForce::kImmediateOrCancel);
-    (void)send_order(proto::Side::kSell, update.symbol, v.price_a, clip_,
-                     proto::boe::TimeInForce::kImmediateOrCancel);
-  } else if (-edge >= threshold_) {
-    ++opportunities_;
-    (void)send_order(proto::Side::kBuy, update.symbol, v.price_a, clip_,
-                     proto::boe::TimeInForce::kImmediateOrCancel);
-    (void)send_order(proto::Side::kSell, update.symbol, v.price_b, clip_,
-                     proto::boe::TimeInForce::kImmediateOrCancel);
-  }
 }
 
 }  // namespace tsn::trading

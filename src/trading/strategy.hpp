@@ -1,4 +1,4 @@
-// The strategy framework and sample strategies (§2).
+// The strategy framework and a sample strategy (§2).
 //
 // A Strategy subscribes to normalized market-data partitions, runs a custom
 // decision function on every update, and sends orders over a long-lived TCP
@@ -19,7 +19,6 @@
 #include "proto/norm.hpp"
 #include "sim/scheduler.hpp"
 #include "telemetry/metrics.hpp"
-#include "trading/compliance.hpp"
 
 namespace tsn::trading {
 
@@ -45,7 +44,7 @@ struct StrategyConfig {
 struct StrategyStats {
   std::uint64_t updates_received = 0;
   std::uint64_t orders_sent = 0;
-  std::uint64_t cancels_sent = 0;
+  std::uint64_t cancels_sent = 0;  // stays 0: MomentumTaker sends IOC orders only
   std::uint64_t acks = 0;
   std::uint64_t rejects = 0;
   std::uint64_t fills = 0;
@@ -85,17 +84,12 @@ class Strategy {
   // The decision function. `nic_arrival` is when the datagram hit the NIC
   // (before the software hop) — the reference point for tick-to-trade.
   virtual void on_update(const proto::norm::Update& update, sim::Time nic_arrival) = 0;
-  virtual void on_ack(const proto::boe::OrderAccepted& ack);
-  virtual void on_reject(const proto::boe::OrderRejected& reject);
-  virtual void on_fill(const proto::boe::Fill& fill);
-  virtual void on_cancelled(const proto::boe::OrderCancelled& cancelled);
 
   // Sends a new order after the configured decision latency. Returns the
   // client order id assigned.
   proto::OrderId send_order(proto::Side side, proto::Symbol symbol, proto::Price price,
                             proto::Quantity quantity,
                             proto::boe::TimeInForce tif = proto::boe::TimeInForce::kDay);
-  void send_cancel(proto::OrderId client_order_id);
 
   [[nodiscard]] sim::Scheduler& engine() noexcept { return engine_; }
 
@@ -127,7 +121,7 @@ class Strategy {
   telemetry::Histogram feed_path_;
 };
 
-// --- Sample strategies -------------------------------------------------------
+// --- Sample strategy ---------------------------------------------------------
 
 // Momentum taker: two consecutive upticks (downticks) in trade prints for a
 // symbol trigger an IOC order chasing the move.
@@ -147,86 +141,6 @@ class MomentumTaker final : public Strategy {
   std::unordered_map<proto::Symbol, State> state_;
   proto::Price tick_;
   proto::Quantity clip_;
-};
-
-// Simple market maker: keeps a two-sided quote around the last observed
-// price for each watched symbol, repricing when the market drifts.
-class MarketMaker final : public Strategy {
- public:
-  MarketMaker(sim::Scheduler& engine, StrategyConfig config, proto::Price half_spread = 300,
-              proto::Quantity clip = 200);
-
- protected:
-  void on_update(const proto::norm::Update& update, sim::Time nic_arrival) override;
-  void on_fill(const proto::boe::Fill& fill) override;
-
- private:
-  struct Quote {
-    proto::Price anchor = 0;
-    proto::OrderId bid_id = 0;
-    proto::OrderId ask_id = 0;
-  };
-  std::unordered_map<proto::Symbol, Quote> quotes_;
-  proto::Price half_spread_;
-  proto::Quantity clip_;
-};
-
-// A market maker that keeps its quotes inside the SEC's locked/crossed
-// rules (§4.2): every BBO update feeds a MarketStateMonitor, and quote
-// prices are clamped so they never lock or cross another venue's displayed
-// market. This is the firm-wide-state consumer the paper says makes cloud
-// designs hard: the monitor needs every venue's top of book, everywhere.
-class CompliantMarketMaker final : public Strategy {
- public:
-  CompliantMarketMaker(sim::Scheduler& engine, StrategyConfig config,
-                       proto::Price half_spread = 300, proto::Quantity clip = 200,
-                       proto::Price tick = 100);
-
-  [[nodiscard]] const MarketStateMonitor& monitor() const noexcept { return monitor_; }
-  [[nodiscard]] std::uint64_t quotes_clamped() const noexcept { return quotes_clamped_; }
-
- protected:
-  void on_update(const proto::norm::Update& update, sim::Time nic_arrival) override;
-
- private:
-  struct Quote {
-    proto::Price anchor = 0;
-    proto::OrderId bid_id = 0;
-    proto::OrderId ask_id = 0;
-  };
-  std::unordered_map<proto::Symbol, Quote> quotes_;
-  MarketStateMonitor monitor_;
-  proto::Price half_spread_;
-  proto::Quantity clip_;
-  proto::Price tick_;
-  std::uint64_t quotes_clamped_ = 0;
-};
-
-// Cross-venue arbitrage: watches the same symbol on two exchange ids and
-// fires paired IOC orders when their prices diverge past a threshold —
-// the "analyze combined market data from many exchanges" pattern (§2).
-class CrossVenueArb final : public Strategy {
- public:
-  CrossVenueArb(sim::Scheduler& engine, StrategyConfig config, std::uint8_t venue_a,
-                std::uint8_t venue_b, proto::Price threshold = 500,
-                proto::Quantity clip = 100);
-
-  [[nodiscard]] std::uint64_t opportunities() const noexcept { return opportunities_; }
-
- protected:
-  void on_update(const proto::norm::Update& update, sim::Time nic_arrival) override;
-
- private:
-  struct VenuePrices {
-    proto::Price price_a = 0;
-    proto::Price price_b = 0;
-  };
-  std::unordered_map<proto::Symbol, VenuePrices> prices_;
-  std::uint8_t venue_a_;
-  std::uint8_t venue_b_;
-  proto::Price threshold_;
-  proto::Quantity clip_;
-  std::uint64_t opportunities_ = 0;
 };
 
 }  // namespace tsn::trading

@@ -56,29 +56,12 @@ net::LinkConfig wan_link_config(Colo a, Colo b, LinkTech tech, bool raining) noe
   return config;
 }
 
-void register_wan_link_metrics(telemetry::Registry& registry, const std::string& prefix,
-                               const net::Link& link) {
-  registry.gauge(prefix + ".frames_delivered",
-                 [&link] { return static_cast<double>(link.stats().frames_delivered); });
-  registry.gauge(prefix + ".frames_dropped_queue",
-                 [&link] { return static_cast<double>(link.stats().frames_dropped_queue); });
-  registry.gauge(prefix + ".rain_fade_losses",
-                 [&link] { return static_cast<double>(link.stats().frames_dropped_loss); });
-  registry.gauge(prefix + ".bytes_delivered",
-                 [&link] { return static_cast<double>(link.stats().bytes_delivered); });
-}
-
 void schedule_rain_fade(fault::FaultInjector& injector, const std::string& link_name,
                         sim::Time start, sim::Duration rise, sim::Duration fall,
                         LinkTech tech) {
   const double peak = params_for(tech).weather_loss;
   if (peak <= 0.0) return;
   injector.ramp_loss(link_name, start, rise, fall, peak);
-}
-
-sim::Duration microwave_advantage(Colo a, Colo b) noexcept {
-  return propagation_delay(a, b, LinkTech::kFiber) -
-         propagation_delay(a, b, LinkTech::kMicrowave);
 }
 
 }  // namespace tsn::wan

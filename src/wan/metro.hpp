@@ -16,7 +16,6 @@
 #include "fault/injector.hpp"
 #include "net/link.hpp"
 #include "sim/time.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace tsn::wan {
 
@@ -60,22 +59,14 @@ struct WanTechParams {
 [[nodiscard]] net::LinkConfig wan_link_config(Colo a, Colo b, LinkTech tech,
                                               bool raining = false) noexcept;
 
-// Latency advantage of microwave over fiber for a colo pair.
-[[nodiscard]] sim::Duration microwave_advantage(Colo a, Colo b) noexcept;
-
 // Schedules a rain-fade event against a fault-injector-registered WAN link:
 // a triangular loss ramp that climbs to the technology's weather-loss peak
 // over `rise`, then decays over `fall`. Fiber has no weather loss, so the
 // call is a no-op for it — which is exactly the paper's argument for keeping
 // a fiber backup under every microwave path.
+// tsn-lint: allow(unreached-symbol) the A/B drills' rain-fade action drives it
 void schedule_rain_fade(fault::FaultInjector& injector, const std::string& link_name,
                         sim::Time start, sim::Duration rise, sim::Duration fall,
                         LinkTech tech = LinkTech::kMicrowave);
-
-// Registers a WAN segment's delivery/drop counters under `prefix`; microwave
-// rain-fade losses surface as "<prefix>.rain_fade_losses". The link must
-// outlive the registry snapshotting.
-void register_wan_link_metrics(telemetry::Registry& registry, const std::string& prefix,
-                               const net::Link& link);
 
 }  // namespace tsn::wan

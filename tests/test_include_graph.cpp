@@ -1,5 +1,6 @@
-// Unit tests for tsn_analyze's include-graph builder, cycle detector and
-// layer checker, run over in-memory file trees via the FileProvider hook.
+// Unit tests for tsn_analyze's include-graph builder, cycle detector, layer
+// checker and reachability roots, run over in-memory file trees via the
+// FileProvider hook.
 // The on-disk corpora (tools/tsn_analyze/corpus/layering) exercise the same
 // code end-to-end through the CLI; these tests pin the builder's edge-level
 // behaviour (resolution, line numbers, angle-include handling) that the
@@ -9,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "baseline.hpp"
 #include "json_mini.hpp"
+#include "reachability.hpp"
 
 namespace tsn::analyze {
 namespace {
@@ -186,6 +189,80 @@ TEST(LayerCheck, UndeclaredModuleReported) {
 
 TEST(LayerCheck, DefaultConfigIsAcyclic) {
   EXPECT_EQ(default_layer_config().validate(), "");
+}
+
+// Reachability trees hold the scan root (src/) and the directories beside
+// it, keyed by their path in the repo.
+std::set<std::string> reached(const Tree& tree) {
+  return reached_files(keys_of(tree), "src", provider_for(tree));
+}
+
+TEST(Reachability, AHeaderReachesItsPairedSource) {
+  const Tree tree{
+      {"bench/b.cpp", {"#include \"a/x.hpp\""}},
+      {"src/a/x.hpp", {"#pragma once"}},
+      {"src/a/x.cpp", {"#include \"a/x.hpp\"", "#include \"b/y.hpp\""}},
+      {"src/b/y.hpp", {"#pragma once"}},
+      {"src/b/y.cpp", {"#include \"b/y.hpp\""}},
+  };
+  // y is named only by x.cpp, which a bench reaches through x.hpp.
+  EXPECT_EQ(reached(tree),
+            (std::set<std::string>{"a/x.cpp", "a/x.hpp", "b/y.cpp", "b/y.hpp"}));
+}
+
+TEST(Reachability, ATestsFileIsNotARoot) {
+  const Tree tree{
+      {"tests/test_x.cpp", {"#include \"a/x.hpp\""}},
+      {"src/a/x.hpp", {"#pragma once"}},
+      {"src/a/x.cpp", {"#include \"a/x.hpp\""}},
+  };
+  EXPECT_TRUE(reached(tree).empty());
+  Sink sink;
+  check_reachability(keys_of(tree), "src", provider_for(tree), "src", sink);
+  ASSERT_EQ(rules_of(sink), (std::vector<std::string>{"unreached-module"}));
+  EXPECT_EQ(sink.findings[0].file, "src/a/x.hpp");
+  EXPECT_EQ(sink.findings[0].line, 1);
+}
+
+TEST(Reachability, APerfbenchOnlyUserCountsAsAUser) {
+  const Tree tree{
+      {"perfbench/src/w.cpp", {"#include \"common.hpp\"", "#include \"a/x.hpp\"",
+                               "int run() { return tsn::a::Engine{4}.lanes(); }"}},
+      {"perfbench/src/common.hpp", {"#pragma once"}},
+      {"src/a/x.hpp",
+       {"#pragma once", "namespace tsn::a {", "class Engine {", " public:",
+        "  explicit Engine(int lanes) : lanes_(lanes) {}",
+        "  [[nodiscard]] int lanes() const { return lanes_; }", " private:", "  int lanes_;",
+        "};", "}  // namespace tsn::a"}},
+  };
+  EXPECT_EQ(reached(tree), (std::set<std::string>{"a/x.hpp"}));
+  Sink sink;
+  check_reachability(keys_of(tree), "src", provider_for(tree), "src", sink);
+  EXPECT_TRUE(sink.findings.empty()) << "perfbench constructs Engine";
+}
+
+TEST(Reachability, ReachOnlyThroughATestOnlyModuleStaysUnreached) {
+  const Tree tree{
+      {"bench/b.cpp", {"#include \"a/x.hpp\""}},
+      {"tests/test_y.cpp", {"#include \"b/y.hpp\""}},
+      {"src/a/x.hpp", {"#pragma once"}},
+      {"src/b/y.hpp", {"#pragma once", "#include \"c/z.hpp\""}},
+      {"src/c/z.hpp", {"#pragma once"}},
+  };
+  EXPECT_EQ(reached(tree), (std::set<std::string>{"a/x.hpp"}));
+  Sink sink;
+  check_reachability(keys_of(tree), "src", provider_for(tree), "src", sink);
+  ASSERT_EQ(sink.findings.size(), 2U);
+  EXPECT_EQ(sink.findings[0].file, "src/b/y.hpp");
+  EXPECT_EQ(sink.findings[1].file, "src/c/z.hpp");
+}
+
+TEST(Reachability, TheAnalyzerCorpusIsNotARoot) {
+  EXPECT_TRUE(is_reach_root("tools/bench_compare/bench_compare.cpp"));
+  EXPECT_TRUE(is_reach_root("examples/quickstart.cpp"));
+  EXPECT_FALSE(is_reach_root("tools/tsn_analyze/corpus/reachability/good/bench/b.cpp"));
+  EXPECT_FALSE(is_reach_root("tests/test_x.cpp"));
+  EXPECT_FALSE(is_reach_root("benchmarks/x.cpp"));
 }
 
 TEST(Baseline, AbsorbsUpToCountThenReportsRemainder) {

@@ -136,20 +136,30 @@ TEST(Igmp, DecodeRejectsCorruption) {
 }
 
 TEST(Igmp, FrameRoundTrip) {
+  // Decoded the way a snooping switch does: IPv4 protocol 2, then the
+  // IGMP payload.
   const IgmpMessage join{IgmpType::kMembershipReport, net::Ipv4Addr{239, 10, 0, 1}};
   const auto frame =
       build_igmp_frame(net::MacAddr::from_host_id(1), net::Ipv4Addr{10, 0, 0, 1}, join);
-  const auto parsed = parse_igmp_frame(frame);
+  const auto decoded = net::decode_frame(frame);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_TRUE(decoded->ip.has_value());
+  EXPECT_EQ(decoded->ip->protocol, net::kIpProtoIgmp);
+  const auto parsed = IgmpMessage::decode(decoded->payload);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->type, IgmpType::kMembershipReport);
   EXPECT_EQ(parsed->group, join.group);
 }
 
 TEST(Igmp, NonIgmpFrameIsRejected) {
+  // Snooping classifies by IPv4 protocol, so a UDP frame is never IGMP.
   const auto frame = net::build_udp_frame(net::MacAddr::from_host_id(1),
                                           net::MacAddr::from_host_id(2), net::Ipv4Addr{10, 0, 0, 1},
                                           net::Ipv4Addr{10, 0, 0, 2}, 1, 2, {});
-  EXPECT_FALSE(parse_igmp_frame(frame).has_value());
+  const auto decoded = net::decode_frame(frame);
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_TRUE(decoded->ip.has_value());
+  EXPECT_NE(decoded->ip->protocol, net::kIpProtoIgmp);
 }
 
 }  // namespace

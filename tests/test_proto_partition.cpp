@@ -69,18 +69,6 @@ TEST(Partition, HashBalancesAcrossManySymbols) {
   }
 }
 
-TEST(Partition, CompositeCombinesKindAndInner) {
-  auto inner = std::make_shared<AlphabetPartition>(4);
-  const CompositePartition scheme{inner};
-  EXPECT_EQ(scheme.partition_count(), 16u);
-  const Symbol apple{"APPLE"};
-  const auto equity = scheme.partition_of(apple, InstrumentKind::kEquity);
-  const auto option = scheme.partition_of(apple, InstrumentKind::kOption);
-  EXPECT_EQ(equity, 0u);
-  EXPECT_EQ(option, 2u * 4u + 0u);
-  EXPECT_THROW(CompositePartition{nullptr}, std::invalid_argument);
-}
-
 TEST(Partition, SchemesAreInterchangeableThroughTheInterface) {
   auto check = [](const PartitionScheme& scheme) {
     for (const char* name : {"AA", "MM", "ZZ"}) {
@@ -91,7 +79,6 @@ TEST(Partition, SchemesAreInterchangeableThroughTheInterface) {
   check(AlphabetPartition{7});
   check(KindPartition{});
   check(HashPartition{33});
-  check(CompositePartition{std::make_shared<HashPartition>(5)});
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/headers.hpp"
+
 namespace tsn::proto::xpress {
 namespace {
 
@@ -11,7 +13,9 @@ std::vector<std::byte> payload_of(std::size_t n, std::uint8_t fill = 0x5a) {
 
 TEST(Xpress, FullHeaderRoundTrip) {
   const auto payload = payload_of(26);
-  const auto frame = encode_full(17, 1000, payload);
+  Compressor tx;
+  std::vector<std::byte> frame;
+  EXPECT_EQ(tx.encode(17, 1000, payload, frame), kFullHeaderSize);  // a stream's first frame
   EXPECT_EQ(frame.size(), kFullHeaderSize + 26);
   Decompressor rx;
   const auto result = rx.decode(frame);
@@ -116,20 +120,23 @@ TEST(Xpress, DecodeRejectsGarbageAndTruncation) {
   EXPECT_FALSE(rx.decode({}).has_value());
   const auto junk = payload_of(5, 0x01);  // 0x01 is neither full nor compact
   EXPECT_FALSE(rx.decode(junk).has_value());
-  const auto frame = encode_full(1, 1, payload_of(20));
+  Compressor tx;
+  std::vector<std::byte> frame;
+  (void)tx.encode(1, 1, payload_of(20), frame);
   EXPECT_FALSE(rx.decode(std::span{frame}.subspan(0, frame.size() - 1)).has_value());
 }
 
 TEST(Xpress, OverheadComparisonMatchesPaperArithmetic) {
   // §5: ~46 bytes of standard headers vs 3 bytes compact — the order
   // entry messages themselves are 14-26 bytes, so headers dominated.
-  const auto cmp = overhead_comparison();
-  EXPECT_EQ(cmp.standard_headers, 46u);
-  EXPECT_EQ(cmp.xpress_compact, 3u);
+  const std::size_t standard_headers = net::kEthernetHeaderSize + net::kIpv4HeaderSize +
+                                       net::kUdpHeaderSize + net::kEthernetFcsSize;
+  EXPECT_EQ(standard_headers, 46u);
+  EXPECT_EQ(kCompactHeaderSize, 3u);
   const double standard_share_cancel =
-      static_cast<double>(cmp.standard_headers) / (14.0 + cmp.standard_headers);
+      static_cast<double>(standard_headers) / (14.0 + standard_headers);
   const double xpress_share_cancel =
-      static_cast<double>(cmp.xpress_compact) / (14.0 + cmp.xpress_compact);
+      static_cast<double>(kCompactHeaderSize) / (14.0 + kCompactHeaderSize);
   EXPECT_GT(standard_share_cancel, 0.7);
   EXPECT_LT(xpress_share_cancel, 0.2);
 }

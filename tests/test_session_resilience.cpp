@@ -427,6 +427,32 @@ TEST(SessionResilience, LostResponsesAreResolvedByReplayNotResubmission) {
   EXPECT_EQ(acks[0].client_order_id, 100u);
 }
 
+TEST(SessionResilience, GatewayForwardsCancelsAndRoutesTheResult) {
+  // Two day orders rest at the exchange; cancelling one through the gateway
+  // takes it off the book and routes the OrderCancelled back under the
+  // strategy's own client order id.
+  GatewayRig rig;
+  rig.start_and_login();
+  rig.send_order(100, 100, 101.0);
+  rig.send_order(101, 50, 102.0);
+  rig.engine.run();
+  ASSERT_EQ(rig.strat_received<proto::boe::OrderAccepted>().size(), 2u);
+  auto best = rig.exch.book(proto::Symbol{"AAA"}).best();
+  ASSERT_TRUE(best.ask_price.has_value());
+  EXPECT_EQ(*best.ask_price, proto::price_from_dollars(101.0));
+
+  rig.strat_ep->send(proto::boe::encode(Message{proto::boe::CancelOrder{100}}, rig.seq++));
+  rig.engine.run();
+  EXPECT_EQ(rig.gw.stats().cancels_forwarded, 1u);
+  const auto cancelled = rig.strat_received<proto::boe::OrderCancelled>();
+  ASSERT_EQ(cancelled.size(), 1u);
+  EXPECT_EQ(cancelled[0].client_order_id, 100u);
+  best = rig.exch.book(proto::Symbol{"AAA"}).best();
+  ASSERT_TRUE(best.ask_price.has_value());
+  EXPECT_EQ(*best.ask_price, proto::price_from_dollars(102.0));
+  EXPECT_EQ(rig.gw.risk().open_orders(), 1u);
+}
+
 TEST(SessionResilience, PendingUpstreamBoundShedsWithCountedRejects) {
   GatewayRig rig{[](trading::GatewayConfig& config) {
     config.max_pending_upstream = 2;

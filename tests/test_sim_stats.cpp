@@ -1,6 +1,6 @@
-// Behavioural contract of the shared summary-statistics types
-// (telemetry::Histogram / telemetry::WindowedCounter): benches, capture
-// appliances, and sim entities all report through these.
+// Behavioural contract of the shared summary-statistics type
+// (telemetry::Histogram): benches, capture appliances, and sim entities all
+// report through it.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -9,11 +9,6 @@
 
 namespace tsn::telemetry {
 namespace {
-
-using sim::micros;
-using sim::seconds;
-using Duration = sim::Duration;
-using Time = sim::Time;
 
 TEST(Histogram, EmptyIsSafe) {
   Histogram s;
@@ -110,37 +105,6 @@ TEST(Histogram, TableRowFormatsFourColumns) {
   const std::string row = s.table_row();
   EXPECT_NE(row.find("73"), std::string::npos);
   EXPECT_NE(row.find("1514"), std::string::npos);
-}
-
-TEST(WindowedCounter, CountsFallIntoCorrectWindows) {
-  WindowedCounter counter{Time::zero(), seconds(std::int64_t{1})};
-  counter.record(Time{500'000'000'000});        // 0.5 s -> window 0
-  counter.record(Time{1'500'000'000'000});      // 1.5 s -> window 1
-  counter.record(Time{1'600'000'000'000}, 3);   // window 1 again
-  ASSERT_EQ(counter.counts().size(), 2u);
-  EXPECT_EQ(counter.counts()[0], 1u);
-  EXPECT_EQ(counter.counts()[1], 4u);
-}
-
-TEST(WindowedCounter, IgnoresEventsBeforeOrigin) {
-  WindowedCounter counter{Time{1'000'000}, micros(std::int64_t{1})};
-  counter.record(Time{0});
-  EXPECT_TRUE(counter.counts().empty());
-}
-
-TEST(WindowedCounter, RejectsNonPositiveWindow) {
-  EXPECT_THROW((WindowedCounter{Time::zero(), Duration::zero()}), std::invalid_argument);
-}
-
-TEST(WindowedCounter, StatsSkipEmptyWindowsByDefault) {
-  WindowedCounter counter{Time::zero(), micros(std::int64_t{100})};
-  counter.record(Time::zero() + micros(std::int64_t{50}));   // window 0
-  counter.record(Time::zero() + micros(std::int64_t{950}));  // window 9
-  const auto skip_empty = counter.stats();
-  EXPECT_EQ(skip_empty.count(), 2u);
-  const auto with_empty = counter.stats(true);
-  EXPECT_EQ(with_empty.count(), 10u);
-  EXPECT_DOUBLE_EQ(with_empty.min(), 0.0);
 }
 
 }  // namespace

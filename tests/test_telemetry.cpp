@@ -76,7 +76,7 @@ TEST(Trace, ScopesNestAndRestore) {
 
   TraceSink a;
   TraceSink b;
-  EXPECT_FALSE(tracing_enabled());
+  EXPECT_EQ(sink(), nullptr);
   {
     ScopedTraceSink outer{a};
     EXPECT_EQ(sink(), &a);
@@ -86,7 +86,7 @@ TEST(Trace, ScopesNestAndRestore) {
     }
     EXPECT_EQ(sink(), &a);
   }
-  EXPECT_FALSE(tracing_enabled());
+  EXPECT_EQ(sink(), nullptr);
 }
 
 TEST(Trace, SpanKindNamesAreStable) {

@@ -18,8 +18,8 @@ namespace tsn::trading {
 namespace {
 
 ArbiterConfig test_config() {
+  // The output NIC stays unplugged, so the tap is the only observer.
   ArbiterConfig config;
-  config.republish = false;  // output observed through the tap only
   config.a_mac = net::MacAddr::from_host_id(1);
   config.a_ip = net::Ipv4Addr{10, 9, 0, 1};
   config.b_mac = net::MacAddr::from_host_id(2);

@@ -155,67 +155,6 @@ TEST(Strategy, TickToTradeIsMeasuredAndPlausible) {
   EXPECT_NEAR(strategy.tick_to_trade().mean(), 2'900.0, 5.0);
 }
 
-TEST(Strategy, MarketMakerQuotesBothSidesAndReprices) {
-  StrategyRig rig;
-  MarketMaker strategy{rig.engine, StrategyRig::strategy_config(),
-                       proto::price_from_dollars(0.05)};
-  rig.wire(strategy);
-  rig.inject(rig.trade_print(100.00));
-  EXPECT_EQ(strategy.stats().orders_sent, 2u);  // bid + ask
-  EXPECT_EQ(strategy.stats().acks, 2u);
-  const auto& book = rig.exch.book(proto::Symbol{"ACME"});
-  const auto best = book.best();
-  ASSERT_TRUE(best.bid_price.has_value());
-  ASSERT_TRUE(best.ask_price.has_value());
-  EXPECT_EQ(*best.bid_price, proto::price_from_dollars(99.95));
-  EXPECT_EQ(*best.ask_price, proto::price_from_dollars(100.05));
-  // A big move triggers cancel + requote (§2: repricing quickly is critical).
-  rig.inject(rig.trade_print(101.00));
-  EXPECT_EQ(strategy.stats().orders_sent, 4u);
-  EXPECT_EQ(strategy.stats().cancels_sent, 2u);
-}
-
-TEST(Strategy, SmallMovesDoNotChurnQuotes) {
-  StrategyRig rig;
-  MarketMaker strategy{rig.engine, StrategyRig::strategy_config(),
-                       proto::price_from_dollars(0.10)};
-  rig.wire(strategy);
-  rig.inject(rig.trade_print(100.00));
-  rig.inject(rig.trade_print(100.01));  // within half-spread/2
-  EXPECT_EQ(strategy.stats().orders_sent, 2u);
-  EXPECT_EQ(strategy.stats().cancels_sent, 0u);
-}
-
-TEST(Strategy, CompliantMarketMakerNeverLocksAwayMarkets) {
-  StrategyRig rig;
-  CompliantMarketMaker strategy{rig.engine, StrategyRig::strategy_config(),
-                                proto::price_from_dollars(0.05)};
-  rig.wire(strategy);
-  // Venue 2 displays a tight market around $100.01/$100.03.
-  auto bbo = [&](std::uint8_t venue, proto::Side side, double price) {
-    auto u = rig.trade_print(price);
-    u.kind = proto::norm::UpdateKind::kBboUpdate;
-    u.exchange_id = venue;
-    u.side = side;
-    rig.inject(u);
-  };
-  bbo(2, proto::Side::kBuy, 100.01);
-  bbo(2, proto::Side::kSell, 100.03);
-  // A naive $100.05-anchored quote would bid 100.00 (fine) and offer
-  // 100.10 (fine); anchor at 100.07 pushes the naive bid to 100.02 — at
-  // the away... push further: anchor at 100.10 makes the naive bid 100.05,
-  // through venue 2's 100.03 offer. The compliant maker clamps it.
-  rig.inject(rig.trade_print(100.10));
-  EXPECT_GT(strategy.stats().orders_sent, 0u);
-  EXPECT_GT(strategy.quotes_clamped(), 0u);
-  // The book at the (single) exchange holds the clamped bid: 100.02, one
-  // tick inside venue 2's 100.03 offer.
-  const auto best = rig.exch.book(proto::Symbol{"ACME"}).best();
-  ASSERT_TRUE(best.bid_price.has_value());
-  EXPECT_EQ(*best.bid_price, proto::price_from_dollars(100.02));
-  EXPECT_FALSE(strategy.monitor().is_crossed(proto::Symbol{"ACME"}));
-}
-
 TEST(Strategy, GatewayRiskGateRejectsOversizedOrders) {
   // Gateway with a per-order cap below the taker's 100-share clip: every
   // order dies at the gateway with a risk reject; nothing reaches the
@@ -246,24 +185,6 @@ TEST(Strategy, GatewayTracksFirmPositionThroughFills) {
   EXPECT_EQ(rig.gateway.risk().position(proto::Symbol{"ACME"}), 100);
   EXPECT_EQ(rig.gateway.risk().firm_gross_position(), 100);
   EXPECT_EQ(rig.gateway.risk().open_orders(), 0u);
-}
-
-TEST(Strategy, CrossVenueArbDetectsDislocation) {
-  StrategyRig rig;
-  CrossVenueArb strategy{rig.engine, StrategyRig::strategy_config(), 1, 2,
-                         proto::price_from_dollars(0.04)};
-  rig.wire(strategy);
-  auto venue_print = [&](std::uint8_t venue, double price) {
-    auto u = rig.trade_print(price);
-    u.exchange_id = venue;
-    rig.inject(u);
-  };
-  venue_print(1, 100.00);
-  venue_print(2, 100.01);  // within threshold: no trade
-  EXPECT_EQ(strategy.opportunities(), 0u);
-  venue_print(2, 100.10);  // venue 2 rich vs venue 1: arb
-  EXPECT_EQ(strategy.opportunities(), 1u);
-  EXPECT_EQ(strategy.stats().orders_sent, 2u);  // buy one venue, sell the other
 }
 
 TEST(Strategy, GatewayTranslatesIdsBothWays) {

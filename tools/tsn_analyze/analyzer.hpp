@@ -1,28 +1,35 @@
 // tsn_analyze — multi-pass static analysis for the trading-system simulator.
 //
 // Grown from the original tsn_lint wire-safety checker, this tool now scans
-// all of src/ with six rule families (see DESIGN.md "Static analysis"):
+// all of src/ with five rule families plus a suppression check (see
+// DESIGN.md "Static analysis"):
 //
 //   wire safety      unchecked-reader, raw-memcpy / raw-cast,
 //                    unchecked-length-index (scoped to src/proto, src/net,
 //                    src/mcast — the subsystems that touch frame bytes)
 //   determinism      wall-clock, unseeded-random, unordered-iter,
-//                    pointer-identity (all of src/: byte-identical replay
-//                    means all time flows from the sim clock, all randomness
-//                    from sim::random, and no observable ordering may depend
-//                    on hash-table iteration or pointer values)
+//                    pointer-identity, cross-domain-sched (all of src/:
+//                    byte-identical replay means all time flows from the
+//                    sim clock, all randomness from sim::random, no
+//                    observable ordering depends on hash-table iteration or
+//                    pointer values, and no shard schedules onto another's
+//                    queue)
 //   hot-path         hotpath-alloc inside regions marked
 //                    `// tsn-lint: hotpath` (no new/delete/malloc,
 //                    make_shared/make_unique, push_back without a reserve,
 //                    std::string construction, or local container builds)
 //   layering         include-cycle, layer-violation, include-missing,
 //                    unknown-module over the `#include` graph of src/
+//   reachability     unreached-module, unreached-symbol: every src/ module
+//                    and public symbol has a user under bench/, examples/,
+//                    perfbench/ or tools/ (tests/ do not count)
+//   suppression      allow-no-reason: every allow() gives its reason
 //
 // Shared infrastructure: a line-oriented scanner over comment-stripped
 // source. It tracks brace depth, strings and comments, not templates or
 // macros — it is a convention linter, not a compiler plugin. Suppressions
-// are `// tsn-lint: allow(<rule>)` on the offending (or preceding) line;
-// audited legacy findings can also live in a committed baseline file.
+// are `// tsn-lint: allow(<rule>) <reason>` on the offending (or preceding)
+// line; audited legacy findings can also live in a committed baseline file.
 #pragma once
 
 #include <filesystem>
@@ -58,6 +65,9 @@ struct Sink {
 struct CleanSource {
   std::vector<std::string> lines;             // code only, comments blanked
   std::vector<std::set<std::string>> allows;  // per line, suppressed rules
+  // Per line, the rules of allow()s with no reason text after them. They
+  // still suppress; scan_allow_reasons reports them.
+  std::vector<std::vector<std::string>> reasonless_allows;
   std::vector<bool> hotpath_marks;            // per line, hotpath marker seen
 };
 

@@ -1,0 +1,2 @@
+#include "a/api.hpp"
+int main() { return demo::a::served(); }

@@ -89,6 +89,32 @@ const LayerConfig& default_layer_config() {
   return config;
 }
 
+std::vector<IncludeEdge> quoted_includes(const std::vector<std::string>& lines) {
+  std::vector<IncludeEdge> out;
+  const CleanSource src = strip_comments(lines);
+  for (std::size_t li = 0; li < src.lines.size(); ++li) {
+    // Directive detection on the comment-stripped line (so `#include` in a
+    // comment is ignored), but the target path is read from the raw line —
+    // strip_comments blanks string-literal contents, quoted paths included.
+    std::size_t i = 0;
+    const std::string& stripped = src.lines[li];
+    while (i < stripped.size() && std::isspace(static_cast<unsigned char>(stripped[i])) != 0) {
+      ++i;
+    }
+    if (stripped.compare(i, 8, "#include") != 0) continue;
+    const std::string& line = lines[li];
+    const std::size_t open = line.find_first_of("\"<", i + 8);
+    if (open == std::string::npos || line[open] == '<') continue;  // angle: system
+    const std::size_t close = line.find('"', open + 1);
+    if (close == std::string::npos) continue;
+    IncludeEdge edge;
+    edge.to = line.substr(open + 1, close - open - 1);
+    edge.line = static_cast<int>(li) + 1;
+    out.push_back(std::move(edge));
+  }
+  return out;
+}
+
 IncludeGraph build_include_graph(const std::vector<std::string>& files,
                                  const FileProvider& provider) {
   IncludeGraph graph;
@@ -97,29 +123,8 @@ IncludeGraph build_include_graph(const std::vector<std::string>& files,
     std::vector<std::string> lines;
     if (!provider(file, lines)) continue;
     auto& edges = graph.edges[file];  // every scanned file gets a node
-    const CleanSource src = strip_comments(lines);
-    for (std::size_t li = 0; li < src.lines.size(); ++li) {
-      // Directive detection on the comment-stripped line (so `#include` in a
-      // comment is ignored), but the target path is read from the raw line —
-      // strip_comments blanks string-literal contents, quoted paths included.
-      std::size_t i = 0;
-      const std::string& stripped = src.lines[li];
-      while (i < stripped.size() &&
-             std::isspace(static_cast<unsigned char>(stripped[i])) != 0) {
-        ++i;
-      }
-      if (stripped.compare(i, 8, "#include") != 0) continue;
-      const std::string& line = lines[li];
-      const std::size_t open = line.find_first_of("\"<", i + 8);
-      if (open == std::string::npos || line[open] == '<') continue;  // angle: system
-      const std::size_t close = line.find('"', open + 1);
-      if (close == std::string::npos) continue;
-      IncludeEdge edge;
-      edge.to = line.substr(open + 1, close - open - 1);
-      edge.line = static_cast<int>(li) + 1;
-      edge.resolved = known.count(edge.to) > 0;
-      edges.push_back(std::move(edge));
-    }
+    edges = quoted_includes(lines);
+    for (auto& edge : edges) edge.resolved = known.count(edge.to) > 0;
   }
   return graph;
 }

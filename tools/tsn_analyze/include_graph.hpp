@@ -68,6 +68,10 @@ const LayerConfig& default_layer_config();
 using FileProvider =
     std::function<bool(const std::string& rel_path, std::vector<std::string>& lines)>;
 
+// The quoted includes of one file, in line order, all unresolved. Angle
+// includes and directives inside comments are skipped.
+std::vector<IncludeEdge> quoted_includes(const std::vector<std::string>& lines);
+
 // Builds the include graph for `files` (root-relative paths). Quoted
 // includes that resolve to a path in `known` get resolved edges; unresolved
 // quoted includes keep resolved=false (reported by check_includes). Angle

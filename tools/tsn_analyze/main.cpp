@@ -4,10 +4,14 @@
 //   tsn_analyze --validate <findings.json>   schema-check a findings artifact
 //   tsn_analyze --root <dir> [--baseline f] [--json out]
 //                                            whole-tree scan: all rule
-//                                            families, layering included
+//                                            families, layering included;
+//                                            reachability roots are the
+//                                            bench/, examples/, perfbench/
+//                                            and tools/ beside <dir>
 //   tsn_analyze <paths...>                   ad-hoc scan of files/dirs with
-//                                            the line rules (no layering —
-//                                            that needs a tree root)
+//                                            the line rules (no layering or
+//                                            reachability — those need a
+//                                            tree root)
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 #include <algorithm>
@@ -21,6 +25,7 @@
 #include "analyzer.hpp"
 #include "baseline.hpp"
 #include "include_graph.hpp"
+#include "reachability.hpp"
 #include "report.hpp"
 #include "rules.hpp"
 #include "self_test.hpp"
@@ -101,6 +106,7 @@ int run_root_scan(const std::string& root, const std::string& baseline_path,
     if (wire_scoped(module)) scan_wire(display, raw, report.sink);
     scan_determinism(display, rel, raw, module_unordered[module], report.sink);
     scan_hotpath(display, raw, report.sink);
+    scan_allow_reasons(display, raw, report.sink);
   }
 
   // Pass 3: include graph + layering over the whole tree.
@@ -116,6 +122,31 @@ int run_root_scan(const std::string& root, const std::string& baseline_path,
   const IncludeGraph graph = build_include_graph(rel_files, provider);
   check_includes(graph, root, report.sink);
   check_layers(graph, default_layer_config(), root, report.sink);
+
+  // Pass 4: reachability, rooted in the directories beside the scan root.
+  fs::path src_path = fs::absolute(root).lexically_normal();
+  if (src_path.filename().empty()) src_path = src_path.parent_path();
+  const fs::path tree = src_path.parent_path();
+  const std::string src_dir = src_path.filename().string();
+  std::map<std::string, std::vector<std::string>> tree_lines;  // keyed by path in `tree`
+  for (const auto& [rel, raw] : raw_by_rel) tree_lines[src_dir + "/" + rel] = raw;
+  for (const auto dir : kReachRootDirs) {
+    if (!fs::is_directory(tree / dir)) continue;
+    for (const auto& file : collect_files(tree / dir)) {
+      const std::string rel = relative_path(file, tree);
+      if (is_reach_root(rel)) tree_lines[rel] = read_lines(file);
+    }
+  }
+  std::vector<std::string> tree_files;
+  for (const auto& [path, _] : tree_lines) tree_files.push_back(path);
+  const auto tree_provider = [&tree_lines](const std::string& path,
+                                           std::vector<std::string>& out) {
+    const auto it = tree_lines.find(path);
+    if (it == tree_lines.end()) return false;
+    out = it->second;
+    return true;
+  };
+  check_reachability(tree_files, src_dir, tree_provider, root, report.sink);
 
   if (!baseline_path.empty()) {
     std::string error;
@@ -172,6 +203,7 @@ int run_adhoc_scan(const std::vector<std::string>& targets) {
     scan_wire(display, raw, report.sink);
     scan_determinism(display, display, raw, harvest_unordered_names(raw), report.sink);
     scan_hotpath(display, raw, report.sink);
+    scan_allow_reasons(display, raw, report.sink);
   }
   report.active = report.sink.findings;
   return print_summary(report) == 0 ? 0 : 1;

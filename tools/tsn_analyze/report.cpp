@@ -9,22 +9,32 @@
 
 namespace tsn::analyze {
 
-const std::vector<std::string>& all_rules() {
-  static const std::vector<std::string> kRules = {
-      // wire safety
-      "unchecked-reader", "raw-memcpy", "raw-cast", "unchecked-length-index",
-      // determinism
-      "wall-clock", "unseeded-random", "unordered-iter", "pointer-identity",
-      // hot path
-      "hotpath-alloc",
-      // layering
-      "include-missing", "include-cycle", "layer-violation", "unknown-module"};
+const std::vector<RuleInfo>& all_rules() {
+  static const std::vector<RuleInfo> kRules = {
+      {"unchecked-reader", "wire"},
+      {"raw-memcpy", "wire"},
+      {"raw-cast", "wire"},
+      {"unchecked-length-index", "wire"},
+      {"wall-clock", "determinism"},
+      {"unseeded-random", "determinism"},
+      {"unordered-iter", "determinism"},
+      {"pointer-identity", "determinism"},
+      {"cross-domain-sched", "determinism"},
+      {"hotpath-alloc", "hotpath"},
+      {"include-missing", "layering"},
+      {"include-cycle", "layering"},
+      {"layer-violation", "layering"},
+      {"unknown-module", "layering"},
+      {"unreached-module", "reachability"},
+      {"unreached-symbol", "reachability"},
+      {"allow-no-reason", "suppression"}};
   return kRules;
 }
 
 namespace {
 
 struct RuleCounts {
+  std::string family = "unknown";  // rules all_rules() names get their own
   int active = 0;
   int allowed = 0;
   int baselined = 0;
@@ -32,7 +42,9 @@ struct RuleCounts {
 
 std::map<std::string, RuleCounts> tally(const RunReport& report) {
   std::map<std::string, RuleCounts> counts;
-  for (const auto& rule : all_rules()) counts[rule];  // stable zero rows
+  for (const auto& [rule, family] : all_rules()) {
+    counts[std::string{rule}].family = family;  // stable zero rows
+  }
   for (const auto& f : report.active) ++counts[f.rule].active;
   for (const auto& [rule, n] : report.sink.suppressed) counts[rule].allowed += n;
   for (const auto& entry : report.baseline.entries) {
@@ -47,9 +59,11 @@ std::size_t print_summary(const RunReport& report) {
   for (const auto& f : report.active) {
     std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(), f.message.c_str());
   }
-  std::printf("\n%-24s %9s %9s %10s\n", "rule", "findings", "allowed", "baselined");
+  std::printf("\n%-24s %-13s %9s %9s %10s\n", "rule", "family", "findings", "allowed",
+              "baselined");
   for (const auto& [rule, c] : tally(report)) {
-    std::printf("%-24s %9d %9d %10d\n", rule.c_str(), c.active, c.allowed, c.baselined);
+    std::printf("%-24s %-13s %9d %9d %10d\n", rule.c_str(), c.family.c_str(), c.active,
+                c.allowed, c.baselined);
   }
   for (const auto& entry : report.baseline.entries) {
     if (entry.matched < entry.count) {
@@ -84,6 +98,7 @@ std::string findings_to_json(const RunReport& report) {
   for (const auto& [rule, c] : tally(report)) {
     w.begin_object();
     w.field("rule", rule);
+    w.field("family", c.family);
     w.field("findings", static_cast<std::int64_t>(c.active));
     w.field("allowed", static_cast<std::int64_t>(c.allowed));
     w.field("baselined", static_cast<std::int64_t>(c.baselined));
@@ -138,7 +153,8 @@ bool validate_findings_json(const std::string& text, std::string* error) {
     }
     seen.insert(rule->string);
   }
-  for (const auto& rule : all_rules()) {
+  for (const auto& info : all_rules()) {
+    const std::string rule{info.rule};
     if (seen.count(rule) == 0) return fail("summary is missing rule row '" + rule + "'");
   }
   return true;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analyzer.hpp"
@@ -23,12 +24,18 @@ struct RunReport {
   Baseline baseline;              // entries with match counts filled in
 };
 
-// All rules the analyzer can emit, in family order (used to print zero rows
-// so the summary shape is stable).
-const std::vector<std::string>& all_rules();
+struct RuleInfo {
+  std::string_view rule;
+  std::string_view family;
+};
 
-// Human summary: per-rule findings / allow() suppressions / baselined table
-// plus stale-baseline warnings. Returns the number of active findings.
+// All rules the analyzer can emit with their families, in family order
+// (used to print zero rows so the summary shape is stable).
+const std::vector<RuleInfo>& all_rules();
+
+// Human summary: per-rule findings / allow() suppressions / baselined table,
+// each row labelled with its family, plus stale-baseline warnings. Returns
+// the number of active findings.
 std::size_t print_summary(const RunReport& report);
 
 // Deterministic JSON artifact.

@@ -29,4 +29,10 @@ void scan_determinism(const std::string& file, const std::string& rel_path,
 // Hot-path allocation discipline inside `// tsn-lint: hotpath` regions.
 void scan_hotpath(const std::string& file, const std::vector<std::string>& raw, Sink& sink);
 
+// Every family: an allow() must give its reason on its own line
+// (`// tsn-lint: allow(rule) why this is safe`); one without is an
+// allow-no-reason finding.
+void scan_allow_reasons(const std::string& file, const std::vector<std::string>& raw,
+                        Sink& sink);
+
 }  // namespace tsn::analyze

@@ -17,6 +17,7 @@
 
 #include "analyzer.hpp"
 #include "include_graph.hpp"
+#include "reachability.hpp"
 #include "rules.hpp"
 
 namespace tsn::analyze {
@@ -25,7 +26,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-enum class Family { kWire, kDeterminism, kHotpath, kLayering };
+enum class Family { kWire, kDeterminism, kHotpath, kLayering, kReachability, kSuppression };
 
 const std::map<std::string, Family>& rule_families() {
   static const std::map<std::string, Family> kFamilies = {
@@ -40,6 +41,8 @@ const std::map<std::string, Family>& rule_families() {
       {"cross-domain-sched", Family::kDeterminism},
       {"hotpath-alloc", Family::kHotpath},
       {"layering", Family::kLayering},
+      {"reachability", Family::kReachability},
+      {"allow-no-reason", Family::kSuppression},
   };
   return kFamilies;
 }
@@ -131,13 +134,21 @@ void run_line_rule_case(const std::string& rule, Family family, const fs::path& 
     case Family::kHotpath:
       scan_hotpath(rel, raw, sink);
       break;
+    case Family::kSuppression:
+      break;  // every case runs the allow() reason check below
     case Family::kLayering:
-      break;  // handled by run_layering_case
+    case Family::kReachability:
+      break;  // handled by run_tree_case
   }
+  scan_allow_reasons(rel, raw, sink);
   if (!check_case(rule + "/" + rel, expected, sink.findings)) ++result.failures;
 }
 
-void run_layering_case(const fs::path& tree, CaseResult& result) {
+// A tree case: the layering family sees the tree as a scan root; the
+// reachability family sees it as a repo, with the scan root in src/ and
+// the roots beside it.
+void run_tree_case(const std::string& rule, Family family, const fs::path& tree,
+                   CaseResult& result) {
   ++result.cases;
   std::vector<std::string> files;
   for (const auto& entry : fs::recursive_directory_iterator(tree)) {
@@ -147,8 +158,11 @@ void run_layering_case(const fs::path& tree, CaseResult& result) {
   }
   std::sort(files.begin(), files.end());
   Expectations expected;
+  Sink sink;
   for (const auto& rel : files) {
-    harvest_expectations(rel, read_lines(tree / rel), expected);
+    const std::vector<std::string> raw = read_lines(tree / rel);
+    harvest_expectations(rel, raw, expected);
+    scan_allow_reasons(rel, raw, sink);
   }
   const auto provider = [&tree](const std::string& rel, std::vector<std::string>& lines) {
     const fs::path p = tree / rel;
@@ -156,11 +170,14 @@ void run_layering_case(const fs::path& tree, CaseResult& result) {
     lines = read_lines(p);
     return true;
   };
-  const IncludeGraph graph = build_include_graph(files, provider);
-  Sink sink;
-  check_includes(graph, "", sink);
-  check_layers(graph, corpus_layer_config(), "", sink);
-  if (!check_case("layering/" + tree.filename().string(), expected, sink.findings)) {
+  if (family == Family::kReachability) {
+    check_reachability(files, "src", provider, "src", sink);
+  } else {
+    const IncludeGraph graph = build_include_graph(files, provider);
+    check_includes(graph, "", sink);
+    check_layers(graph, corpus_layer_config(), "", sink);
+  }
+  if (!check_case(rule + "/" + tree.filename().string(), expected, sink.findings)) {
     ++result.failures;
   }
 }
@@ -190,13 +207,13 @@ int run_self_test(const std::string& corpus_dir) {
       continue;
     }
     rules_seen.insert(rule);
-    if (family_it->second == Family::kLayering) {
+    if (family_it->second == Family::kLayering || family_it->second == Family::kReachability) {
       std::vector<fs::path> trees;
       for (const auto& entry : fs::directory_iterator(rule_dir)) {
         if (entry.is_directory()) trees.push_back(entry.path());
       }
       std::sort(trees.begin(), trees.end());
-      for (const auto& tree : trees) run_layering_case(tree, result);
+      for (const auto& tree : trees) run_tree_case(rule, family_it->second, tree, result);
       continue;
     }
     std::vector<fs::path> files;

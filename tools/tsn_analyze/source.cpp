@@ -1,20 +1,37 @@
 #include "analyzer.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
+
+#include "rules.hpp"
 
 namespace tsn::analyze {
 
 namespace {
 
-void harvest_allows(const std::string& raw, std::set<std::string>& out) {
+// An allow()'s reason is the comment text after its closing paren, up to
+// the next marker, the end of a block comment or the end of the line.
+bool has_reason(const std::string& raw, std::size_t from) {
+  std::size_t end = std::min(raw.find("tsn-lint:", from), raw.find("*/", from));
+  if (end == std::string::npos) end = raw.size();
+  for (std::size_t i = from; i < end; ++i) {
+    if (std::isalnum(static_cast<unsigned char>(raw[i])) != 0) return true;
+  }
+  return false;
+}
+
+void harvest_allows(const std::string& raw, std::set<std::string>& out,
+                    std::vector<std::string>& reasonless) {
   const std::string_view key = "tsn-lint: allow(";
   std::size_t pos = 0;
   while ((pos = raw.find(key, pos)) != std::string::npos) {
     pos += key.size();
     const std::size_t close = raw.find(')', pos);
     if (close == std::string::npos) break;
-    out.insert(raw.substr(pos, close - pos));
+    std::string rule = raw.substr(pos, close - pos);
+    if (!has_reason(raw, close + 1)) reasonless.push_back(rule);
+    out.insert(std::move(rule));
     pos = close + 1;
   }
 }
@@ -40,11 +57,12 @@ CleanSource strip_comments(const std::vector<std::string>& raw) {
   CleanSource out;
   out.lines.resize(raw.size());
   out.allows.resize(raw.size());
+  out.reasonless_allows.resize(raw.size());
   out.hotpath_marks.resize(raw.size(), false);
   bool in_block_comment = false;
   for (std::size_t li = 0; li < raw.size(); ++li) {
     const std::string& line = raw[li];
-    harvest_allows(line, out.allows[li]);
+    harvest_allows(line, out.allows[li], out.reasonless_allows[li]);
     out.hotpath_marks[li] = has_hotpath_mark(line);
     std::string& code = out.lines[li];
     code.reserve(line.size());
@@ -93,6 +111,19 @@ CleanSource strip_comments(const std::vector<std::string>& raw) {
     }
   }
   return out;
+}
+
+void scan_allow_reasons(const std::string& file, const std::vector<std::string>& raw,
+                        Sink& sink) {
+  const CleanSource src = strip_comments(raw);
+  for (std::size_t li = 0; li < src.reasonless_allows.size(); ++li) {
+    for (const auto& rule : src.reasonless_allows[li]) {
+      sink.emit(Finding{file, static_cast<int>(li) + 1, "allow-no-reason",
+                        "allow(" + rule +
+                            ") gives no reason; write why the finding is safe after the "
+                            "closing paren, on the same line"});
+    }
+  }
 }
 
 bool is_ident_char(char c) {
