@@ -1,6 +1,7 @@
 #include "book/order_book.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/check.hpp"
 
@@ -10,35 +11,12 @@ namespace {
 
 constexpr std::size_t kInitialOrders = 256;
 constexpr std::size_t kInitialLevels = 64;
-constexpr std::size_t kInitialIndex = 512;  // power of two
-
-constexpr std::uint8_t kEmpty = 0;
-constexpr std::uint8_t kFull = 1;
-constexpr std::uint8_t kTombstone = 2;
-
-// Integer finalizer (splitmix64 tail): order ids are often sequential, so
-// the index needs real avalanche to keep probe chains short.
-constexpr std::size_t hash_id(OrderId id) noexcept {
-  std::uint64_t x = id;
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return static_cast<std::size_t>(x);
-}
-
-constexpr std::size_t next_pow2(std::size_t v) noexcept {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Slab growth (cold: runs only when a slab or the index is exhausted; every
-// structure is index-linked, so reallocation never invalidates live state).
+// Slab growth (cold: runs only when a slab is exhausted; every structure is
+// index-linked, so reallocation never invalidates live state).
 
 void OrderBook::grow_orders(std::size_t new_capacity) {
   const std::size_t old = order_id_.size();
@@ -72,80 +50,10 @@ void OrderBook::grow_levels(std::size_t new_capacity) {
   }
 }
 
-void OrderBook::index_grow(std::size_t min_capacity) {
-  const std::size_t new_cap = next_pow2(std::max(min_capacity, kInitialIndex));
-  Column<OrderId> keys(new_cap);
-  Column<std::uint32_t> slots(new_cap);
-  Column<std::uint8_t> states(new_cap);  // zero-initialized: all kEmpty
-  const std::size_t mask = new_cap - 1;
-  for (std::size_t i = 0; i < index_.keys.size(); ++i) {
-    if (index_.states[i] != kFull) continue;
-    std::size_t j = hash_id(index_.keys[i]) & mask;
-    while (states[j] == kFull) j = (j + 1) & mask;
-    states[j] = kFull;
-    keys[j] = index_.keys[i];
-    slots[j] = index_.slots[i];
-  }
-  index_.keys = std::move(keys);
-  index_.slots = std::move(slots);
-  index_.states = std::move(states);
-  index_.occupied = index_.count;  // tombstones compacted away
-}
-
 void OrderBook::reserve(std::size_t orders, std::size_t levels) {
-  if (orders > order_id_.size()) grow_orders(next_pow2(orders));
-  if (levels > level_price_.size()) grow_levels(next_pow2(levels));
-  // Keep the index below the 3/4 load trigger for `orders` live entries.
-  if (orders * 2 > index_.keys.size()) index_grow(orders * 2);
-}
-
-// ---------------------------------------------------------------------------
-// Id index.
-
-// tsn-lint: hotpath
-std::uint32_t OrderBook::index_find(OrderId id) const {
-  if (index_.keys.empty()) return kNull;
-  const std::size_t mask = index_.keys.size() - 1;
-  std::size_t i = hash_id(id) & mask;
-  while (true) {
-    const std::uint8_t state = index_.states[i];
-    if (state == kEmpty) return kNull;
-    if (state == kFull && index_.keys[i] == id) return index_.slots[i];
-    i = (i + 1) & mask;
-  }
-}
-
-// tsn-lint: hotpath
-void OrderBook::index_insert(OrderId id, std::uint32_t slot) {
-  // 3/4 load (live + tombstones) triggers the cold rehash, which also
-  // compacts tombstones left by cancels.
-  if ((index_.occupied + 1) * 4 >= index_.keys.size() * 3) {
-    index_grow((index_.count + 1) * 2);
-  }
-  const std::size_t mask = index_.keys.size() - 1;
-  std::size_t i = hash_id(id) & mask;
-  while (index_.states[i] == kFull) i = (i + 1) & mask;
-  if (index_.states[i] == kEmpty) ++index_.occupied;  // tombstone reuse keeps occupancy
-  index_.states[i] = kFull;
-  index_.keys[i] = id;
-  index_.slots[i] = slot;
-  ++index_.count;
-}
-
-// tsn-lint: hotpath
-void OrderBook::index_erase(OrderId id) {
-  const std::size_t mask = index_.keys.size() - 1;
-  std::size_t i = hash_id(id) & mask;
-  while (true) {
-    const std::uint8_t state = index_.states[i];
-    TSN_DCHECK(state != kEmpty, "index_erase requires a present key");
-    if (state == kFull && index_.keys[i] == id) {
-      index_.states[i] = kTombstone;
-      --index_.count;
-      return;
-    }
-    i = (i + 1) & mask;
-  }
+  if (orders > order_id_.size()) grow_orders(std::bit_ceil(orders));
+  if (levels > level_price_.size()) grow_levels(std::bit_ceil(levels));
+  index_.reserve(orders);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,7 +195,7 @@ Quantity OrderBook::match_incoming(Order& incoming) {
                                         incoming.quantity});
       }
       if (order_qty_[resting] == 0) {
-        index_erase(order_id_[resting]);
+        index_.erase(order_id_[resting]);
         // Pop the front of the FIFO chain and recycle the slot.
         const std::uint32_t next = order_next_[resting];
         level_head_[level] = next;
@@ -325,7 +233,7 @@ void OrderBook::rest_order(const Order& order) {
   }
   level_tail_[level] = slot;
   level_qty_[level] += order.quantity;
-  index_insert(order.id, slot);
+  index_.insert(order.id, slot);
   if (listener_ != nullptr) listener_->on_accept(order);
 }
 
@@ -334,7 +242,7 @@ void OrderBook::rest_order(const Order& order) {
 
 // tsn-lint: hotpath
 OrderBook::SubmitOutcome OrderBook::submit(const Order& order, bool immediate_or_cancel) {
-  if (index_find(order.id) != kNull) return {SubmitResult::kRejectedDuplicate, 0};
+  if (index_.find(order.id) != nullptr) return {SubmitResult::kRejectedDuplicate, 0};
   Order incoming = order;
   const Quantity filled = match_incoming(incoming);
   if (incoming.quantity == 0) return {SubmitResult::kFilled, filled};
@@ -346,10 +254,11 @@ OrderBook::SubmitOutcome OrderBook::submit(const Order& order, bool immediate_or
 
 // tsn-lint: hotpath
 std::optional<Quantity> OrderBook::cancel(OrderId id) {
-  const std::uint32_t slot = index_find(id);
-  if (slot == kNull) return std::nullopt;
+  const std::uint32_t* found = index_.find(id);
+  if (found == nullptr) return std::nullopt;
+  const std::uint32_t slot = *found;
   const Quantity remaining = order_qty_[slot];
-  index_erase(id);
+  index_.erase(id);
   unlink_order(slot);
   if (listener_ != nullptr) listener_->on_delete(id);
   return remaining;
@@ -357,8 +266,9 @@ std::optional<Quantity> OrderBook::cancel(OrderId id) {
 
 // tsn-lint: hotpath
 bool OrderBook::reduce(OrderId id, Quantity new_quantity) {
-  const std::uint32_t slot = index_find(id);
-  if (slot == kNull) return false;
+  const std::uint32_t* found = index_.find(id);
+  if (found == nullptr) return false;
+  const std::uint32_t slot = *found;
   if (new_quantity >= order_qty_[slot]) return false;
   if (new_quantity == 0) return cancel(id).has_value();
   const Quantity cancelled = order_qty_[slot] - new_quantity;
@@ -370,10 +280,11 @@ bool OrderBook::reduce(OrderId id, Quantity new_quantity) {
 
 // tsn-lint: hotpath
 bool OrderBook::replace(OrderId id, Quantity new_quantity, Price new_price) {
-  const std::uint32_t slot = index_find(id);
-  if (slot == kNull) return false;
+  const std::uint32_t* found = index_.find(id);
+  if (found == nullptr) return false;
+  const std::uint32_t slot = *found;
   const Side side = order_side_[slot];
-  index_erase(id);
+  index_.erase(id);
   unlink_order(slot);
   if (listener_ != nullptr) listener_->on_replace(id, new_quantity, new_price);
   // Re-entry matches as a fresh order (price-time priority lost, §2's
@@ -419,8 +330,9 @@ Quantity OrderBook::depth_at(Side side, Price price) const {
 }
 
 std::optional<Order> OrderBook::find(OrderId id) const {
-  const std::uint32_t slot = index_find(id);
-  if (slot == kNull) return std::nullopt;
+  const std::uint32_t* found = index_.find(id);
+  if (found == nullptr) return std::nullopt;
+  const std::uint32_t slot = *found;
   return Order{order_id_[slot], order_side_[slot], order_price_[slot], order_qty_[slot]};
 }
 

@@ -12,8 +12,8 @@
 // the fields the matching loop touches stream through separate cache lines
 // and a submit/cancel/match never allocates once the slabs are warm. Levels
 // form an intrusive sorted doubly-linked ladder per side (best at the head);
-// orders form an intrusive FIFO chain per level; an open-addressing id index
-// gives O(1) cancels. Growth doubles the slabs off the hot path.
+// orders form an intrusive FIFO chain per level; a `FlatIndex` from order id
+// to slot gives O(1) cancels. Growth doubles the slabs off the hot path.
 //
 // The book reports every state change through a listener interface, which
 // the exchange turns into market-data messages. Event order, execution ids,
@@ -24,10 +24,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <new>
 #include <optional>
-#include <vector>
 
+#include "book/flat_index.hpp"
 #include "proto/types.hpp"
 
 namespace tsn::book {
@@ -77,33 +76,6 @@ class BookListener {
   virtual void on_replace(OrderId order_id, Quantity new_quantity, Price new_price) = 0;
 };
 
-// Cache-line-aligned backing for one SoA column: the base of every column is
-// 64-byte aligned so no two columns share a line and the matching loop's
-// streaming loads stay line-exclusive.
-template <typename T>
-struct CacheAlignedAllocator {
-  using value_type = T;
-  static constexpr std::size_t kAlign = 64;
-
-  CacheAlignedAllocator() = default;
-  template <typename U>
-  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) noexcept {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{kAlign}));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    ::operator delete(p, n * sizeof(T), std::align_val_t{kAlign});
-  }
-  template <typename U>
-  bool operator==(const CacheAlignedAllocator<U>&) const noexcept {
-    return true;
-  }
-};
-
-template <typename T>
-using Column = std::vector<T, CacheAlignedAllocator<T>>;
-
 class OrderBook {
  public:
   explicit OrderBook(Symbol symbol, BookListener* listener = nullptr) noexcept
@@ -145,7 +117,7 @@ class OrderBook {
   // Visits every resting order, bids first (best to worst), then asks —
   // the iteration a snapshot service uses to serialize book state.
   void for_each_order(const std::function<void(const Order&)>& fn) const;
-  [[nodiscard]] std::size_t open_orders() const noexcept { return index_.count; }
+  [[nodiscard]] std::size_t open_orders() const noexcept { return index_.size(); }
   [[nodiscard]] std::size_t bid_levels() const noexcept { return bid_level_count_; }
   [[nodiscard]] std::size_t ask_levels() const noexcept { return ask_level_count_; }
   [[nodiscard]] Symbol symbol() const noexcept { return symbol_; }
@@ -163,17 +135,6 @@ class OrderBook {
  private:
   static constexpr std::uint32_t kNull = 0xffffffffu;
 
-  // Open-addressing OrderId -> order-slot map (linear probing, tombstones,
-  // power-of-two capacity). Never iterated, so probe order can't leak into
-  // observable behaviour.
-  struct IdIndex {
-    Column<OrderId> keys;
-    Column<std::uint32_t> slots;
-    Column<std::uint8_t> states;  // 0 empty, 1 full, 2 tombstone
-    std::size_t count = 0;        // live entries
-    std::size_t occupied = 0;     // live + tombstones
-  };
-
   Quantity match_incoming(Order& incoming);
   void rest_order(const Order& order);
   std::uint32_t level_for(bool bid_side, Price price);
@@ -183,11 +144,6 @@ class OrderBook {
   std::uint32_t alloc_level_slot();
   void grow_orders(std::size_t new_capacity);
   void grow_levels(std::size_t new_capacity);
-
-  [[nodiscard]] std::uint32_t index_find(OrderId id) const;
-  void index_insert(OrderId id, std::uint32_t slot);
-  void index_erase(OrderId id);
-  void index_grow(std::size_t min_capacity);
 
   Symbol symbol_;
   BookListener* listener_;
@@ -218,7 +174,7 @@ class OrderBook {
   std::size_t bid_level_count_ = 0;
   std::size_t ask_level_count_ = 0;
 
-  IdIndex index_;
+  FlatIndex<OrderId, std::uint32_t> index_;  // order id -> order slot
   ExecId next_exec_id_ = 1;
   std::uint64_t exec_count_ = 0;
 };

@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "book/flat_index.hpp"
 #include "core/check.hpp"
 #include "net/bridge.hpp"
 #include "proto/partition.hpp"
@@ -11,21 +12,13 @@ namespace tsn::deploy {
 
 namespace {
 
-// FNV-1a folding for the end-state digest. Everything funnels through
-// 64-bit mixes so the digest is layout- and padding-independent.
-struct Digest {
-  std::uint64_t hash = 1469598103934665603ull;
+// The end-state digest. Everything funnels through 64-bit mixes so the
+// digest is layout- and padding-independent.
+using Digest = book::Fnv1a;
 
-  void mix(std::uint64_t value) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (value >> (i * 8)) & 0xff;
-      hash *= 1099511628211ull;
-    }
-  }
-  void mix_price(std::optional<proto::Price> price) noexcept {
-    mix(price ? static_cast<std::uint64_t>(*price) + 1 : 0);
-  }
-};
+void mix_price(Digest& d, std::optional<proto::Price> price) noexcept {
+  d.mix(price ? static_cast<std::uint64_t>(*price) + 1 : 0);
+}
 
 void mix_exchange(Digest& d, exchange::Exchange& exch) {
   const exchange::ExchangeStats& s = exch.stats();
@@ -40,9 +33,9 @@ void mix_exchange(Digest& d, exchange::Exchange& exch) {
   for (const exchange::SymbolSpec& spec : exch.config().symbols) {
     book::OrderBook& book = exch.book(spec.symbol);
     const book::BestQuote best = book.best();
-    d.mix_price(best.bid_price);
+    mix_price(d, best.bid_price);
     d.mix(best.bid_quantity);
-    d.mix_price(best.ask_price);
+    mix_price(d, best.ask_price);
     d.mix(best.ask_quantity);
     d.mix(book.open_orders());
     d.mix(book.bid_levels());
@@ -239,7 +232,10 @@ void ShardedMarket::run() {
 }
 
 std::uint64_t ShardedMarket::digest() {
-  Digest d;
+  // Seeded with 1469598103934665603, the FNV offset basis short its last
+  // decimal digit, as this digest always has been: the seed keeps every
+  // digest comparable with those of earlier versions.
+  Digest d{1469598103934665603ULL};
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
     Partition& partition = *partitions_[p];
     d.mix(p);

@@ -309,19 +309,23 @@ void Exchange::start_heartbeats() {
   engine_.schedule_in(config_.heartbeat_interval, [this] { heartbeat_tick(); });
 }
 
+void Exchange::drop_leg(Connection& conn) {
+  // Cancel-on-disconnect (when enabled) pulls the bound session's resting
+  // orders and journals the cancels for replay at re-login.
+  conn.dead = true;
+  if (conn.in_unbound_list) unlink_unbound(conn);
+  close_leg(conn);
+  if (conn.session != SessionStore::kNullSlot && store_.conn(conn.session) == conn.index) {
+    declare_session_dead(conn.session);
+  }
+}
+
 void Exchange::check_liveness(Connection& conn, sim::Time now) {
   const auto idle = now - conn.last_rx;
   if (idle > config_.session_timeout) {
-    // A dead counterparty: drop the connection and declare the bound
-    // session dead — cancel-on-disconnect (when enabled) pulls its
-    // resting orders and journals the cancels for replay at re-login.
-    conn.dead = true;
-    if (conn.in_unbound_list) unlink_unbound(conn);
-    close_leg(conn);
+    // A dead counterparty.
     ++stats_.sessions_timed_out;
-    if (conn.session != SessionStore::kNullSlot && store_.conn(conn.session) == conn.index) {
-      declare_session_dead(conn.session);
-    }
+    drop_leg(conn);
     return;
   }
   if (idle > config_.heartbeat_interval) {
@@ -561,6 +565,9 @@ void Exchange::on_accept_session(net::TcpEndpoint& endpoint) {
                                engine_.now());
       });
     }
+    // A torn stream or a whole frame that does not decode: nothing later on
+    // this leg can be trusted, so the leg goes the way of a dead one.
+    if (raw->parser.broken()) drop_leg(*raw);
   });
   endpoint.set_closed_handler([this, raw](net::TcpCloseReason) {
     if (raw->dead) return;
@@ -924,38 +931,24 @@ void Exchange::apply_replicated_session_dead(std::uint32_t session_id, std::int6
 }
 
 std::uint64_t Exchange::state_digest() const {
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = store_.state_digest();
-  auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= kPrime;
-    }
-  };
-  fold(next_order_id_);
+  book::Fnv1a digest{store_.state_digest()};
+  digest.mix(next_order_id_);
   // config_.symbols order is construction order: identical on both halves
   // of a pair built from the same config.
   for (const auto& spec : config_.symbols) {
     const book::OrderBook& b = *books_.at(spec.symbol);
     b.for_each_order([&](const book::Order& order) {
-      fold(order.id);
-      fold(static_cast<std::uint64_t>(order.side));
-      fold(static_cast<std::uint64_t>(order.price));
-      fold(order.quantity);
+      digest.mix(order.id);
+      digest.mix(static_cast<std::uint64_t>(order.side));
+      digest.mix(static_cast<std::uint64_t>(order.price));
+      digest.mix(order.quantity);
     });
   }
-  return h;
+  return digest.hash;
 }
 
 std::uint64_t Exchange::econ_digest() const {
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= kPrime;
-    }
-  };
+  book::Fnv1a digest;
   std::vector<std::tuple<std::uint8_t, std::int64_t, std::uint64_t>> rows;
   for (const auto& spec : config_.symbols) {
     rows.clear();
@@ -967,14 +960,14 @@ std::uint64_t Exchange::econ_digest() const {
     // so raw book order differs from a never-failed control — economically
     // equal books must still digest equal.
     std::sort(rows.begin(), rows.end());
-    fold(rows.size());
+    digest.mix(rows.size());
     for (const auto& [side, price, qty] : rows) {
-      fold(side);
-      fold(static_cast<std::uint64_t>(price));
-      fold(qty);
+      digest.mix(side);
+      digest.mix(static_cast<std::uint64_t>(price));
+      digest.mix(qty);
     }
   }
-  return h;
+  return digest.hash;
 }
 
 }  // namespace tsn::exchange

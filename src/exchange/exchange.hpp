@@ -281,6 +281,9 @@ class Exchange {
   void snapshot_tick();
   void heartbeat_tick();
   void check_liveness(Connection& conn, sim::Time now);
+  // Declares a leg dead and closes it; a session bound to it dies with it.
+  // The liveness timeout and an undecodable frame both end here.
+  void drop_leg(Connection& conn);
   void on_accept_session(net::TcpEndpoint& endpoint);
   void on_session_message(Connection& conn, const proto::boe::Message& message);
   void handle_login(Connection& conn, const proto::boe::LoginRequest& login);

@@ -2,26 +2,10 @@
 
 #include <algorithm>
 
+#include "book/flat_index.hpp"
 #include "core/check.hpp"
 
 namespace tsn::exchange {
-
-namespace {
-
-using proto::boe::Message;
-
-// Splittable per-field digest: FNV-1a over 8-byte words.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 LoadGen::LoadGen(sim::Scheduler& engine, Exchange& exchange, LoadGenConfig config)
     : engine_(engine), exchange_(exchange), config_(config) {
@@ -434,28 +418,28 @@ std::int64_t LoadGen::total_position() const noexcept {
 }
 
 std::uint64_t LoadGen::fingerprint() const noexcept {
-  std::uint64_t h = kFnvOffset;
+  book::Fnv1a digest;
   for (const Sess& sess : sessions_) {
-    fnv_mix(h, static_cast<std::uint64_t>(sess.state) << 32 | sess.open_count << 16 |
-                   sess.unacked_count << 8 | sess.cod_count);
-    fnv_mix(h, static_cast<std::uint64_t>(sess.position));
-    fnv_mix(h, static_cast<std::uint64_t>(sess.last_seen_seq) << 32 | sess.next_client_seq);
+    digest.mix(static_cast<std::uint64_t>(sess.state) << 32 | sess.open_count << 16 |
+               sess.unacked_count << 8 | sess.cod_count);
+    digest.mix(static_cast<std::uint64_t>(sess.position));
+    digest.mix(static_cast<std::uint64_t>(sess.last_seen_seq) << 32 | sess.next_client_seq);
     for (std::uint8_t i = 0; i < sess.open_count; ++i) {
-      fnv_mix(h, sess.open[i].client_id);
-      fnv_mix(h, static_cast<std::uint64_t>(sess.open[i].price));
+      digest.mix(sess.open[i].client_id);
+      digest.mix(static_cast<std::uint64_t>(sess.open[i].price));
     }
   }
-  fnv_mix(h, stats_.orders_sent);
-  fnv_mix(h, stats_.orders_acked);
-  fnv_mix(h, stats_.cancels_acked);
-  fnv_mix(h, stats_.cod_cancels_seen);
-  fnv_mix(h, stats_.fills);
-  fnv_mix(h, stats_.quantity_filled);
-  fnv_mix(h, stats_.replays_requested);
-  fnv_mix(h, stats_.duplicate_rejects);
-  fnv_mix(h, stats_.messages_received);
-  fnv_mix(h, stats_.bytes_received);
-  return h;
+  digest.mix(stats_.orders_sent);
+  digest.mix(stats_.orders_acked);
+  digest.mix(stats_.cancels_acked);
+  digest.mix(stats_.cod_cancels_seen);
+  digest.mix(stats_.fills);
+  digest.mix(stats_.quantity_filled);
+  digest.mix(stats_.replays_requested);
+  digest.mix(stats_.duplicate_rejects);
+  digest.mix(stats_.messages_received);
+  digest.mix(stats_.bytes_received);
+  return digest.hash;
 }
 
 void LoadGen::register_metrics(telemetry::Registry& registry,

@@ -1,48 +1,30 @@
 #include "exchange/session_store.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/check.hpp"
 
 namespace tsn::exchange {
 
-namespace {
-
-[[nodiscard]] std::size_t next_pow2(std::size_t x) {
-  std::size_t p = 1;
-  while (p < x) p <<= 1;
-  return p;
-}
-
-constexpr std::uint8_t kEmpty = 0;
-constexpr std::uint8_t kFull = 1;
-constexpr std::uint8_t kTombstone = 2;
-
-}  // namespace
-
 SessionStore::SessionStore(SessionStoreConfig config) {
-  const std::size_t shard_count = next_pow2(std::max<std::uint32_t>(1, config.shards));
+  const std::size_t shard_count = std::bit_ceil(std::max<std::uint32_t>(1, config.shards));
   shards_.resize(shard_count);
   shard_mask_ = static_cast<std::uint32_t>(shard_count - 1);
-  for (Shard& shard : shards_) dir_grow(shard, 16);
-  exch_grow(16);
-  client_grow(16);
 }
 
 void SessionStore::reserve(std::size_t sessions, std::size_t orders, std::size_t journal_bytes) {
-  if (sessions > sess_external_.size()) grow_sessions(next_pow2(sessions));
-  if (orders > ord_client_.size()) grow_orders(next_pow2(orders));
+  if (sessions > sess_external_.size()) grow_sessions(std::bit_ceil(sessions));
+  if (orders > ord_client_.size()) grow_orders(std::bit_ceil(orders));
   // One journal record per staged message; size the record slab for the
   // arena byte budget assuming small (header-ish) messages.
   const std::size_t records = std::max<std::size_t>(sessions, journal_bytes / 16);
-  if (records > jr_seq_.size()) grow_records(next_pow2(records));
-  for (Shard& shard : shards_) {
-    dir_grow(shard, next_pow2(std::max<std::size_t>(16, (2 * sessions) / shards_.size())));
-  }
-  exch_grow(next_pow2(std::max<std::size_t>(16, 2 * orders)));
+  if (records > jr_seq_.size()) grow_records(std::bit_ceil(records));
+  directory_.reserve(sessions);
+  exch_index_.reserve(orders);
   // The client index keeps one entry per client id *ever used*; give it the
   // same budget as the journal-record slab so warm churn stays rehash-free.
-  client_grow(next_pow2(std::max<std::size_t>(16, 2 * std::max(orders, records / 4))));
+  client_index_.reserve(std::max(orders, records / 4));
   arena_.reserve(journal_bytes);
   staging_bytes_.reserve(std::max<std::size_t>(4096, journal_bytes / 8));
   staged_.reserve(std::max<std::size_t>(256, sessions));
@@ -51,14 +33,12 @@ void SessionStore::reserve(std::size_t sessions, std::size_t orders, std::size_t
 // --- slabs ---------------------------------------------------------------
 
 void SessionStore::grow_sessions(std::size_t new_capacity) {
-  const std::size_t old = sess_external_.size();
-  TSN_ASSERT(new_capacity > old, "index grow overflow");
+  TSN_ASSERT(new_capacity > sess_external_.size(), "index grow overflow");
   sess_external_.resize(new_capacity);
   sess_token_.resize(new_capacity);
-  sess_gen_.resize(new_capacity, 0);
   sess_tx_seq_.resize(new_capacity);
   sess_conn_.resize(new_capacity);
-  sess_flags_.resize(new_capacity);
+  sess_logged_in_.resize(new_capacity);
   sess_order_head_.resize(new_capacity);
   sess_order_count_.resize(new_capacity);
   sess_jr_head_.resize(new_capacity);
@@ -67,13 +47,6 @@ void SessionStore::grow_sessions(std::size_t new_capacity) {
   sess_shard_.resize(new_capacity);
   sess_prev_.resize(new_capacity);
   sess_next_.resize(new_capacity);
-  // New rows join the freelist in descending order so allocation hands out
-  // ascending slots — keeps slot order deterministic and cache-friendly.
-  for (std::size_t i = new_capacity; i > old; --i) {
-    const auto slot = static_cast<std::uint32_t>(i - 1);
-    sess_next_[slot] = free_sess_;
-    free_sess_ = slot;
-  }
 }
 
 void SessionStore::grow_orders(std::size_t new_capacity) {
@@ -85,6 +58,8 @@ void SessionStore::grow_orders(std::size_t new_capacity) {
   ord_symbol_.resize(new_capacity);
   ord_prev_.resize(new_capacity);
   ord_next_.resize(new_capacity);
+  // New rows join the freelist in descending order so allocation hands out
+  // ascending slots — keeps slot order deterministic and cache-friendly.
   for (std::size_t i = new_capacity; i > old; --i) {
     const auto slot = static_cast<std::uint32_t>(i - 1);
     ord_next_[slot] = free_ord_;
@@ -93,26 +68,19 @@ void SessionStore::grow_orders(std::size_t new_capacity) {
 }
 
 void SessionStore::grow_records(std::size_t new_capacity) {
-  const std::size_t old = jr_seq_.size();
-  TSN_ASSERT(new_capacity > old, "index grow overflow");
+  TSN_ASSERT(new_capacity > jr_seq_.size(), "index grow overflow");
   jr_seq_.resize(new_capacity);
   jr_off_.resize(new_capacity);
   jr_len_.resize(new_capacity);
   jr_next_.resize(new_capacity);
-  for (std::size_t i = new_capacity; i > old; --i) {
-    const auto slot = static_cast<std::uint32_t>(i - 1);
-    jr_next_[slot] = free_jr_;
-    free_jr_ = slot;
-  }
 }
 
+// Session rows are handed out in ascending slot order and never freed.
 std::uint32_t SessionStore::alloc_session() {
-  if (free_sess_ == kNullSlot) {
+  if (sess_count_ == sess_external_.size()) {
     grow_sessions(std::max<std::size_t>(16, sess_external_.size() * 2));
   }
-  const std::uint32_t slot = free_sess_;
-  free_sess_ = sess_next_[slot];
-  return slot;
+  return sess_count_++;
 }
 
 std::uint32_t SessionStore::alloc_order() {
@@ -124,229 +92,24 @@ std::uint32_t SessionStore::alloc_order() {
   return slot;
 }
 
+// Journal records, like session rows, are never freed.
 std::uint32_t SessionStore::alloc_record() {
-  if (free_jr_ == kNullSlot) {
+  if (jr_count_ == jr_seq_.size()) {
     grow_records(std::max<std::size_t>(64, jr_seq_.size() * 2));
   }
-  const std::uint32_t slot = free_jr_;
-  free_jr_ = jr_next_[slot];
-  return slot;
-}
-
-// --- per-shard session-id directory --------------------------------------
-
-// tsn-lint: hotpath
-std::uint32_t SessionStore::dir_find(const Shard& shard, std::uint32_t session_id) const noexcept {
-  const std::size_t mask = shard.keys.size() - 1;
-  std::size_t pos = mix32(session_id) & mask;
-  while (true) {
-    const std::uint8_t state = shard.states[pos];
-    if (state == kEmpty) return kNullSlot;
-    if (state == kFull && shard.keys[pos] == session_id) return shard.slots[pos];
-    pos = (pos + 1) & mask;
-  }
-}
-
-void SessionStore::dir_insert(Shard& shard, std::uint32_t session_id, std::uint32_t slot) {
-  if ((shard.occupied + 1) * 10 >= shard.keys.size() * 7) {
-    // Load trip dominated by tombstones (churn, not growth): rehash in
-    // place to reclaim them instead of doubling — a long-lived table under
-    // login/destroy churn would otherwise grow without bound.
-    const bool mostly_dead = shard.count * 2 < shard.keys.size();
-    dir_grow(shard, mostly_dead ? shard.keys.size() : shard.keys.size() * 2);
-  }
-  const std::size_t mask = shard.keys.size() - 1;
-  std::size_t pos = mix32(session_id) & mask;
-  while (shard.states[pos] == kFull) pos = (pos + 1) & mask;
-  if (shard.states[pos] == kEmpty) ++shard.occupied;
-  shard.states[pos] = kFull;
-  shard.keys[pos] = session_id;
-  shard.slots[pos] = slot;
-  ++shard.count;
-}
-
-void SessionStore::dir_erase(Shard& shard, std::uint32_t session_id) noexcept {
-  const std::size_t mask = shard.keys.size() - 1;
-  std::size_t pos = mix32(session_id) & mask;
-  while (true) {
-    const std::uint8_t state = shard.states[pos];
-    TSN_DCHECK(state != kEmpty, "probe fell off a full table");
-    if (state == kFull && shard.keys[pos] == session_id) {
-      shard.states[pos] = kTombstone;
-      --shard.count;
-      return;
-    }
-    pos = (pos + 1) & mask;
-  }
-}
-
-void SessionStore::dir_grow(Shard& shard, std::size_t min_capacity) {
-  const std::size_t capacity = next_pow2(std::max<std::size_t>(min_capacity, 2 * shard.count));
-  if (capacity <= shard.keys.size() && shard.occupied == shard.count) return;
-  Column<std::uint32_t> old_keys = std::move(shard.keys);
-  Column<std::uint32_t> old_slots = std::move(shard.slots);
-  Column<std::uint8_t> old_states = std::move(shard.states);
-  shard.keys.assign(capacity, 0);
-  shard.slots.assign(capacity, 0);
-  shard.states.assign(capacity, kEmpty);
-  shard.count = 0;
-  shard.occupied = 0;
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_states[i] == kFull) dir_insert(shard, old_keys[i], old_slots[i]);
-  }
-}
-
-// --- exchange-order-id index ---------------------------------------------
-
-// tsn-lint: hotpath
-std::uint32_t SessionStore::exch_find(proto::OrderId id) const noexcept {
-  const std::size_t mask = exch_index_.keys.size() - 1;
-  std::size_t pos = mix64(id) & mask;
-  while (true) {
-    const std::uint8_t state = exch_index_.states[pos];
-    if (state == kEmpty) return kNullSlot;
-    if (state == kFull && exch_index_.keys[pos] == id) return exch_index_.slots[pos];
-    pos = (pos + 1) & mask;
-  }
-}
-
-void SessionStore::exch_insert(proto::OrderId id, std::uint32_t slot) {
-  if ((exch_index_.occupied + 1) * 10 >= exch_index_.keys.size() * 7) {
-    // Same compaction rule as dir_insert: order churn (register + close)
-    // leaves tombstones, and a bounded open-order book must not drag an
-    // ever-doubling index behind it.
-    const bool mostly_dead = exch_index_.count * 2 < exch_index_.keys.size();
-    exch_grow(mostly_dead ? exch_index_.keys.size() : exch_index_.keys.size() * 2);
-  }
-  const std::size_t mask = exch_index_.keys.size() - 1;
-  std::size_t pos = mix64(id) & mask;
-  while (exch_index_.states[pos] == kFull) pos = (pos + 1) & mask;
-  if (exch_index_.states[pos] == kEmpty) ++exch_index_.occupied;
-  exch_index_.states[pos] = kFull;
-  exch_index_.keys[pos] = id;
-  exch_index_.slots[pos] = slot;
-  ++exch_index_.count;
-}
-
-void SessionStore::exch_erase(proto::OrderId id) noexcept {
-  const std::size_t mask = exch_index_.keys.size() - 1;
-  std::size_t pos = mix64(id) & mask;
-  while (true) {
-    const std::uint8_t state = exch_index_.states[pos];
-    TSN_DCHECK(state != kEmpty, "probe fell off a full table");
-    if (state == kFull && exch_index_.keys[pos] == id) {
-      exch_index_.states[pos] = kTombstone;
-      --exch_index_.count;
-      return;
-    }
-    pos = (pos + 1) & mask;
-  }
-}
-
-void SessionStore::exch_grow(std::size_t min_capacity) {
-  const std::size_t capacity =
-      next_pow2(std::max<std::size_t>(min_capacity, 2 * exch_index_.count));
-  if (capacity <= exch_index_.keys.size() && exch_index_.occupied == exch_index_.count) return;
-  Column<proto::OrderId> old_keys = std::move(exch_index_.keys);
-  Column<std::uint32_t> old_slots = std::move(exch_index_.slots);
-  Column<std::uint8_t> old_states = std::move(exch_index_.states);
-  exch_index_.keys.assign(capacity, 0);
-  exch_index_.slots.assign(capacity, 0);
-  exch_index_.states.assign(capacity, kEmpty);
-  exch_index_.count = 0;
-  exch_index_.occupied = 0;
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_states[i] == kFull) exch_insert(old_keys[i], old_slots[i]);
-  }
-}
-
-// --- (session, gen, client id) index -------------------------------------
-
-// tsn-lint: hotpath
-std::uint32_t SessionStore::client_find(std::uint32_t slot, proto::OrderId id) const noexcept {
-  const std::uint32_t gen = sess_gen_[slot];
-  const std::size_t mask = client_index_.sess.size() - 1;
-  std::size_t pos = client_key_hash(slot, gen, id) & mask;
-  while (true) {
-    if (client_index_.states[pos] == kEmpty) return kNullSlot;
-    if (client_index_.sess[pos] == slot && client_index_.gen[pos] == gen &&
-        client_index_.client[pos] == id) {
-      return static_cast<std::uint32_t>(pos);
-    }
-    pos = (pos + 1) & mask;
-  }
-}
-
-void SessionStore::client_insert(std::uint32_t slot, proto::OrderId id, std::uint32_t value) {
-  if ((client_index_.count + 1) * 10 >= client_index_.sess.size() * 7) {
-    client_grow(client_index_.sess.size() * 2);
-  }
-  const std::uint32_t gen = sess_gen_[slot];
-  const std::size_t mask = client_index_.sess.size() - 1;
-  std::size_t pos = client_key_hash(slot, gen, id) & mask;
-  while (client_index_.states[pos] == kFull) pos = (pos + 1) & mask;
-  client_index_.states[pos] = kFull;
-  client_index_.sess[pos] = slot;
-  client_index_.gen[pos] = gen;
-  client_index_.client[pos] = id;
-  client_index_.value[pos] = value;
-  ++client_index_.count;
-}
-
-// tsn-lint: hotpath
-void SessionStore::client_set(std::uint32_t slot, proto::OrderId id, std::uint32_t value) noexcept {
-  const std::uint32_t pos = client_find(slot, id);
-  TSN_DCHECK(pos != kNullSlot, "directory entry vanished");
-  client_index_.value[pos] = value;
-}
-
-void SessionStore::client_grow(std::size_t min_capacity) {
-  const std::size_t capacity =
-      next_pow2(std::max<std::size_t>(min_capacity, 2 * client_index_.count));
-  if (capacity <= client_index_.sess.size()) return;
-  Column<std::uint32_t> old_sess = std::move(client_index_.sess);
-  Column<std::uint32_t> old_gen = std::move(client_index_.gen);
-  Column<proto::OrderId> old_client = std::move(client_index_.client);
-  Column<std::uint32_t> old_value = std::move(client_index_.value);
-  Column<std::uint8_t> old_states = std::move(client_index_.states);
-  client_index_.sess.assign(capacity, 0);
-  client_index_.gen.assign(capacity, 0);
-  client_index_.client.assign(capacity, 0);
-  client_index_.value.assign(capacity, 0);
-  client_index_.states.assign(capacity, kEmpty);
-  client_index_.count = 0;
-  for (std::size_t i = 0; i < old_sess.size(); ++i) {
-    if (old_states[i] != kFull) continue;
-    // Stale-generation marks belong to destroyed sessions; drop them here.
-    const std::uint32_t sess = old_sess[i];
-    if (sess < sess_gen_.size() && sess_gen_[sess] != old_gen[i]) continue;
-    client_insert_raw(sess, old_gen[i], old_client[i], old_value[i]);
-  }
-}
-
-void SessionStore::client_insert_raw(std::uint32_t slot, std::uint32_t gen, proto::OrderId id,
-                                     std::uint32_t value) {
-  const std::size_t mask = client_index_.sess.size() - 1;
-  std::size_t pos = client_key_hash(slot, gen, id) & mask;
-  while (client_index_.states[pos] == kFull) pos = (pos + 1) & mask;
-  client_index_.states[pos] = kFull;
-  client_index_.sess[pos] = slot;
-  client_index_.gen[pos] = gen;
-  client_index_.client[pos] = id;
-  client_index_.value[pos] = value;
-  ++client_index_.count;
+  return jr_count_++;
 }
 
 // --- directory API --------------------------------------------------------
 
 // tsn-lint: hotpath
 std::uint32_t SessionStore::lookup(std::uint32_t session_id) const noexcept {
-  return dir_find(shards_[shard_of(session_id)], session_id);
+  const std::uint32_t* slot = directory_.find(session_id);
+  return slot != nullptr ? *slot : kNullSlot;
 }
 
 SessionStore::LoginResult SessionStore::login(std::uint32_t session_id, std::uint64_t token) {
-  Shard& shard = shards_[shard_of(session_id)];
-  const std::uint32_t existing = dir_find(shard, session_id);
+  const std::uint32_t existing = lookup(session_id);
   if (existing != kNullSlot) {
     if (sess_token_[existing] != token) return {kNullSlot, LoginVerdict::kInUse};
     return {existing, LoginVerdict::kMatch};
@@ -356,7 +119,7 @@ SessionStore::LoginResult SessionStore::login(std::uint32_t session_id, std::uin
   sess_token_[slot] = token;
   sess_tx_seq_[slot] = 1;
   sess_conn_[slot] = kNullSlot;
-  sess_flags_[slot] = kFlagLive;
+  sess_logged_in_[slot] = 0;
   sess_order_head_[slot] = kNullSlot;
   sess_order_count_[slot] = 0;
   sess_jr_head_[slot] = kNullSlot;
@@ -365,9 +128,7 @@ SessionStore::LoginResult SessionStore::login(std::uint32_t session_id, std::uin
   sess_shard_[slot] = shard_of(session_id);
   sess_prev_[slot] = kNullSlot;
   sess_next_[slot] = kNullSlot;
-  dir_insert(shard, session_id, slot);
-  ++live_sessions_;
-  ++stats_.sessions_created;
+  directory_.insert(session_id, slot);
   return {slot, LoginVerdict::kNew};
 }
 
@@ -384,7 +145,6 @@ void SessionStore::bind(std::uint32_t slot, std::uint32_t conn) noexcept {
     shard.head = slot;
   }
   shard.tail = slot;
-  ++shard.connected;
 }
 
 // tsn-lint: hotpath
@@ -406,42 +166,6 @@ void SessionStore::unbind(std::uint32_t slot) noexcept {
   }
   sess_prev_[slot] = kNullSlot;
   sess_next_[slot] = kNullSlot;
-  --shard.connected;
-}
-
-void SessionStore::destroy(std::uint32_t slot) {
-  unbind(slot);
-  // Free the open-order chain (exchange-id entries included).
-  std::uint32_t order = sess_order_head_[slot];
-  while (order != kNullSlot) {
-    const std::uint32_t next = ord_next_[order];
-    exch_erase(ord_exch_[order]);
-    ord_next_[order] = free_ord_;
-    free_ord_ = order;
-    order = next;
-  }
-  sess_order_head_[slot] = kNullSlot;
-  sess_order_count_[slot] = 0;
-  // Staged-but-unflushed records would otherwise commit into a freed chain.
-  if (!staged_.empty()) journal_flush();
-  std::uint32_t rec = sess_jr_head_[slot];
-  while (rec != kNullSlot) {
-    const std::uint32_t next = jr_next_[rec];
-    jr_next_[rec] = free_jr_;
-    free_jr_ = rec;
-    rec = next;
-  }
-  sess_jr_head_[slot] = kNullSlot;
-  sess_jr_tail_[slot] = kNullSlot;
-  sess_jr_count_[slot] = 0;
-  // Generation bump lazily invalidates this session's client-id marks.
-  ++sess_gen_[slot];
-  sess_flags_[slot] = 0;
-  dir_erase(shards_[sess_shard_[slot]], sess_external_[slot]);
-  sess_next_[slot] = free_sess_;
-  free_sess_ = slot;
-  --live_sessions_;
-  ++stats_.sessions_destroyed;
 }
 
 // --- journal ---------------------------------------------------------------
@@ -489,7 +213,8 @@ void SessionStore::journal_flush() {
 // tsn-lint: hotpath
 OrderVerdict SessionStore::register_order(std::uint32_t slot, proto::OrderId client_id,
                                           proto::OrderId exchange_id, std::uint16_t symbol_idx) {
-  if (client_find(slot, client_id) != kNullSlot) return OrderVerdict::kDuplicateClientId;
+  const ClientKey key{client_id, slot};
+  if (client_index_.find(key) != nullptr) return OrderVerdict::kDuplicateClientId;
   const std::uint32_t order = alloc_order();
   ord_client_[order] = client_id;
   ord_exch_[order] = exchange_id;
@@ -500,28 +225,26 @@ OrderVerdict SessionStore::register_order(std::uint32_t slot, proto::OrderId cli
   if (sess_order_head_[slot] != kNullSlot) ord_prev_[sess_order_head_[slot]] = order;
   sess_order_head_[slot] = order;
   ++sess_order_count_[slot];
-  client_insert(slot, client_id, order);
-  exch_insert(exchange_id, order);
-  ++stats_.orders_registered;
+  client_index_.insert(key, order);
+  exch_index_.insert(exchange_id, order);
   return OrderVerdict::kAccepted;
 }
 
 // tsn-lint: hotpath
 bool SessionStore::client_id_used(std::uint32_t slot, proto::OrderId client_id) const noexcept {
-  return client_find(slot, client_id) != kNullSlot;
+  return client_index_.find(ClientKey{client_id, slot}) != nullptr;
 }
 
 // tsn-lint: hotpath
 std::uint32_t SessionStore::find_open(std::uint32_t slot, proto::OrderId client_id) const noexcept {
-  const std::uint32_t pos = client_find(slot, client_id);
-  if (pos == kNullSlot) return kNullSlot;
-  const std::uint32_t value = client_index_.value[pos];
-  return value == kClosedOrder ? kNullSlot : value;
+  const std::uint32_t* order = client_index_.find(ClientKey{client_id, slot});
+  return order == nullptr || *order == kClosedOrder ? kNullSlot : *order;
 }
 
 // tsn-lint: hotpath
 std::uint32_t SessionStore::find_by_exchange(proto::OrderId exchange_id) const noexcept {
-  return exch_find(exchange_id);
+  const std::uint32_t* order = exch_index_.find(exchange_id);
+  return order != nullptr ? *order : kNullSlot;
 }
 
 // tsn-lint: hotpath
@@ -539,9 +262,11 @@ void SessionStore::unlink_order(std::uint32_t order_slot) noexcept {
 
 // tsn-lint: hotpath
 void SessionStore::close_order(std::uint32_t order_slot) {
-  const std::uint32_t slot = ord_session_[order_slot];
-  client_set(slot, ord_client_[order_slot], kClosedOrder);
-  exch_erase(ord_exch_[order_slot]);
+  std::uint32_t* mark =
+      client_index_.find(ClientKey{ord_client_[order_slot], ord_session_[order_slot]});
+  TSN_DCHECK(mark != nullptr, "an open order keeps its client-index entry");
+  *mark = kClosedOrder;
+  exch_index_.erase(ord_exch_[order_slot]);
   unlink_order(order_slot);
   ord_next_[order_slot] = free_ord_;
   free_ord_ = order_slot;
@@ -558,27 +283,17 @@ void SessionStore::collect_open_client_ids(std::uint32_t slot,
 }
 
 std::uint64_t SessionStore::state_digest() const noexcept {
-  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = kOffset;
-  auto fold = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= kPrime;
-    }
-  };
-  fold(live_sessions_);
-  for (std::uint32_t slot = 0; slot < sess_external_.size(); ++slot) {
-    if ((sess_flags_[slot] & kFlagLive) == 0) continue;
-    fold(sess_external_[slot]);
-    fold(sess_token_[slot]);
-    fold(sess_gen_[slot]);
-    fold(sess_tx_seq_[slot]);
-    fold((sess_flags_[slot] & kFlagLoggedIn) != 0 ? 1 : 0);
-    fold(sess_order_count_[slot]);
-    fold(sess_jr_count_[slot]);
+  book::Fnv1a digest;
+  digest.mix(sess_count_);
+  for (std::uint32_t slot = 0; slot < sess_count_; ++slot) {
+    digest.mix(sess_external_[slot]);
+    digest.mix(sess_token_[slot]);
+    digest.mix(sess_tx_seq_[slot]);
+    digest.mix(sess_logged_in_[slot]);
+    digest.mix(sess_order_count_[slot]);
+    digest.mix(sess_jr_count_[slot]);
   }
-  return h;
+  return digest.hash;
 }
 
 }  // namespace tsn::exchange

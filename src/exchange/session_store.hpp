@@ -5,19 +5,22 @@
 // unordered maps); fine for a handful of resilient sessions, hopeless for
 // the 10^5–10^6 concurrent gateway sessions the paper's Design 2/3 fan-in
 // assumes. This store rewrites that state as slab-allocated, cache-line-
-// aligned SoA columns with freelist reuse — the same recipe as
-// `book/order_book.*`:
+// aligned SoA columns — the same recipe as `book/order_book.*`:
 //
-//   session slab   external id | token | gen | tx_seq | conn | flags |
+//   session slab   external id | token | tx_seq | conn | logged-in |
 //                  order chain head/count | journal chain head/tail/count |
 //                  shard | prev | next
 //   order slab     client id | exchange id | session | symbol | prev | next
 //   journal slab   seq | offset | length | next        (+ one shared byte arena)
 //
-// The session directory is sharded: session ids hash to one of S shards,
-// each with its own open-addressing index and an intrusive bind-ordered
-// list of *connected* sessions, so id lookups and liveness /
-// cancel-on-disconnect sweeps touch O(shard), never O(population).
+// Session and journal rows are append-only: the exchange never tears a
+// session down (ids are resumable forever), so a row belongs to its
+// session for the store's lifetime. Order rows recycle through a freelist.
+//
+// One `book::FlatIndex` directory maps session ids to rows. Session ids
+// also hash to one of S shards, each keeping an intrusive bind-ordered list
+// of its *connected* sessions, so liveness / cancel-on-disconnect sweeps
+// touch O(shard), never O(population).
 //
 // Journaling is batched: `journal_stage` appends a sequenced message's
 // bytes to a shared staging ring; `journal_flush` commits the whole ring —
@@ -28,11 +31,10 @@
 // verbatim, preserving PR 5's byte-identical exactly-once replay contract.
 //
 // Client-order-id state (the dedupe set plus the open-order lookup) is one
-// global open-addressing table keyed by (session slot, generation, client
-// id): a live entry holds the order slot, a terminal entry a tombstone
-// value that keeps rejecting duplicate ids forever. `destroy` bumps the
-// session's generation, which invalidates its keys lazily (they are
-// dropped at the next rehash).
+// global `FlatIndex` keyed by (session slot, client id): a live entry holds
+// the order slot, a terminal entry a closed marker that keeps rejecting
+// duplicate ids forever. A second `FlatIndex` maps live exchange order ids
+// to order rows.
 #pragma once
 
 #include <cstddef>
@@ -40,15 +42,16 @@
 #include <span>
 #include <vector>
 
-#include "book/order_book.hpp"  // book::Column / CacheAlignedAllocator
+#include "book/flat_index.hpp"
 #include "proto/types.hpp"
 
 namespace tsn::exchange {
 
 using book::Column;
+using book::FlatIndex;
 
 struct SessionStoreConfig {
-  // Directory shard count; rounded up to a power of two.
+  // Sweep shard count; rounded up to a power of two.
   std::uint32_t shards = 1;
 };
 
@@ -63,10 +66,33 @@ enum class OrderVerdict : std::uint8_t {
   kDuplicateClientId,  // the id was used before, live or terminal
 };
 
+// Client-index key: (session slot, client order id). Packed to 12 bytes
+// (natural alignment pads it to 16) because the client index is the
+// store's largest table: 4M slots at 100k sessions, where each byte per
+// slot is 4 MiB.
+#pragma pack(push, 4)
+struct ClientKey {
+  proto::OrderId client_id = 0;
+  std::uint32_t slot = 0;
+
+  bool operator==(const ClientKey&) const = default;
+};
+#pragma pack(pop)
+
+// Avalanche the client id BEFORE folding in the slot: clients commonly
+// derive ids from their session number (e.g. session<<32 | seq), and slots
+// are handed out in login order, so a plain xor of the raw parts cancels to
+// a handful of distinct pre-mix keys across the whole population — every
+// session then probes the same chain. mix64 is bijective, so mixing first
+// keeps distinct ids distinct no matter how structured they are.
+struct ClientKeyHash {
+  [[nodiscard]] constexpr std::size_t operator()(const ClientKey& key) const noexcept {
+    return static_cast<std::size_t>(
+        book::mix64(book::mix64(key.client_id) + key.slot * 0x9e3779b97f4a7c15ULL));
+  }
+};
+
 struct SessionStoreStats {
-  std::uint64_t sessions_created = 0;
-  std::uint64_t sessions_destroyed = 0;
-  std::uint64_t orders_registered = 0;
   std::uint64_t journal_appends = 0;
   std::uint64_t journal_flushes = 0;
   std::uint64_t journal_bytes = 0;
@@ -100,12 +126,6 @@ class SessionStore {
   void bind(std::uint32_t slot, std::uint32_t conn) noexcept;
   void unbind(std::uint32_t slot) noexcept;
 
-  // Full removal: closes every open order, frees the journal chain, bumps
-  // the generation (lazily invalidating dedupe marks) and recycles the row.
-  // The exchange never destroys sessions — ids are resumable forever — but
-  // the differential suite exercises slot reuse through this.
-  void destroy(std::uint32_t slot);
-
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
   }
@@ -113,13 +133,10 @@ class SessionStore {
     return static_cast<std::uint32_t>(mix32(session_id) & shard_mask_);
   }
   // Visits the shard's connected sessions in bind order. `fn(slot)` may not
-  // bind/unbind/destroy (the sweep caller collects first, then acts).
+  // bind/unbind (the sweep caller collects first, then acts).
   template <typename Fn>
   void for_each_connected(std::uint32_t shard, Fn&& fn) const {
     for (std::uint32_t s = shards_[shard].head; s != kNullSlot; s = sess_next_[s]) fn(s);
-  }
-  [[nodiscard]] std::size_t connected_count(std::uint32_t shard) const noexcept {
-    return shards_[shard].connected;
   }
 
   // --- session row accessors -------------------------------------------
@@ -131,14 +148,10 @@ class SessionStore {
   }
   [[nodiscard]] std::uint32_t conn(std::uint32_t slot) const noexcept { return sess_conn_[slot]; }
   [[nodiscard]] bool logged_in(std::uint32_t slot) const noexcept {
-    return (sess_flags_[slot] & kFlagLoggedIn) != 0;
+    return sess_logged_in_[slot] != 0;
   }
   void set_logged_in(std::uint32_t slot, bool logged_in) noexcept {
-    if (logged_in) {
-      sess_flags_[slot] |= kFlagLoggedIn;
-    } else {
-      sess_flags_[slot] &= static_cast<std::uint8_t>(~kFlagLoggedIn);
-    }
+    sess_logged_in_[slot] = logged_in ? 1 : 0;
   }
   // Consumes and returns the next sequenced-application sequence number.
   [[nodiscard]] std::uint32_t next_seq(std::uint32_t slot) noexcept {
@@ -147,31 +160,17 @@ class SessionStore {
   [[nodiscard]] std::uint32_t tx_seq(std::uint32_t slot) const noexcept {
     return sess_tx_seq_[slot];
   }
-  [[nodiscard]] std::size_t session_count() const noexcept { return live_sessions_; }
-  [[nodiscard]] std::uint32_t generation(std::uint32_t slot) const noexcept {
-    return sess_gen_[slot];
-  }
-  // Test-only: parks the generation counter so the wraparound suite can
-  // drive it across 0xffffffff without performing four billion destroys.
-  // Never call on a session with live client-id marks — existing marks keep
-  // their old generation and would resurrect if the counter revisits it.
-  void debug_set_generation(std::uint32_t slot, std::uint32_t gen) noexcept {
-    sess_gen_[slot] = gen;
-  }
-  // Test-only: exchange-index table capacity, so the churn suite can assert
-  // the tombstone-compacting rehash keeps it bounded.
-  [[nodiscard]] std::size_t debug_exchange_index_capacity() const noexcept {
-    return exch_index_.keys.size();
-  }
+  // Sessions ever created; their rows are slots 0 .. session_count() - 1.
+  [[nodiscard]] std::size_t session_count() const noexcept { return sess_count_; }
 
   // Order-independent? No — deliberately order-DEPENDENT: a 64-bit FNV-1a
-  // fold over every live session row in slot order (external id, token,
-  // generation, tx_seq, logged-in, open orders, journal entries). Two
-  // stores that processed the same admitted input sequence hold the same
-  // rows in the same slots, so primary and backup digests are equal at
-  // every replication sequence point; any divergence — a lost login, a
-  // skipped order, a stray ack — shifts the fold. Connection indexes are
-  // excluded (the backup has no TCP legs).
+  // fold over every session row in slot order (external id, token, tx_seq,
+  // logged-in, open orders, journal entries). Two stores that processed
+  // the same admitted input sequence hold the same rows in the same slots,
+  // so primary and backup digests are equal at every replication sequence
+  // point; any divergence — a lost login, a skipped order, a stray ack —
+  // shifts the fold. Connection indexes are excluded (the backup has no TCP
+  // legs).
   [[nodiscard]] std::uint64_t state_digest() const noexcept;
 
   // --- shared journal ---------------------------------------------------
@@ -180,7 +179,6 @@ class SessionStore {
   // for one session must be staged in ascending seq order (the exchange's
   // tx_seq counter guarantees this).
   void journal_stage(std::uint32_t slot, std::uint32_t seq, std::span<const std::byte> bytes);
-  [[nodiscard]] bool journal_dirty() const noexcept { return !staged_.empty(); }
   // Group commit: appends the staging ring to the arena and links every
   // staged record into its session's chain, in staging order.
   void journal_flush();
@@ -194,9 +192,6 @@ class SessionStore {
         fn(jr_seq_[r], std::span<const std::byte>{arena_.data() + jr_off_[r], jr_len_[r]});
       }
     }
-  }
-  [[nodiscard]] std::uint32_t journal_entries(std::uint32_t slot) const noexcept {
-    return sess_jr_count_[slot];  // committed + staged
   }
 
   // --- open orders / client-id dedupe ----------------------------------
@@ -230,7 +225,7 @@ class SessionStore {
   [[nodiscard]] std::uint32_t open_order_count(std::uint32_t slot) const noexcept {
     return sess_order_count_[slot];
   }
-  [[nodiscard]] std::size_t open_orders_total() const noexcept { return exch_index_.count; }
+  [[nodiscard]] std::size_t open_orders_total() const noexcept { return exch_index_.size(); }
   // Fills `out` (cleared first) with the session's open client order ids,
   // sorted ascending — the deterministic cancel-on-disconnect sweep order.
   void collect_open_client_ids(std::uint32_t slot, std::vector<proto::OrderId>& out) const;
@@ -238,14 +233,11 @@ class SessionStore {
   [[nodiscard]] const SessionStoreStats& stats() const noexcept { return stats_; }
 
  private:
-  static constexpr std::uint8_t kFlagLoggedIn = 0x01;
-  // Row is allocated to a session (not on the freelist): the digest walk
-  // and other slot-order scans test this instead of probing the directory.
-  static constexpr std::uint8_t kFlagLive = 0x02;
   // Client-index value for a terminal order: the id stays used forever.
   static constexpr std::uint32_t kClosedOrder = 0xfffffffeu;
 
-  // 32-bit avalanche (Murmur3 finalizer): shard choice and directory probes.
+  // 32-bit avalanche (Murmur3 finalizer): the shard choice, which decides
+  // the heartbeat tick that sweeps a session.
   [[nodiscard]] static std::uint32_t mix32(std::uint32_t x) noexcept {
     x ^= x >> 16;
     x *= 0x85ebca6bu;
@@ -254,57 +246,11 @@ class SessionStore {
     x ^= x >> 16;
     return x;
   }
-  [[nodiscard]] static std::uint64_t mix64(std::uint64_t x) noexcept {
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return x;
-  }
-  // Avalanche the id BEFORE folding in (slot, gen): clients commonly derive
-  // ids from their session number (e.g. session<<32 | seq), and slots are
-  // handed out in login order, so a plain xor of the raw parts cancels to a
-  // handful of distinct pre-mix keys across the whole population — every
-  // session then probes the same chain. mix64 is bijective, so mixing first
-  // keeps distinct ids distinct no matter how structured they are.
-  [[nodiscard]] static std::uint64_t client_key_hash(std::uint32_t slot, std::uint32_t gen,
-                                                    proto::OrderId client_id) noexcept {
-    return mix64(mix64(client_id) +
-                 ((static_cast<std::uint64_t>(gen) << 32) | slot) * 0x9e3779b97f4a7c15ULL);
-  }
 
-  // Open-addressing session-id -> slot map, one per shard (linear probing,
-  // tombstones, power-of-two capacity; never iterated).
+  // Intrusive bind-ordered list of one shard's connected sessions.
   struct Shard {
-    Column<std::uint32_t> keys;
-    Column<std::uint32_t> slots;
-    Column<std::uint8_t> states;  // 0 empty, 1 full, 2 tombstone
-    std::size_t count = 0;
-    std::size_t occupied = 0;
-    // Intrusive bind-ordered list of connected sessions.
     std::uint32_t head = kNullSlot;
     std::uint32_t tail = kNullSlot;
-    std::size_t connected = 0;
-  };
-
-  // Exchange-order-id -> order-slot map (global, tombstoned).
-  struct ExchIndex {
-    Column<proto::OrderId> keys;
-    Column<std::uint32_t> slots;
-    Column<std::uint8_t> states;
-    std::size_t count = 0;
-    std::size_t occupied = 0;
-  };
-
-  // (session slot, generation, client id) -> live order slot or kClosedOrder.
-  struct ClientIndex {
-    Column<std::uint32_t> sess;
-    Column<std::uint32_t> gen;
-    Column<proto::OrderId> client;
-    Column<std::uint32_t> value;
-    Column<std::uint8_t> states;  // 0 empty, 1 full (no erase; stale gens dropped at rehash)
-    std::size_t count = 0;
   };
 
   struct Staged {
@@ -321,23 +267,6 @@ class SessionStore {
   void grow_orders(std::size_t new_capacity);
   void grow_records(std::size_t new_capacity);
 
-  [[nodiscard]] std::uint32_t dir_find(const Shard& shard, std::uint32_t session_id) const noexcept;
-  void dir_insert(Shard& shard, std::uint32_t session_id, std::uint32_t slot);
-  void dir_erase(Shard& shard, std::uint32_t session_id) noexcept;
-  void dir_grow(Shard& shard, std::size_t min_capacity);
-
-  [[nodiscard]] std::uint32_t exch_find(proto::OrderId id) const noexcept;
-  void exch_insert(proto::OrderId id, std::uint32_t slot);
-  void exch_erase(proto::OrderId id) noexcept;
-  void exch_grow(std::size_t min_capacity);
-
-  [[nodiscard]] std::uint32_t client_find(std::uint32_t slot, proto::OrderId id) const noexcept;
-  void client_insert(std::uint32_t slot, proto::OrderId id, std::uint32_t value);
-  void client_insert_raw(std::uint32_t slot, std::uint32_t gen, proto::OrderId id,
-                         std::uint32_t value);
-  void client_set(std::uint32_t slot, proto::OrderId id, std::uint32_t value) noexcept;
-  void client_grow(std::size_t min_capacity);
-
   void unlink_order(std::uint32_t order_slot) noexcept;
 
   std::uint32_t shard_mask_ = 0;
@@ -346,20 +275,18 @@ class SessionStore {
   // Session slab (parallel columns; slot = row).
   Column<std::uint32_t> sess_external_;
   Column<std::uint64_t> sess_token_;
-  Column<std::uint32_t> sess_gen_;
   Column<std::uint32_t> sess_tx_seq_;
   Column<std::uint32_t> sess_conn_;
-  Column<std::uint8_t> sess_flags_;
+  Column<std::uint8_t> sess_logged_in_;
   Column<std::uint32_t> sess_order_head_;
   Column<std::uint32_t> sess_order_count_;
   Column<std::uint32_t> sess_jr_head_;
   Column<std::uint32_t> sess_jr_tail_;
   Column<std::uint32_t> sess_jr_count_;
   Column<std::uint32_t> sess_shard_;
-  Column<std::uint32_t> sess_prev_;  // connected-list link
-  Column<std::uint32_t> sess_next_;  // connected-list link / freelist link
-  std::uint32_t free_sess_ = kNullSlot;
-  std::size_t live_sessions_ = 0;
+  Column<std::uint32_t> sess_prev_;  // connected-list links
+  Column<std::uint32_t> sess_next_;
+  std::uint32_t sess_count_ = 0;  // rows handed out
 
   // Order slab.
   Column<proto::OrderId> ord_client_;
@@ -375,13 +302,16 @@ class SessionStore {
   Column<std::uint64_t> jr_off_;
   Column<std::uint32_t> jr_len_;
   Column<std::uint32_t> jr_next_;
-  std::uint32_t free_jr_ = kNullSlot;
+  std::uint32_t jr_count_ = 0;  // rows handed out
   std::vector<std::byte> arena_;
   std::vector<Staged> staged_;
   std::vector<std::byte> staging_bytes_;
 
-  ExchIndex exch_index_;
-  ClientIndex client_index_;
+  FlatIndex<std::uint32_t, std::uint32_t> directory_;  // session id -> session slot
+  FlatIndex<proto::OrderId, std::uint32_t> exch_index_;  // live exchange id -> order slot
+  // (session slot, client id) -> live order slot or kClosedOrder. Never
+  // erased: the dedupe contract keeps every used id.
+  FlatIndex<ClientKey, std::uint32_t, ClientKeyHash> client_index_;
 
   SessionStoreStats stats_;
 };

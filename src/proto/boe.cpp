@@ -196,11 +196,24 @@ std::optional<Decoded> decode(std::span<const std::byte> data) {
     case MessageType::kNewOrder: {
       NewOrder m;
       m.client_order_id = r.u64_le();
-      m.side = static_cast<Side>(r.u8());
+      const std::uint8_t side = r.u8();
       m.quantity = r.u32_le();
       m.symbol = Symbol{r.ascii(Symbol::kWidth)};
       m.price = static_cast<Price>(r.u64_le());
-      m.tif = static_cast<TimeInForce>(r.u8());
+      const std::uint8_t tif = r.u8();
+      // Only the enumerated sides and times in force are orders; any other
+      // byte would reach the book (which files non-buys as sells) and the
+      // feed verbatim.
+      if (side != static_cast<std::uint8_t>(Side::kBuy) &&
+          side != static_cast<std::uint8_t>(Side::kSell)) {
+        return std::nullopt;
+      }
+      if (tif != static_cast<std::uint8_t>(TimeInForce::kDay) &&
+          tif != static_cast<std::uint8_t>(TimeInForce::kImmediateOrCancel)) {
+        return std::nullopt;
+      }
+      m.side = static_cast<Side>(side);
+      m.tif = static_cast<TimeInForce>(tif);
       out.message = m;
       break;
     }
@@ -274,6 +287,7 @@ std::optional<Decoded> decode(std::span<const std::byte> data) {
 }
 
 void StreamParser::feed(std::span<const std::byte> chunk) {
+  if (broken_) return;  // nothing after a tear can be framed
   TSN_DCHECK(offset_ <= buffer_.size(), "consumed prefix cannot exceed the buffered bytes");
   // Compact the consumed prefix occasionally to bound memory.
   if (offset_ > 4096 && offset_ * 2 > buffer_.size()) {
@@ -286,12 +300,17 @@ void StreamParser::feed(std::span<const std::byte> chunk) {
 std::optional<Decoded> StreamParser::next() {
   if (broken_) return std::nullopt;
   const std::span<const std::byte> view{buffer_.data() + offset_, buffer_.size() - offset_};
-  if (view.size() >= 4 && complete_length(view) == 0) {
-    broken_ = true;  // bad magic or impossible length: the stream is torn
+  const std::size_t length = complete_length(view);
+  if (view.size() < 4 || (length != 0 && view.size() < length)) return std::nullopt;  // partial
+  auto decoded = decode(view);
+  if (!decoded) {
+    // Bad magic or impossible length, or a whole frame that does not
+    // decode (unknown type, short body, invalid field): the stream is torn.
+    broken_ = true;
+    buffer_.clear();
+    offset_ = 0;
     return std::nullopt;
   }
-  auto decoded = decode(view);
-  if (!decoded) return std::nullopt;
   offset_ += decoded->consumed;
   return decoded;
 }

@@ -166,7 +166,9 @@ struct Decoded {
 };
 
 // Decodes the first complete message in `data`; nullopt when the buffer is
-// malformed or the message is still incomplete (check `complete_length`).
+// malformed (unknown type, short body, a NewOrder side or time in force
+// outside its enum) or the message is still incomplete (check
+// `complete_length`).
 [[nodiscard]] std::optional<Decoded> decode(std::span<const std::byte> data);
 
 // Length the first message will have once fully buffered (0 when even the
@@ -179,7 +181,9 @@ class StreamParser {
  public:
   void feed(std::span<const std::byte> chunk);
   // Pops the next complete message, or nullopt if more bytes are needed.
-  // Malformed input sets broken() and stops producing.
+  // A torn stream (bad magic, impossible length) or a complete frame that
+  // decode() rejects sets broken(): from then on next() produces nothing
+  // and feed() drops its input.
   [[nodiscard]] std::optional<Decoded> next();
   [[nodiscard]] bool broken() const noexcept { return broken_; }
   [[nodiscard]] std::size_t buffered_bytes() const noexcept { return buffer_.size() - offset_; }

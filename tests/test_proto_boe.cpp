@@ -126,6 +126,64 @@ TEST(Boe, StreamParserMarksTornStreamBroken) {
   EXPECT_TRUE(parser.broken());
 }
 
+// A frame with a valid magic and length that decode() cannot read — an
+// unknown type, or a body shorter than its type needs — breaks the stream.
+// A parser that only waited for "more bytes" would wedge on it: every later
+// message on the stream lost, every later byte buffered.
+TEST(Boe, StreamParserBreaksOnAWellFramedUndecodableMessage) {
+  const auto cancel = [](std::uint32_t seq) {
+    return encode(Message{CancelOrder{static_cast<OrderId>(seq)}}, seq);
+  };
+  // magic 0xBA7A | length 9 (header only) | type 0x99 | seq 1
+  const std::vector<std::byte> unknown_type = {
+      std::byte{0x7a}, std::byte{0xba}, std::byte{0x09}, std::byte{0x00}, std::byte{0x99},
+      std::byte{0x01}, std::byte{0x00}, std::byte{0x00}, std::byte{0x00}};
+  // A CancelOrder whose length leaves 4 of its 8 body bytes outside the frame.
+  std::vector<std::byte> short_body = cancel(1);
+  short_body[2] = std::byte{kHeaderSize + 4};
+  short_body.resize(kHeaderSize + 4);
+
+  for (const auto& bad : {unknown_type, short_body}) {
+    StreamParser parser;
+    std::vector<std::byte> stream = bad;
+    const auto next = cancel(2);
+    stream.insert(stream.end(), next.begin(), next.end());
+    parser.feed(stream);
+    EXPECT_FALSE(parser.next().has_value());
+    EXPECT_TRUE(parser.broken());
+    for (std::uint32_t seq = 3; seq < 1'003; ++seq) parser.feed(cancel(seq));
+    EXPECT_FALSE(parser.next().has_value());
+    EXPECT_EQ(parser.buffered_bytes(), 0u) << "a broken stream must not keep buffering";
+  }
+}
+
+// Side and time in force are enums on the wire: any other byte is a
+// malformed order, not a sell (the book files every non-buy as a sell) and
+// not a Day order.
+TEST(Boe, DecodeRejectsNewOrderSideOrTimeInForceOutsideTheirEnums) {
+  const auto wire = encode(Message{NewOrder{1, Side::kBuy, 100, Symbol{"A"}, 100, {}}}, 1);
+  // Body: client id (8) | side (1) | quantity (4) | symbol | price (8) | tif (1)
+  const std::size_t side_at = kHeaderSize + 8;
+  const std::size_t tif_at = wire.size() - 1;
+  const auto with = [&wire](std::size_t at, std::uint8_t byte) {
+    auto mutated = wire;
+    mutated[at] = std::byte{byte};
+    return decode(mutated);
+  };
+  for (const std::uint8_t side : {0x00, 0x01, int{'b'}, int{'s'}, int{'X'}, 0xff}) {
+    EXPECT_FALSE(with(side_at, side).has_value()) << "side byte " << int{side};
+  }
+  for (const std::uint8_t tif : {2, 3, 0x7f, 0xff}) {
+    EXPECT_FALSE(with(tif_at, tif).has_value()) << "tif byte " << int{tif};
+  }
+  const auto sell = with(side_at, 'S');
+  ASSERT_TRUE(sell.has_value());
+  EXPECT_EQ(std::get<NewOrder>(sell->message).side, Side::kSell);
+  const auto ioc = with(tif_at, 1);
+  ASSERT_TRUE(ioc.has_value());
+  EXPECT_EQ(std::get<NewOrder>(ioc->message).tif, TimeInForce::kImmediateOrCancel);
+}
+
 TEST(Boe, RaceSemantics_CancelAfterFillGetsRejectReason) {
   // Protocol-level support for the §2 race: the reason code exists and
   // round-trips; the exchange tests exercise the actual race.

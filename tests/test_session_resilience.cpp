@@ -235,6 +235,55 @@ TEST(SessionResilience, CancelOnDisconnectPullsRestingOrdersAndJournalsThem) {
   EXPECT_EQ(cancels[2].client_order_id, 3u);
 }
 
+// A well-framed message the exchange cannot decode tears the stream: the
+// leg is dropped as if it had timed out (without counting a timeout), so
+// cancel-on-disconnect pulls the session's resting order. A parser that
+// merely waited for more bytes would leave the session connected, its
+// later messages unread and its orders resting.
+TEST(SessionResilience, UndecodableFrameDropsTheLegAndCancelsOnDisconnect) {
+  ExchangeRig rig{/*cancel_on_disconnect=*/true};
+  auto& conn = rig.open();
+  bool closed = false;
+  conn.ep->set_closed_handler([&closed](net::TcpCloseReason) { closed = true; });
+  rig.send(conn, proto::boe::LoginRequest{1, 0xfeed});
+  rig.run();
+  rig.send(conn, rig.resting_sell(1, 100, 101.0));
+  rig.run();
+  ASSERT_EQ(rig.exch.book(proto::Symbol{"AAA"}).open_orders(), 1u);
+
+  // magic 0xBA7A | length 9 (header only) | type 0x99 | seq 0, then a cancel.
+  conn.ep->send(std::vector<std::byte>{std::byte{0x7a}, std::byte{0xba}, std::byte{0x09},
+                                       std::byte{0x00}, std::byte{0x99}, std::byte{0x00},
+                                       std::byte{0x00}, std::byte{0x00}, std::byte{0x00}});
+  rig.send(conn, proto::boe::CancelOrder{1});
+  rig.run();
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(rig.exch.stats().cancels_received, 0u);
+  EXPECT_EQ(rig.exch.stats().sessions_timed_out, 0u);
+  EXPECT_EQ(rig.exch.stats().cod_sessions, 1u);
+  EXPECT_EQ(rig.exch.stats().cod_orders_cancelled, 1u);
+  EXPECT_EQ(rig.exch.book(proto::Symbol{"AAA"}).open_orders(), 0u);
+}
+
+// A NewOrder whose side byte is neither 'B' nor 'S' is malformed: it must
+// reach neither the book nor the feed (and, being undecodable, it breaks
+// the stream).
+TEST(SessionResilience, NewOrderWithInvalidSideReachesNeitherBookNorFeed) {
+  ExchangeRig rig;
+  auto& conn = rig.open();
+  rig.send(conn, proto::boe::LoginRequest{1, 0xfeed});
+  rig.run();
+  const std::uint64_t feed_before = rig.exch.stats().feed_messages;
+  auto wire = proto::boe::encode(rig.resting_sell(1, 100, 101.0), rig.seq++);
+  wire[proto::boe::kHeaderSize + 8] = std::byte{0x00};  // the side byte
+  EXPECT_FALSE(proto::boe::decode(wire).has_value());
+  conn.ep->send(wire);
+  rig.run();
+  EXPECT_EQ(rig.exch.stats().orders_received, 0u);
+  EXPECT_EQ(rig.exch.book(proto::Symbol{"AAA"}).open_orders(), 0u);
+  EXPECT_EQ(rig.exch.stats().feed_messages, feed_before);
+}
+
 TEST(SessionResilience, TakeoverByLiveCredentialsSkipsCancelOnDisconnect) {
   ExchangeRig rig{/*cancel_on_disconnect=*/true};
   auto& first = rig.open();

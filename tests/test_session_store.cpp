@@ -1,13 +1,12 @@
 // Differential property test: SessionStore vs a naive std::map oracle.
 //
 // Randomized op soups (create / bind / unbind / re-login / takeover-style
-// wrong-token logins / order register / close / journal stage+flush+replay /
-// destroy) run against both the pooled sharded store and a transparently
-// correct oracle built on std::map/std::set. After every mutation batch the
-// test compares lookups, verdicts, per-shard connected membership *in bind
+// wrong-token logins / order register / close / journal stage+flush+replay)
+// run against both the pooled sharded store and a transparently correct
+// oracle built on std::map/std::set. After every mutation batch the test
+// compares lookups, verdicts, per-shard connected membership *in bind
 // order*, open-order sets, dedupe marks and byte-exact replay streams.
-// Destroy + re-login exercises slot reuse and the generation-bump dedupe
-// invalidation; multiple shard counts exercise the directory sharding.
+// Multiple shard counts exercise the connected-list sharding.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -34,7 +33,7 @@ struct OracleSession {
   std::uint64_t token = 0;
   bool bound = false;
   std::map<proto::OrderId, proto::OrderId> open;  // client id -> exchange id
-  std::set<proto::OrderId> used;                  // this incarnation's client ids
+  std::set<proto::OrderId> used;                  // every client id ever used
   std::vector<std::pair<std::uint32_t, std::vector<std::byte>>> journal;
   std::uint32_t tx = 1;
 };
@@ -171,16 +170,6 @@ TEST_P(SessionStoreDifferentialTest, OpSoupMatchesOracle) {
         if (seq > last_seen) want.emplace_back(seq, bytes);
       }
       ASSERT_EQ(got, want) << "replay horizon " << last_seen;
-    } else if (kind < 94) {  // destroy (slot reuse + generation bump)
-      if (oracle.sessions.empty()) continue;
-      const std::uint32_t ext = pick_live();
-      store.destroy(slot_of(ext));
-      oracle.unbind(store.shard_of(ext), ext);
-      for (auto it = oracle.exch.begin(); it != oracle.exch.end();) {
-        it = it->second.first == ext ? oracle.exch.erase(it) : std::next(it);
-      }
-      oracle.sessions.erase(ext);
-      ASSERT_EQ(store.lookup(ext), SessionStore::kNullSlot);
     } else {  // point queries on a random live session
       if (oracle.sessions.empty()) continue;
       const std::uint32_t ext = pick_live();
@@ -216,7 +205,6 @@ TEST_P(SessionStoreDifferentialTest, OpSoupMatchesOracle) {
         const std::vector<std::uint32_t> want =
             it == oracle.shard_lists.end() ? std::vector<std::uint32_t>{} : it->second;
         ASSERT_EQ(got, want) << "shard " << shard << " bind order diverged";
-        ASSERT_EQ(store.connected_count(shard), want.size());
       }
     }
   }
@@ -225,54 +213,11 @@ TEST_P(SessionStoreDifferentialTest, OpSoupMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionStoreDifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 17u, 42u, 1001u, 9999u));
 
-// The generation counter is the dedupe-mark invalidator: client-id marks
-// carry the generation they were registered under, and destroy bumps the
-// slot's counter so old marks die. Park the counter at the top of its range
-// and drive it across the 32-bit wrap: marks from the 0xfffffffe and
-// 0xffffffff incarnations must stay dead after the counter re-enters low
-// values, and a rehash (which sweeps stale-generation marks) must keep the
-// live incarnation's marks intact.
-TEST(SessionStoreGeneration, WraparoundKeepsDedupeSound) {
-  SessionStore store(SessionStoreConfig{.shards = 1});
-  const std::uint32_t ext = kIdBase;
-  const auto first = store.login(ext, 1);
-  ASSERT_EQ(first.verdict, LoginVerdict::kNew);
-  const std::uint32_t slot = first.slot;
-  store.debug_set_generation(slot, 0xfffffffeu);
-  ASSERT_EQ(store.register_order(slot, 100, 1'000, 0), OrderVerdict::kAccepted);
-  ASSERT_EQ(store.register_order(slot, 100, 1'001, 0), OrderVerdict::kDuplicateClientId);
-
-  store.destroy(slot);  // generation -> 0xffffffff
-  const auto second = store.login(ext, 1);
-  ASSERT_EQ(second.verdict, LoginVerdict::kNew);
-  ASSERT_EQ(second.slot, slot);  // LIFO freelist hands the slot straight back
-  EXPECT_EQ(store.generation(slot), 0xffffffffu);
-  EXPECT_FALSE(store.client_id_used(slot, 100));  // old incarnation's mark is dead
-  ASSERT_EQ(store.register_order(slot, 100, 1'002, 0), OrderVerdict::kAccepted);
-
-  store.destroy(slot);  // generation wraps: 0xffffffff -> 0
-  const auto third = store.login(ext, 1);
-  ASSERT_EQ(third.slot, slot);
-  EXPECT_EQ(store.generation(slot), 0u);
-  EXPECT_FALSE(store.client_id_used(slot, 100));
-  ASSERT_EQ(store.register_order(slot, 100, 1'003, 0), OrderVerdict::kAccepted);
-
-  // Force a client-index rehash (the stale-generation sweep) and confirm it
-  // keeps exactly the live incarnation's marks.
-  for (proto::OrderId id = 200; id < 400; ++id) {
-    ASSERT_EQ(store.register_order(slot, id, 10'000 + id, 0), OrderVerdict::kAccepted);
-  }
-  EXPECT_TRUE(store.client_id_used(slot, 100));
-  EXPECT_FALSE(store.client_id_used(slot, 150));
-  ASSERT_EQ(store.register_order(slot, 100, 20'000, 0), OrderVerdict::kDuplicateClientId);
-}
-
 // Tombstone-heavy churn: a bounded set of open orders cycling through the
 // exchange-id index piles up tombstones to the load-factor trip over and
-// over. The trip must compact in place (rehash at unchanged capacity, drop
-// tombstones), not double forever; lookups stay correct against a std::map
-// oracle throughout.
-TEST(SessionStoreExchangeIndex, TombstoneChurnCompactsAndStaysCorrect) {
+// over; lookups stay correct against a std::map oracle through every
+// compaction. (The capacity bound is FlatIndex's own test.)
+TEST(SessionStoreExchangeIndex, TombstoneChurnStaysCorrect) {
   sim::Rng rng(7);
   SessionStore store(SessionStoreConfig{.shards = 1});
   const std::uint32_t ext = kIdBase + 1;
@@ -280,7 +225,6 @@ TEST(SessionStoreExchangeIndex, TombstoneChurnCompactsAndStaysCorrect) {
   std::map<proto::OrderId, proto::OrderId> open;  // exchange id -> client id
   proto::OrderId next_client = 1;
   proto::OrderId next_exchange = 1;
-  std::size_t capacity_hwm = 0;
   for (int op = 0; op < 20'000; ++op) {
     if (open.size() < 24 && (open.empty() || rng.bernoulli(0.55))) {
       const proto::OrderId cid = next_client++;
@@ -296,7 +240,6 @@ TEST(SessionStoreExchangeIndex, TombstoneChurnCompactsAndStaysCorrect) {
       store.close_order(order);
       open.erase(it);
     }
-    capacity_hwm = std::max(capacity_hwm, store.debug_exchange_index_capacity());
     if (op % 500 == 0) {
       ASSERT_EQ(store.open_orders_total(), open.size());
       for (const auto& [eid, cid] : open) {
@@ -312,12 +255,9 @@ TEST(SessionStoreExchangeIndex, TombstoneChurnCompactsAndStaysCorrect) {
       }
     }
   }
-  // 24 live orders need 64 table entries at the 70% trip; the compacting
-  // rehash keeps the index there no matter how many ids churn through.
-  EXPECT_LE(capacity_hwm, 64u);
 }
 
-// Directory shards round up to a power of two and ids spread across them.
+// Sweep shards round up to a power of two and ids spread across them.
 TEST(SessionStoreShards, RoundsUpAndSpreads) {
   SessionStore store(SessionStoreConfig{.shards = 5});
   EXPECT_EQ(store.shard_count(), 8u);
