@@ -22,7 +22,7 @@ int main() {
 
   sim::Engine engine;
   net::Fabric fabric{engine};
-  topo::CloudRegion cloud{fabric, topo::CloudConfig{}};
+  topo::CloudRegion cloud{fabric};
 
   // The "exchange" endpoint inside the region.
   auto exchange = std::make_unique<net::Nic>(engine, "cloud-exchange",

@@ -30,8 +30,7 @@ int main() {
 
   telemetry::Histogram session;
   std::size_t busiest_second = 0;
-  for (std::uint32_t sec = profile.config().open_second; sec < profile.config().close_second;
-       ++sec) {
+  for (std::uint32_t sec = feed::kOpenSecond; sec < feed::kCloseSecond; ++sec) {
     session.add(static_cast<double>(counts[sec]));
     if (counts[sec] > counts[busiest_second]) busiest_second = sec;
   }
@@ -49,8 +48,8 @@ int main() {
   bench::Report bench_report{"fig2b_intraday",
                              "Figure 2(b): per-second event counts across one day"};
   bench_report.param("year", std::int64_t{2024});
-  bench_report.param("open_second", static_cast<std::int64_t>(profile.config().open_second));
-  bench_report.param("close_second", static_cast<std::int64_t>(profile.config().close_second));
+  bench_report.param("open_second", static_cast<std::int64_t>(feed::kOpenSecond));
+  bench_report.param("close_second", static_cast<std::int64_t>(feed::kCloseSecond));
   bench_report.stats("session_events_per_sec", session, "events/s");
   bench_report.metric("busiest_second_at", static_cast<double>(busiest_second), "s");
   bench_report.metric("busiest_second_budget_ns_per_event", 1e9 / session.max(), "ns");
@@ -59,7 +58,7 @@ int main() {
   bench_report.check("busiest_near_1_5M",
                      session.max() > 1'200'000.0 && session.max() < 1'800'000.0);
   bench_report.check("trading_confined_to_session",
-                     counts[profile.config().open_second - 1] <
+                     counts[feed::kOpenSecond - 1] <
                          counts[static_cast<std::size_t>(busiest_second)] / 10);
   return bench_report.finish();
 }

@@ -4,6 +4,14 @@
 
 namespace tsn::deploy {
 
+namespace {
+
+// The exchange's facility and the firm's, tens of miles apart.
+constexpr wan::Colo kExchangeColo = wan::Colo::kCarteret;
+constexpr wan::Colo kFirmColo = wan::Colo::kSecaucus;
+
+}  // namespace
+
 MultiColoDeployment::MultiColoDeployment(MultiColoConfig config)
     : Deployment(config.apps), colo_config_(config) {
   // Addressing: 10.0/16 is the exchange colo, 10.1+/16 the firm's racks.
@@ -18,9 +26,8 @@ MultiColoDeployment::MultiColoDeployment(MultiColoConfig config)
   firm_switch_ = std::make_unique<l2::CommoditySwitch>(engine_, "colo-firm-sw", sw_config);
 
   // WAN circuit on port 0 of both switches.
-  const auto wan_link = wan::wan_link_config(colo_config_.exchange_colo,
-                                             colo_config_.firm_colo, colo_config_.wan_tech,
-                                             colo_config_.raining);
+  const auto wan_link =
+      wan::wan_link_config(kExchangeColo, kFirmColo, colo_config_.wan_tech, colo_config_.raining);
   fabric_.connect(*exchange_switch_, 0, *firm_switch_, 0, wan_link);
   // The firm side relays IGMP joins toward the exchange colo.
   firm_switch_->set_router_port(0, true);
@@ -115,6 +122,10 @@ MultiColoDeployment::MultiColoDeployment(MultiColoConfig config)
   }
   attach_firm_side(gateway_->client_nic());
   attach_firm_side(gateway_->upstream_nic());
+}
+
+sim::Duration MultiColoDeployment::wan_delay() const noexcept {
+  return wan::propagation_delay(kExchangeColo, kFirmColo, colo_config_.wan_tech);
 }
 
 }  // namespace tsn::deploy

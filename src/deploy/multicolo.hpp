@@ -16,8 +16,6 @@ namespace tsn::deploy {
 
 struct MultiColoConfig {
   DeploymentConfig apps;
-  wan::Colo exchange_colo = wan::Colo::kCarteret;
-  wan::Colo firm_colo = wan::Colo::kSecaucus;
   wan::LinkTech wan_tech = wan::LinkTech::kMicrowave;
   bool raining = false;
 };
@@ -30,10 +28,7 @@ class MultiColoDeployment final : public Deployment {
   [[nodiscard]] l2::CommoditySwitch& firm_switch() noexcept { return *firm_switch_; }
   [[nodiscard]] const MultiColoConfig& colo_config() const noexcept { return colo_config_; }
   // One-way WAN propagation for the configured technology.
-  [[nodiscard]] sim::Duration wan_delay() const noexcept {
-    return wan::propagation_delay(colo_config_.exchange_colo, colo_config_.firm_colo,
-                                  colo_config_.wan_tech);
-  }
+  [[nodiscard]] sim::Duration wan_delay() const noexcept;
 
  private:
   MultiColoConfig colo_config_;

@@ -26,8 +26,10 @@ struct DeploymentConfig {
   double events_per_second = 40'000.0;
   std::uint64_t seed = 17;
   // Strategy behaviour.
-  proto::Price momentum_tick = 100;
+  proto::Price momentum_tick = 100;  // tsn-lint: allow(unset-option) perfbench reads it
+  // tsn-lint: allow(unset-option) read by perfbench, which changes only with the benchmark
   sim::Duration decision_latency = sim::micros(std::int64_t{2});
+  // tsn-lint: allow(unset-option) read by perfbench, which changes only with the benchmark
   sim::Duration software_latency = sim::nanos(std::int64_t{900});
 };
 

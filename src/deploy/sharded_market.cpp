@@ -190,8 +190,12 @@ void ShardedMarket::build_partition(std::size_t p, sim::Scheduler& scheduler) {
 
 void ShardedMarket::wire_cross_links() {
   if (config_.partitions <= 1) return;
+  // One-way delay of the inter-partition links. This is the sharded engine's
+  // lookahead, so it trades realism against window count: a metro
+  // cross-connect's microseconds already buy generous parallel windows.
+  constexpr sim::Duration kCrossPropagation = sim::micros(std::int64_t{5});
   net::LinkConfig cross;
-  cross.propagation = config_.cross_propagation;
+  cross.propagation = kCrossPropagation;
   for (std::size_t src = 0; src < config_.partitions; ++src) {
     const std::size_t dst = (src + 1) % config_.partitions;
     Partition& from = *partitions_[src];

@@ -42,11 +42,8 @@ struct ShardedMarketConfig {
   sim::Duration run_for = sim::millis(std::int64_t{50});
   // Extra engine time past the last market event so in-flight datagrams and
   // timers drain deterministically.
+  // tsn-lint: allow(unset-option) read by perfbench, which changes only with the benchmark
   sim::Duration drain = sim::millis(std::int64_t{5});
-  // One-way delay of the inter-partition links. This is the sharded
-  // engine's lookahead, so it trades realism against window count: a metro
-  // cross-connect's microseconds already buy generous parallel windows.
-  sim::Duration cross_propagation = sim::micros(std::int64_t{5});
 };
 
 class ShardedMarket {

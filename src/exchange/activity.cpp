@@ -6,6 +6,22 @@
 
 namespace tsn::exchange {
 
+namespace {
+
+// Symbol popularity skew.
+constexpr double kZipfExponent = 1.1;
+// Operation mix beside ActivityConfig::cross_weight (normalized internally).
+constexpr double kAddWeight = 0.55;
+constexpr double kCancelWeight = 0.25;
+constexpr double kReplaceWeight = 0.12;
+constexpr proto::Quantity kLotSize = 100;
+constexpr std::uint32_t kMaxLots = 10;
+constexpr proto::Price kTick = 100;  // $0.01 in fixed point
+constexpr int kMaxSpreadTicks = 10;
+constexpr std::size_t kMaxOpenOrders = 50'000;
+
+}  // namespace
+
 MarketActivityDriver::MarketActivityDriver(Exchange& exchange, ActivityConfig config,
                                            std::uint64_t seed)
     : exchange_(exchange), config_(std::move(config)), rng_(seed) {
@@ -30,13 +46,13 @@ void MarketActivityDriver::schedule_next() {
 
 void MarketActivityDriver::fire() {
   // When the resting population hits its cap, force drains.
-  if (resting_.size() >= config_.max_open_orders) {
+  if (resting_.size() >= kMaxOpenOrders) {
     do_cancel();
     schedule_next();
     return;
   }
-  const std::array<double, 4> weights{config_.add_weight, config_.cancel_weight,
-                                      config_.replace_weight, config_.cross_weight};
+  const std::array<double, 4> weights{kAddWeight, kCancelWeight, kReplaceWeight,
+                                      config_.cross_weight};
   switch (rng_.weighted_index(weights)) {
     case 0:
       do_add();
@@ -56,7 +72,7 @@ void MarketActivityDriver::fire() {
 
 const SymbolSpec& MarketActivityDriver::pick_symbol() {
   const auto& symbols = exchange_.symbols();
-  const auto rank = rng_.zipf(symbols.size(), config_.zipf_exponent);
+  const auto rank = rng_.zipf(symbols.size(), kZipfExponent);
   return symbols[static_cast<std::size_t>(rank - 1)];
 }
 
@@ -65,8 +81,8 @@ proto::Price& MarketActivityDriver::mid_of(const proto::Symbol& symbol,
   auto [it, inserted] = mids_.emplace(symbol, reference);
   if (!inserted && rng_.bernoulli(0.05)) {
     // Gentle random walk keeps prices live without trending off to zero.
-    it->second += rng_.bernoulli(0.5) ? config_.tick : -config_.tick;
-    it->second = std::max<proto::Price>(it->second, config_.tick * 10);
+    it->second += rng_.bernoulli(0.5) ? kTick : -kTick;
+    it->second = std::max<proto::Price>(it->second, kTick * 10);
   }
   return it->second;
 }
@@ -76,12 +92,11 @@ void MarketActivityDriver::do_add() {
   const SymbolSpec& spec = pick_symbol();
   const proto::Price mid = mid_of(spec.symbol, spec.reference_price);
   const auto side = rng_.bernoulli(0.5) ? proto::Side::kBuy : proto::Side::kSell;
-  const auto offset_ticks =
-      static_cast<proto::Price>(rng_.uniform_int(1, config_.max_spread_ticks));
-  const proto::Price price = side == proto::Side::kBuy ? mid - offset_ticks * config_.tick
-                                                       : mid + offset_ticks * config_.tick;
+  const auto offset_ticks = static_cast<proto::Price>(rng_.uniform_int(1, kMaxSpreadTicks));
+  const proto::Price price = side == proto::Side::kBuy ? mid - offset_ticks * kTick
+                                                       : mid + offset_ticks * kTick;
   const auto quantity = static_cast<proto::Quantity>(
-      config_.lot_size * static_cast<proto::Quantity>(rng_.uniform_int(1, config_.max_lots)));
+      kLotSize * static_cast<proto::Quantity>(rng_.uniform_int(1, kMaxLots)));
   const proto::OrderId id = exchange_.next_order_id();
   const auto outcome = exchange_.book(spec.symbol).submit({id, side, price, quantity});
   if (outcome.result == book::OrderBook::SubmitResult::kRested ||
@@ -109,14 +124,13 @@ void MarketActivityDriver::do_replace() {
   auto& book = exchange_.book(target.symbol);
   const auto best = book.best();
   const proto::Price mid = mid_of(target.symbol, best.bid_price.value_or(
-                                                     best.ask_price.value_or(config_.tick * 100)));
-  const auto offset_ticks =
-      static_cast<proto::Price>(rng_.uniform_int(1, config_.max_spread_ticks));
+                                                     best.ask_price.value_or(kTick * 100)));
+  const auto offset_ticks = static_cast<proto::Price>(rng_.uniform_int(1, kMaxSpreadTicks));
   const auto side = rng_.bernoulli(0.5) ? proto::Side::kBuy : proto::Side::kSell;
-  const proto::Price price = side == proto::Side::kBuy ? mid - offset_ticks * config_.tick
-                                                       : mid + offset_ticks * config_.tick;
+  const proto::Price price = side == proto::Side::kBuy ? mid - offset_ticks * kTick
+                                                       : mid + offset_ticks * kTick;
   const auto quantity = static_cast<proto::Quantity>(
-      config_.lot_size * static_cast<proto::Quantity>(rng_.uniform_int(1, config_.max_lots)));
+      kLotSize * static_cast<proto::Quantity>(rng_.uniform_int(1, kMaxLots)));
   (void)book.replace(target.id, quantity, price);
 }
 
@@ -138,7 +152,7 @@ void MarketActivityDriver::do_cross() {
     return do_add();  // empty book: seed liquidity instead
   }
   const auto quantity = static_cast<proto::Quantity>(
-      config_.lot_size * static_cast<proto::Quantity>(rng_.uniform_int(1, config_.max_lots)));
+      kLotSize * static_cast<proto::Quantity>(rng_.uniform_int(1, kMaxLots)));
   (void)book.submit({exchange_.next_order_id(), side, price, quantity}, true);
 }
 

@@ -22,18 +22,9 @@ struct ActivityConfig {
   double events_per_second = 50'000.0;
   // Optional time-varying multiplier (intraday profile / bursts); default 1.
   std::function<double(sim::Time)> rate_multiplier;
-  // Symbol popularity skew.
-  double zipf_exponent = 1.1;
-  // Operation mix (normalized internally).
-  double add_weight = 0.55;
-  double cancel_weight = 0.25;
-  double replace_weight = 0.12;
-  double cross_weight = 0.08;  // marketable IOC orders that trade
-  proto::Quantity lot_size = 100;
-  std::uint32_t max_lots = 10;
-  proto::Price tick = 100;  // $0.01 in fixed point
-  int max_spread_ticks = 10;
-  std::size_t max_open_orders = 50'000;
+  // Weight of marketable IOC orders that trade, against the fixed add,
+  // cancel and replace weights (normalized internally).
+  double cross_weight = 0.08;
 };
 
 struct ActivityStats {

@@ -12,17 +12,21 @@ namespace tsn::exchange {
 namespace {
 
 constexpr std::int64_t kPicosPerSecond = 1'000'000'000'000;
+// Internal processing time between an order-entry message arriving and the
+// matching engine acting on it (and between a match and the acknowledgement
+// leaving).
+constexpr sim::Duration kMatchingLatency = sim::micros(std::int64_t{5});
 
 }  // namespace
 
 // Per-feed-unit packing state.
 struct Exchange::Unit {
-  Unit(Exchange& owner, std::uint8_t index, net::Ipv4Addr group, net::Ipv4Addr group_b,
-       std::size_t mtu)
+  Unit(Exchange& owner, std::uint8_t index, net::Ipv4Addr group, net::Ipv4Addr group_b)
       : group_(group),
         group_b_(group_b),
-        builder_(index, mtu, [this, &owner](std::vector<std::byte> payload,
-                                            const proto::pitch::UnitHeader& header) {
+        builder_(index, net::kMaxDatagramPayload,
+                 [this, &owner](std::vector<std::byte> payload,
+                                const proto::pitch::UnitHeader& header) {
           if (owner.feed_muted_) {
             // Hot standby: the datagram is fully built (message sequences
             // advanced) but never transmitted. At promotion the unmuted
@@ -152,8 +156,7 @@ Exchange::Exchange(sim::Scheduler& engine, ExchangeConfig config)
   const auto units = static_cast<std::uint8_t>(config_.feed_partitioning->partition_count());
   units_.reserve(units);
   for (std::uint8_t u = 0; u < units; ++u) {
-    units_.push_back(std::make_unique<Unit>(*this, u, unit_group(u), unit_group_b(u),
-                                            config_.feed_mtu_payload));
+    units_.push_back(std::make_unique<Unit>(*this, u, unit_group(u), unit_group_b(u)));
   }
 
   for (const auto& spec : config_.symbols) {
@@ -270,7 +273,7 @@ void Exchange::snapshot_tick() {
   // snapshot group so receivers never confuse it with the live stream.
   for (std::uint8_t u = 0; u < unit_count(); ++u) {
     proto::pitch::FrameBuilder builder{
-        u, config_.feed_mtu_payload,
+        u, net::kMaxDatagramPayload,
         [this, u](std::vector<std::byte> payload, const proto::pitch::UnitHeader&) {
           feed_stack_->send_multicast(snapshot_group(u), config_.snapshot_port, payload);
         }};
@@ -514,7 +517,7 @@ void Exchange::deliver_direct(std::uint32_t conn, const proto::boe::Message& mes
   c.last_rx = engine_.now();
   // Same matcher latency as the TCP path; dead-leg drop re-checked at the
   // matcher instant so post-mortem messages can never act.
-  engine_.schedule_in(config_.matching_latency, [this, conn, message] {
+  engine_.schedule_in(kMatchingLatency, [this, conn, message] {
     Connection& cc = *connections_[conn];
     if (cc.dead) return;
     on_session_message(cc, message);
@@ -554,7 +557,7 @@ void Exchange::on_accept_session(net::TcpEndpoint& endpoint) {
       // Matching-engine latency separates wire arrival from book action.
       const proto::boe::Message message = decoded->message;
       const telemetry::TraceId trace = telemetry::current_trace();
-      engine_.schedule_in(config_.matching_latency, [this, raw, message, trace, arrival] {
+      engine_.schedule_in(kMatchingLatency, [this, raw, message, trace, arrival] {
         // Deliberately no ambient TraceScope here: the matcher is the end
         // of the tick-to-trade chain, so responses and the feed events the
         // match produces are not stamped with the inbound order's trace
@@ -849,6 +852,15 @@ void Exchange::handle_cancel(std::uint32_t session, const proto::boe::CancelOrde
 
 void Exchange::handle_modify(std::uint32_t session, const proto::boe::ModifyOrder& request) {
   using namespace proto::boe;
+  // The same field checks a NewOrder passes, before the book is touched.
+  if (request.quantity == 0) {
+    send_app(session, CancelRejected{request.client_order_id, RejectReason::kInvalidQuantity});
+    return;
+  }
+  if (request.price <= 0) {
+    send_app(session, CancelRejected{request.client_order_id, RejectReason::kInvalidPrice});
+    return;
+  }
   const std::uint32_t order = store_.find_open(session, request.client_order_id);
   if (order == SessionStore::kNullSlot) {
     send_app(session, CancelRejected{request.client_order_id, RejectReason::kUnknownOrder});

@@ -37,8 +37,8 @@ namespace tsn::exchange {
 // per-byte simulation) while running the identical session state machine —
 // login, journal, replay, dedupe, cancel-on-disconnect, liveness. The
 // exchange pushes every outbound message through on_direct_bytes; inbound
-// messages are injected with Exchange::deliver_direct and still pay
-// matching_latency before the matcher acts.
+// messages are injected with Exchange::deliver_direct and still pay the
+// matching latency before the matcher acts.
 //
 // Callbacks run inside the exchange's own send path: implementations must
 // not call back into close_direct/deliver_direct synchronously (schedule a
@@ -88,13 +88,14 @@ struct ExchangeConfig {
   // survive single-path loss (§4). When enabled, unit u's datagrams also go
   // to feed_group_b_base + u with byte-identical payloads (same sequences).
   bool dual_publish = false;
+  // tsn-lint: allow(unset-option) a deployment setting: each venue or firm picks its own addresses
   net::Ipv4Addr feed_group_b_base{239, 102, 0, 0};
   // Snapshot (gap-recovery) channel: unit u's snapshots go to
   // snapshot_group_base + u on snapshot_port. Started via start_snapshots().
   net::Ipv4Addr snapshot_group_base{239, 101, 0, 0};
-  std::uint16_t snapshot_port = 30002;
+  std::uint16_t snapshot_port = 30002;  // tsn-lint: allow(unset-option) deployment port
   sim::Duration snapshot_interval = sim::millis(std::int64_t{10});
-  std::uint16_t order_port = 34000;
+  std::uint16_t order_port = 34000;  // tsn-lint: allow(unset-option) deployment port
   // Session liveness: when heartbeat_interval is positive (and
   // start_heartbeats() is called), the exchange sends a Heartbeat to any
   // session idle longer than the interval and declares sessions dead after
@@ -109,11 +110,6 @@ struct ExchangeConfig {
   // OrderCancelled responses are journaled for replay at re-login — the
   // §2/§4.2 safety contract real venues offer the firm's gateway.
   bool cancel_on_disconnect = false;
-  std::size_t feed_mtu_payload = 1458;
-  // Internal processing time between an order-entry message arriving and
-  // the matching engine acting on it (and between a match and the
-  // acknowledgement leaving).
-  sim::Duration matching_latency = sim::micros(std::int64_t{5});
   // --- million-session scale-out (ROADMAP item 2) ---
   // Session-directory shards (rounded up to a power of two). Lookups hash
   // straight to a shard; 1 keeps PR 5's single-directory behavior.
@@ -212,7 +208,7 @@ class Exchange {
   // id for deliver_direct/close_direct. Session semantics are identical to
   // the TCP path.
   [[nodiscard]] std::uint32_t open_direct(DirectClient& client);
-  // Injects one inbound message; the matcher acts after matching_latency.
+  // Injects one inbound message; the matcher acts after the matching latency.
   void deliver_direct(std::uint32_t conn, const proto::boe::Message& message);
   // Client-side drop (no on_direct_closed callback). Like
   // net::TcpEndpoint::abort, safe to call only from outside the exchange's

@@ -7,24 +7,35 @@
 
 namespace tsn::exchange {
 
+namespace {
+
+// Persona mix weights (normalized internally).
+constexpr double kSteadyWeight = 0.7;
+constexpr double kFlapperWeight = 0.2;
+constexpr double kBurstyWeight = 0.1;
+constexpr sim::Duration kTick = sim::micros(std::int64_t{100});
+constexpr std::uint32_t kFlapIntervalTicks = 512;  // flapper drop cadence
+constexpr std::uint32_t kDownTicks = 8;            // reconnect delay after any drop
+constexpr std::uint32_t kBurstIntervalTicks = 256;
+constexpr std::uint32_t kSessionIdBase = 1'000'000;
+
+}  // namespace
+
 LoadGen::LoadGen(sim::Scheduler& engine, Exchange& exchange, LoadGenConfig config)
     : engine_(engine), exchange_(exchange), config_(config) {
   TSN_ASSERT(config_.sessions > 0, "loadgen needs at least one session");
   TSN_ASSERT(config_.target_open_orders <= kMaxOpen, "target_open_orders above slot capacity");
   TSN_ASSERT(!exchange_.symbols().empty(), "loadgen needs a listed symbol");
   config_.steady_interval_ticks = std::max(1u, config_.steady_interval_ticks);
-  config_.flap_interval_ticks = std::max(1u, config_.flap_interval_ticks);
-  config_.burst_interval_ticks = std::max(1u, config_.burst_interval_ticks);
   config_.logins_per_tick = std::max(1u, config_.logins_per_tick);
 
   sim::Rng rng(config_.seed);
-  const std::array<double, 3> weights{config_.steady_weight, config_.flapper_weight,
-                                      config_.bursty_weight};
+  const std::array<double, 3> weights{kSteadyWeight, kFlapperWeight, kBurstyWeight};
 
   sessions_.resize(config_.sessions);
   steady_buckets_.resize(config_.steady_interval_ticks);
-  flap_buckets_.resize(config_.flap_interval_ticks);
-  burst_buckets_.resize(config_.burst_interval_ticks);
+  flap_buckets_.resize(kFlapIntervalTicks);
+  burst_buckets_.resize(kBurstIntervalTicks);
 
   const auto& specs = exchange_.symbols();
   for (std::uint32_t i = 0; i < config_.sessions; ++i) {
@@ -38,9 +49,9 @@ LoadGen::LoadGen(sim::Scheduler& engine, Exchange& exchange, LoadGenConfig confi
     // their own cadence on top.
     steady_buckets_[rng.next_below(config_.steady_interval_ticks)].push_back(i);
     if (sess.persona == Persona::kFlapper) {
-      flap_buckets_[rng.next_below(config_.flap_interval_ticks)].push_back(i);
+      flap_buckets_[rng.next_below(kFlapIntervalTicks)].push_back(i);
     } else if (sess.persona == Persona::kBursty) {
-      burst_buckets_[rng.next_below(config_.burst_interval_ticks)].push_back(i);
+      burst_buckets_[rng.next_below(kBurstIntervalTicks)].push_back(i);
     }
   }
   conn_to_session_.reserve(config_.sessions + config_.sessions / 8);
@@ -81,19 +92,19 @@ void LoadGen::tick() {
   for (const std::uint32_t s : steady_buckets_[t % config_.steady_interval_ticks]) {
     if (sessions_[s].state == kReady) rotate(s);
   }
-  for (const std::uint32_t s : flap_buckets_[t % config_.flap_interval_ticks]) {
+  for (const std::uint32_t s : flap_buckets_[t % kFlapIntervalTicks]) {
     if (sessions_[s].state == kReady) {
       drop(s);
-      relogin_queue_.emplace_back(s, tick_index_ + config_.down_ticks);
+      relogin_queue_.emplace_back(s, tick_index_ + kDownTicks);
     }
   }
-  for (const std::uint32_t s : burst_buckets_[t % config_.burst_interval_ticks]) {
+  for (const std::uint32_t s : burst_buckets_[t % kBurstIntervalTicks]) {
     for (std::uint32_t n = 0; n < config_.burst_size && sessions_[s].state == kReady; ++n) {
       rotate(s);
     }
   }
 
-  if (running_) engine_.schedule_in(config_.tick, [this] { tick(); });
+  if (running_) engine_.schedule_in(kTick, [this] { tick(); });
 }
 
 void LoadGen::begin_login(std::uint32_t session) {
@@ -109,7 +120,7 @@ void LoadGen::begin_login(std::uint32_t session) {
   sess.state = kLoggingIn;
   ++stats_.logins_sent;
   exchange_.deliver_direct(
-      sess.conn, proto::boe::LoginRequest{config_.session_id_base + session, token_of(session)});
+      sess.conn, proto::boe::LoginRequest{kSessionIdBase + session, token_of(session)});
 }
 
 void LoadGen::drop(std::uint32_t session) {
@@ -130,7 +141,7 @@ std::uint32_t LoadGen::storm(std::uint32_t count) {
     if (sessions_[s].state != kReady) continue;
     drop(s);
     sessions_[s].storm_victim = true;
-    relogin_queue_.emplace_back(s, tick_index_ + config_.down_ticks);
+    relogin_queue_.emplace_back(s, tick_index_ + kDownTicks);
     ++dropped;
   }
   if (dropped > 0) {
@@ -247,7 +258,7 @@ void LoadGen::on_direct_closed(std::uint32_t conn) {
   sess.state = kDown;
   sess.conn = kNoConn;
   conn_to_session_[conn] = kNoSession;
-  relogin_queue_.emplace_back(session, tick_index_ + config_.down_ticks);
+  relogin_queue_.emplace_back(session, tick_index_ + kDownTicks);
 }
 
 void LoadGen::handle_message(std::uint32_t session, const proto::boe::Decoded& decoded) {
@@ -284,7 +295,7 @@ void LoadGen::handle_message(std::uint32_t session, const proto::boe::Decoded& d
     ++stats_.login_rejects;
     if (sess.state == kReady) --ready_count_;
     sess.state = kDown;
-    relogin_queue_.emplace_back(session, tick_index_ + config_.down_ticks);
+    relogin_queue_.emplace_back(session, tick_index_ + kDownTicks);
     return;
   }
   if (const auto* reset = std::get_if<SequenceReset>(&decoded.message)) {

@@ -16,7 +16,7 @@
 // so two runs with the same seed are byte-identical.
 //
 // storm(count) kills the first `count` ready sessions in one sim instant —
-// the reconnect-storm drill. Victims re-login after `down_ticks`, replay
+// the reconnect-storm drill. Victims re-login after a fixed delay, replay
 // the journal tail they missed, re-rest their cancel-on-disconnect'ed
 // orders with fresh ids and resubmit unacked ones with the original ids
 // (the exchange's dedupe makes that idempotent). Recovery completes when
@@ -45,21 +45,12 @@ enum class Persona : std::uint8_t { kSteady, kFlapper, kBursty };
 
 struct LoadGenConfig {
   std::uint32_t sessions = 1'000;
-  // Persona mix weights (normalized internally).
-  double steady_weight = 0.7;
-  double flapper_weight = 0.2;
-  double bursty_weight = 0.1;
   std::uint64_t seed = 1;
-  sim::Duration tick = sim::micros(std::int64_t{100});
   std::uint32_t logins_per_tick = 2'000;     // admission ramp rate
   std::uint32_t steady_interval_ticks = 64;  // steady rotation cadence
-  std::uint32_t flap_interval_ticks = 512;   // flapper drop cadence
-  std::uint32_t down_ticks = 8;              // reconnect delay after any drop
-  std::uint32_t burst_interval_ticks = 256;
-  std::uint32_t burst_size = 6;           // rotations per burst
-  std::uint32_t target_open_orders = 4;   // resting sells per session (<= 8)
+  std::uint32_t burst_size = 6;              // rotations per burst
+  std::uint32_t target_open_orders = 4;      // resting sells per session (<= 8)
   proto::Quantity quantity = 100;
-  std::uint32_t session_id_base = 1'000'000;
 };
 
 struct LoadGenStats {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/check.hpp"
+#include "net/headers.hpp"
 #include "proto/boe.hpp"
 
 namespace tsn::exchange {
@@ -23,58 +24,17 @@ constexpr std::size_t kRecordHeader = 19;
 // [type u8][epoch u64] = 9 bytes.
 constexpr std::size_t kDgramHeader = 9;
 
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v & 0xff));
-  out.push_back(static_cast<std::byte>((v >> 8) & 0xff));
-}
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::byte>((v >> (i * 8)) & 0xff));
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::byte>((v >> (i * 8)) & 0xff));
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> data) noexcept : data_(data) {}
-  [[nodiscard]] bool ok(std::size_t n) const noexcept { return pos_ + n <= data_.size(); }
-  [[nodiscard]] std::uint8_t u8() noexcept {
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  [[nodiscard]] std::uint16_t u16() noexcept {
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(data_[pos_++]) << (i * 8);
-    return v;
-  }
-  [[nodiscard]] std::uint32_t u32() noexcept {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (i * 8);
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() noexcept {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (i * 8);
-    return v;
-  }
-  [[nodiscard]] std::span<const std::byte> bytes(std::size_t n) noexcept {
-    const auto s = data_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
- private:
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-};
+// Applier-side progress/fence status cadence.
+constexpr sim::Duration kStatusInterval = sim::millis(std::int64_t{1});
+// Both ends start in this epoch; a promotion moves past it.
+constexpr std::uint64_t kFirstEpoch = 1;
 
 }  // namespace
 
 // --- ReplicaStream ---------------------------------------------------------
 
 ReplicaStream::ReplicaStream(sim::Scheduler& engine, Exchange& primary, ReplicaConfig config)
-    : engine_(engine), primary_(primary), config_(std::move(config)), epoch_(config_.epoch) {
+    : engine_(engine), primary_(primary), config_(std::move(config)), epoch_(kFirstEpoch) {
   host_ = std::make_unique<net::Host>(engine_, config_.name, sim::micros(std::int64_t{1}));
   nic_ = &host_->add_nic("bridge", config_.local_mac, config_.local_ip);
   stack_ = std::make_unique<net::NetStack>(*nic_);
@@ -82,7 +42,7 @@ ReplicaStream::ReplicaStream(sim::Scheduler& engine, Exchange& primary, ReplicaC
                    [this](const net::Ipv4Header&, const net::UdpHeader&,
                           std::span<const std::byte> payload, sim::Time) { on_datagram(payload); });
   scratch_record_.reserve(128);
-  scratch_datagram_.reserve(config_.mtu_payload);
+  scratch_datagram_.reserve(net::kMaxDatagramPayload);
 }
 
 ReplicaStream::~ReplicaStream() = default;
@@ -97,13 +57,14 @@ void ReplicaStream::stage(std::uint8_t kind, std::uint32_t session_id,
   if (crashed_ || fenced_) return;
   std::vector<std::byte> record;
   record.reserve(kRecordHeader + payload.size());
-  put_u32(record, next_rep_seq_);
-  record.push_back(static_cast<std::byte>(kind));
-  put_u64(record, static_cast<std::uint64_t>(engine_.now().picos()));
-  put_u32(record, session_id);
+  net::WireWriter w{record};
+  w.u32_le(next_rep_seq_);
+  w.u8(kind);
+  w.u64_le(static_cast<std::uint64_t>(engine_.now().picos()));
+  w.u32_le(session_id);
   TSN_ASSERT(payload.size() <= 0xffff, "replication record payload too large");
-  put_u16(record, static_cast<std::uint16_t>(payload.size()));
-  record.insert(record.end(), payload.begin(), payload.end());
+  w.u16_le(static_cast<std::uint16_t>(payload.size()));
+  w.bytes(payload);
   records_.push_back(std::move(record));
   ++next_rep_seq_;
   ++stats_.records_emitted;
@@ -112,7 +73,7 @@ void ReplicaStream::stage(std::uint8_t kind, std::uint32_t session_id,
 
 void ReplicaStream::on_admitted_login(std::uint32_t session_id, std::uint64_t token) {
   scratch_record_.clear();
-  put_u64(scratch_record_, token);
+  net::WireWriter{scratch_record_}.u64_le(token);
   stage(kRecordLogin, session_id, scratch_record_);
 }
 
@@ -152,8 +113,9 @@ void ReplicaStream::send_records(std::uint32_t first_seq, std::uint32_t last_seq
   scratch_datagram_.clear();
   auto begin_dgram = [this] {
     scratch_datagram_.clear();
-    scratch_datagram_.push_back(static_cast<std::byte>(kDgramRecords));
-    put_u64(scratch_datagram_, epoch_);
+    net::WireWriter w{scratch_datagram_};
+    w.u8(kDgramRecords);
+    w.u64_le(epoch_);
   };
   auto send_dgram = [this] {
     if (scratch_datagram_.size() <= kDgramHeader) return;
@@ -165,7 +127,7 @@ void ReplicaStream::send_records(std::uint32_t first_seq, std::uint32_t last_seq
   for (std::uint32_t seq = first_seq; seq <= last_seq; ++seq) {
     const std::vector<std::byte>& record = records_[seq - 1];
     if (scratch_datagram_.size() > kDgramHeader &&
-        scratch_datagram_.size() + record.size() > config_.mtu_payload) {
+        scratch_datagram_.size() + record.size() > net::kMaxDatagramPayload) {
       send_dgram();
       begin_dgram();
     }
@@ -182,10 +144,11 @@ void ReplicaStream::heartbeat_tick() {
   // link is FIFO, so a caught-up applier compares apples to apples.
   wire_flush();
   scratch_datagram_.clear();
-  scratch_datagram_.push_back(static_cast<std::byte>(kDgramHeartbeat));
-  put_u64(scratch_datagram_, epoch_);
-  put_u32(scratch_datagram_, flushed_seq_);
-  put_u64(scratch_datagram_, primary_.state_digest());
+  net::WireWriter w{scratch_datagram_};
+  w.u8(kDgramHeartbeat);
+  w.u64_le(epoch_);
+  w.u32_le(flushed_seq_);
+  w.u64_le(primary_.state_digest());
   stack_->send_udp(config_.peer_mac, config_.peer_ip, config_.local_port, config_.peer_port,
                    scratch_datagram_);
   ++stats_.heartbeats_sent;
@@ -194,11 +157,11 @@ void ReplicaStream::heartbeat_tick() {
 
 void ReplicaStream::on_datagram(std::span<const std::byte> payload) {
   if (crashed_) return;
-  Reader r{payload};
-  if (!r.ok(1 + 8 + 4)) return;
-  if (r.u8() != kDgramStatus) return;
-  const std::uint64_t epoch = r.u64();
-  const std::uint32_t applied = r.u32();
+  net::WireReader r{payload};
+  const std::uint8_t type = r.u8();
+  const std::uint64_t epoch = r.u64_le();
+  const std::uint32_t applied = r.u32_le();
+  if (!r.ok() || type != kDgramStatus) return;
   ++stats_.statuses_received;
   if (epoch > epoch_) {
     // Someone with a higher epoch leads — we were partitioned away and the
@@ -245,8 +208,8 @@ ReplicaApplier::ReplicaApplier(sim::Scheduler& engine, Exchange& backup, Replica
     : engine_(engine),
       backup_(backup),
       config_(std::move(config)),
-      epoch_(config_.epoch),
-      remote_epoch_(config_.epoch) {
+      epoch_(kFirstEpoch),
+      remote_epoch_(kFirstEpoch) {
   host_ = std::make_unique<net::Host>(engine_, config_.name, sim::micros(std::int64_t{1}));
   nic_ = &host_->add_nic("bridge", config_.local_mac, config_.local_ip);
   stack_ = std::make_unique<net::NetStack>(*nic_);
@@ -261,7 +224,7 @@ void ReplicaApplier::start() {
   stack_->bind_udp(config_.local_port,
                    [this](const net::Ipv4Header&, const net::UdpHeader&,
                           std::span<const std::byte> payload, sim::Time) { on_datagram(payload); });
-  engine_.schedule_in(config_.status_interval, [this] { status_tick(); });
+  engine_.schedule_in(kStatusInterval, [this] { status_tick(); });
 }
 
 void ReplicaApplier::begin_promotion() noexcept {
@@ -272,9 +235,10 @@ void ReplicaApplier::apply_record(std::uint8_t kind, std::uint32_t session_id,
                                   std::int64_t at_ps, std::span<const std::byte> payload) {
   switch (kind) {
     case kRecordLogin: {
-      Reader r{payload};
-      if (!r.ok(8)) return;
-      backup_.apply_replicated_login(session_id, r.u64(), at_ps);
+      net::WireReader r{payload};
+      const std::uint64_t token = r.u64_le();
+      if (!r.ok()) return;
+      backup_.apply_replicated_login(session_id, token, at_ps);
       return;
     }
     case kRecordMessage: {
@@ -293,10 +257,10 @@ void ReplicaApplier::apply_record(std::uint8_t kind, std::uint32_t session_id,
 
 void ReplicaApplier::on_datagram(std::span<const std::byte> payload) {
   ++stats_.datagrams_received;
-  Reader r{payload};
-  if (!r.ok(kDgramHeader)) return;
+  net::WireReader r{payload};
   const std::uint8_t type = r.u8();
-  const std::uint64_t epoch = r.u64();
+  const std::uint64_t epoch = r.u64_le();
+  if (!r.ok()) return;
   if (epoch < epoch_) {
     // Post-promotion traffic from the deposed leader: we are the epoch now.
     // Dropping (instead of applying) is what makes the promoted book
@@ -305,9 +269,9 @@ void ReplicaApplier::on_datagram(std::span<const std::byte> payload) {
     return;
   }
   if (type == kDgramHeartbeat) {
-    if (!r.ok(4 + 8)) return;
-    const std::uint32_t flushed = r.u32();
-    const std::uint64_t digest = r.u64();
+    const std::uint32_t flushed = r.u32_le();
+    const std::uint64_t digest = r.u64_le();
+    if (!r.ok()) return;
     ++stats_.heartbeats_received;
     last_heartbeat_at_ = engine_.now();
     remote_epoch_ = epoch;
@@ -325,14 +289,14 @@ void ReplicaApplier::on_datagram(std::span<const std::byte> payload) {
   }
   if (type != kDgramRecords) return;
   remote_epoch_ = std::max(remote_epoch_, epoch);
-  while (r.ok(kRecordHeader)) {
-    const std::uint32_t rep_seq = r.u32();
+  while (r.remaining() > 0) {
+    const std::uint32_t rep_seq = r.u32_le();
     const std::uint8_t kind = r.u8();
-    const auto at_ps = static_cast<std::int64_t>(r.u64());
-    const std::uint32_t session_id = r.u32();
-    const std::uint16_t len = r.u16();
-    if (!r.ok(len)) return;  // truncated datagram
+    const auto at_ps = static_cast<std::int64_t>(r.u64_le());
+    const std::uint32_t session_id = r.u32_le();
+    const std::uint16_t len = r.u16_le();
     const auto body = r.bytes(len);
+    if (!r.ok()) return;  // truncated datagram
     if (rep_seq <= applied_seq_) {
       ++stats_.records_stale;  // retransmit overlap with in-flight originals
       continue;
@@ -352,12 +316,13 @@ void ReplicaApplier::status_tick() {
   // healed stale primary, which fences itself on receipt.
   std::vector<std::byte> out;
   out.reserve(13);
-  out.push_back(static_cast<std::byte>(kDgramStatus));
-  put_u64(out, epoch_);
-  put_u32(out, applied_seq_);
+  net::WireWriter w{out};
+  w.u8(kDgramStatus);
+  w.u64_le(epoch_);
+  w.u32_le(applied_seq_);
   stack_->send_udp(config_.peer_mac, config_.peer_ip, config_.local_port, config_.peer_port, out);
   ++stats_.statuses_sent;
-  engine_.schedule_in(config_.status_interval, [this] { status_tick(); });
+  engine_.schedule_in(kStatusInterval, [this] { status_tick(); });
 }
 
 void ReplicaApplier::register_metrics(telemetry::Registry& registry,

@@ -54,10 +54,6 @@ struct ReplicaConfig {
   // Stream-side heartbeat cadence; the backup's failure detector budgets
   // its suspect/promote thresholds in multiples of this.
   sim::Duration heartbeat_interval = sim::millis(std::int64_t{1});
-  // Applier-side progress/fence status cadence.
-  sim::Duration status_interval = sim::millis(std::int64_t{1});
-  std::size_t mtu_payload = 1458;
-  std::uint64_t epoch = 1;
 };
 
 // Record/datagram wire format (little-endian):

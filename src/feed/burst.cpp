@@ -14,23 +14,28 @@ std::vector<std::uint64_t> BurstMicrostructure::window_counts(std::uint64_t tota
   sim::Rng rng{seed};
   const std::size_t n = config_.window_count;
   std::vector<double> rate(n, 0.0);
-  // Heavy-tailed autocorrelated base process.
+  // Heavy-tailed autocorrelated base process: AR(1) on the log-rate.
+  constexpr double kPhi = 0.985;
+  constexpr double kSigma = 0.55;
   double x = 0.0;
-  const double sigma_innov = config_.sigma * std::sqrt(1.0 - config_.phi * config_.phi);
+  const double sigma_innov = kSigma * std::sqrt(1.0 - kPhi * kPhi);
   for (std::size_t i = 0; i < n; ++i) {
-    x = config_.phi * x + rng.normal(0.0, sigma_innov);
+    x = kPhi * x + rng.normal(0.0, sigma_innov);
     rate[i] = std::exp(x);
   }
-  // Cascades: short multiplicative bursts with exponential decay.
-  const auto n_cascades = rng.poisson(config_.cascades_per_second);
+  // Cascades: short multiplicative bursts with exponential decay, brief
+  // cluster spikes multiplying the local rate.
+  constexpr double kCascadesPerSecond = 25.0;
+  constexpr double kCascadeMagnitude = 4.0;
+  constexpr double kCascadeDecayWindows = 12.0;
+  const auto n_cascades = rng.poisson(kCascadesPerSecond);
   for (std::uint64_t c = 0; c < n_cascades; ++c) {
     const auto at = static_cast<std::size_t>(rng.next_below(n));
-    const double magnitude = 1.0 + rng.exponential(config_.cascade_magnitude - 1.0);
-    for (std::size_t k = 0; k < n - at && k < 8 * static_cast<std::size_t>(
-                                                    config_.cascade_decay_windows);
-         ++k) {
-      rate[at + k] *= 1.0 + (magnitude - 1.0) * std::exp(-static_cast<double>(k) /
-                                                         config_.cascade_decay_windows);
+    const double magnitude = 1.0 + rng.exponential(kCascadeMagnitude - 1.0);
+    for (std::size_t k = 0;
+         k < n - at && k < 8 * static_cast<std::size_t>(kCascadeDecayWindows); ++k) {
+      rate[at + k] *=
+          1.0 + (magnitude - 1.0) * std::exp(-static_cast<double>(k) / kCascadeDecayWindows);
     }
   }
   // Clamp the extreme tail: the paper's busiest window is ~8x the median,

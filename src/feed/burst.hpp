@@ -17,13 +17,6 @@ namespace tsn::feed {
 
 struct BurstConfig {
   std::size_t window_count = 10'000;  // 100 us windows in one second
-  // AR(1) parameters of the log-rate process.
-  double phi = 0.985;
-  double sigma = 0.55;
-  // Cluster spikes: brief cascades multiplying the local rate.
-  double cascades_per_second = 25.0;
-  double cascade_magnitude = 4.0;
-  double cascade_decay_windows = 12.0;
 };
 
 class BurstMicrostructure {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "feed/symbols.hpp"
+#include "net/headers.hpp"
 #include "proto/pitch.hpp"
 #include "sim/random.hpp"
 
@@ -42,7 +43,7 @@ struct FeedProfile {
   // Probability of a burst datagram packed to the MTU ceiling.
   double burst_probability = 0.01;
   // Datagram payload ceiling (drives the max frame length).
-  std::size_t mtu_payload = 1458;
+  std::size_t mtu_payload = net::kMaxDatagramPayload;
 };
 
 // Profiles calibrated to the paper's three feeds.

@@ -17,29 +17,12 @@
 
 namespace tsn::feed {
 
-struct IntradayConfig {
-  std::uint32_t open_second = 9 * 3600 + 30 * 60;  // 9:30am
-  std::uint32_t close_second = 16 * 3600;          // 4:00pm
-  // Baseline (trough) rate in events/second; the smile multiplies this.
-  double base_rate = 300'000.0;
-  double open_boost = 2.4;     // multiplier at the opening bell
-  double close_boost = 1.9;    // multiplier at the close
-  double smile_decay_minutes = 25.0;  // how fast the open burst decays
-  // Second-to-second lognormal noise (AR(1) on the log-rate).
-  double noise_sigma = 0.18;
-  double noise_phi = 0.85;
-  // Heavy-tailed spike seconds (news, correlated cross-market bursts).
-  double spikes_per_day = 40.0;
-  double spike_pareto_alpha = 2.2;
-  double spike_cap = 4.5;  // max spike multiplier
-  // Tiny out-of-hours trickle (fraction of base).
-  double after_hours_fraction = 0.0005;
-};
+// The trading session, in seconds since midnight.
+inline constexpr std::uint32_t kOpenSecond = 9 * 3600 + 30 * 60;  // 9:30am
+inline constexpr std::uint32_t kCloseSecond = 16 * 3600;          // 4:00pm
 
 class IntradayProfile {
  public:
-  explicit IntradayProfile(IntradayConfig config = {});
-
   // Deterministic shape multiplier at a given second since midnight
   // (1.0 = trough level inside trading hours; ~0 outside).
   [[nodiscard]] double shape(std::uint32_t second_of_day) const noexcept;
@@ -51,11 +34,6 @@ class IntradayProfile {
   // Rate multiplier usable with exchange::ActivityConfig::rate_multiplier;
   // sim Time zero is midnight.
   [[nodiscard]] std::function<double(sim::Time)> rate_multiplier() const;
-
-  [[nodiscard]] const IntradayConfig& config() const noexcept { return config_; }
-
- private:
-  IntradayConfig config_;
 };
 
 }  // namespace tsn::feed

@@ -12,20 +12,6 @@
 
 namespace tsn::feed {
 
-struct TrendConfig {
-  int first_year = 2020;
-  int last_year = 2024;
-  // Mean events per day at the start of first_year.
-  double base_events_per_day = 3.4e10;
-  // Total growth multiple across the modelled span (500% growth = 6x).
-  double growth_multiple = 6.0;
-  // Day-to-day lognormal variability (sigma of log).
-  double daily_sigma = 0.22;
-  // Occasional high-volatility days (macro events) this much larger.
-  double shock_probability = 0.02;
-  double shock_multiplier = 2.2;
-};
-
 struct TrendPoint {
   int year = 0;
   int day_of_year = 0;    // trading day index within the year, 0-based
@@ -34,7 +20,7 @@ struct TrendPoint {
 
 class MarketDataTrendModel {
  public:
-  explicit MarketDataTrendModel(TrendConfig config = {}, std::uint64_t seed = 2020);
+  explicit MarketDataTrendModel(std::uint64_t seed = 2020);
 
   // One point per trading day (252/year), in order.
   [[nodiscard]] std::vector<TrendPoint> daily_series() const;
@@ -48,10 +34,7 @@ class MarketDataTrendModel {
     return events_per_day / 86'400.0;
   }
 
-  [[nodiscard]] const TrendConfig& config() const noexcept { return config_; }
-
  private:
-  TrendConfig config_;
   std::uint64_t seed_;
 };
 

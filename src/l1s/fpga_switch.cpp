@@ -70,13 +70,15 @@ void FpgaSwitch::receive(const net::PacketPtr& packet, net::PortId in_port) {
     return;
   }
   ++stats_.frames_forwarded;
+  // The fixed pipeline latency §5 gives reconfigurable L1S hardware.
+  constexpr sim::Duration kForwardingLatency = sim::nanos(std::int64_t{100});
   auto self = this;
   const sim::Time rx = engine_.now();
   for (net::PortId out : it->second) {
     if (out == in_port || out >= egress_.size() || egress_[out] == nullptr) continue;
     ++stats_.replications;
     net::Link* link = egress_[out];
-    engine_.schedule_in(config_.forwarding_latency, [self, link, packet, rx] {
+    engine_.schedule_in(kForwardingLatency, [self, link, packet, rx] {
       telemetry::record_span(packet->trace(), self->name_, telemetry::SpanKind::kL1sFanout, rx,
                              self->engine_.now());
       link->transmit(packet);

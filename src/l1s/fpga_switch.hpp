@@ -27,7 +27,6 @@ namespace tsn::l1s {
 
 struct FpgaSwitchConfig {
   std::size_t port_count = 32;
-  sim::Duration forwarding_latency = sim::nanos(std::int64_t{100});
   // Hard ceiling on multicast groups — small, as §5 warns.
   std::size_t group_table_capacity = 96;
 };

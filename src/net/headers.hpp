@@ -21,6 +21,10 @@ inline constexpr std::size_t kEthernetFcsSize = 4;
 inline constexpr std::size_t kIpv4HeaderSize = 20;  // no options
 inline constexpr std::size_t kUdpHeaderSize = 8;
 inline constexpr std::size_t kTcpHeaderSize = 20;  // no options
+// Largest datagram payload the packers fill (exchange feed units, normalized
+// partitions, replication records): with the IP and UDP headers the frame
+// stays within a 1500-byte Ethernet payload, with margin.
+inline constexpr std::size_t kMaxDatagramPayload = 1458;
 // Minimum Ethernet frame (header + payload + FCS).
 inline constexpr std::size_t kMinEthernetFrame = 64;
 

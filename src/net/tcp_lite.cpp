@@ -104,6 +104,7 @@ void TcpEndpoint::abort() {
   rto_timer_ = sim::EventHandle{};
   unacked_.clear();
   out_of_order_.clear();
+  held_fin_.reset();
   set_state(TcpState::kClosed);
   notify_closed(TcpCloseReason::kAborted);
 }
@@ -165,6 +166,19 @@ void TcpEndpoint::deliver_in_order() {
       if (data_handler_) data_handler_(fresh, stack_.engine().now());
     }
     it = out_of_order_.erase(it);
+  }
+  if (held_fin_ == rcv_next_) accept_fin(rcv_next_);
+}
+
+void TcpEndpoint::accept_fin(std::uint32_t fin_seq) {
+  held_fin_.reset();
+  rcv_next_ = fin_seq + 1;  // the FIN consumes a sequence number
+  send_ack();
+  if (state_ == TcpState::kFinWait) {
+    set_state(TcpState::kClosed);
+  } else if (state_ == TcpState::kEstablished) {
+    set_state(TcpState::kCloseWait);
+    notify_closed(TcpCloseReason::kPeerFin);
   }
 }
 
@@ -229,13 +243,16 @@ void TcpEndpoint::on_segment(const TcpHeader& tcp, std::span<const std::byte> pa
   }
 
   if ((tcp.flags & TcpHeader::kFin) != 0) {
-    rcv_next_ = tcp.seq + static_cast<std::uint32_t>(payload.size()) + 1;
-    send_ack();
-    if (state_ == TcpState::kFinWait) {
-      set_state(TcpState::kClosed);
-    } else if (state_ == TcpState::kEstablished) {
-      set_state(TcpState::kCloseWait);
-      notify_closed(TcpCloseReason::kPeerFin);
+    const std::uint32_t fin_seq = tcp.seq + static_cast<std::uint32_t>(payload.size());
+    if (state_ == TcpState::kEstablished && fin_seq > rcv_next_) {
+      // Bytes before the FIN are missing, and an established endpoint can
+      // still deliver them: hold the FIN, and ACK rcv_next_ so the sender's
+      // retransmit timer resends the gap; deliver_in_order applies the FIN
+      // once it reaches it.
+      held_fin_ = fin_seq;
+      send_ack();
+    } else {
+      accept_fin(fin_seq);
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -95,6 +96,7 @@ class TcpEndpoint {
   void on_rto();
   void set_state(TcpState state);
   void deliver_in_order();
+  void accept_fin(std::uint32_t fin_seq);
   void notify_closed(TcpCloseReason reason);
 
   NetStack& stack_;
@@ -116,6 +118,9 @@ class TcpEndpoint {
   // Receive side.
   std::uint32_t rcv_next_ = 0;
   std::map<std::uint32_t, std::vector<std::byte>> out_of_order_;
+  // A FIN that arrived ahead of missing bytes: its sequence number, applied
+  // once rcv_next_ reaches it.
+  std::optional<std::uint32_t> held_fin_;
   std::uint64_t bytes_received_ = 0;
 
   DataHandler data_handler_;

@@ -146,7 +146,7 @@ class FrameBuilder {
   using Sink = std::function<void(std::vector<std::byte> payload, const UnitHeader& header)>;
 
   // `max_payload` bounds the datagram payload (unit header included);
-  // 1458 keeps the full frame within a 1500-byte Ethernet payload + margin.
+  // the exchange packs to net::kMaxDatagramPayload.
   FrameBuilder(std::uint8_t unit, std::size_t max_payload, Sink sink);
 
   void append(const Message& message);

@@ -43,7 +43,6 @@ ShardedEngine::ShardedEngine(ShardedConfig config) : config_(config) {
     if (cores > 0) helpers = std::min(helpers, cores - 1);
     threads_ = helpers + 1;
   }
-  lookahead_ = config_.lookahead;
   domains_.reserve(config_.domains);
   for (std::uint32_t i = 0; i < config_.domains; ++i) {
     domains_.emplace_back(new Domain(*this, static_cast<DomainId>(i)));

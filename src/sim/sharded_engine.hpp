@@ -63,10 +63,6 @@ struct ShardedConfig {
   // hardware_concurrency - 1) helpers: none without a domain, none spare.
   std::uint32_t num_workers = 1;
   SyncMode mode = SyncMode::kAuto;
-  // Upper bound on the lookahead window; tightened to the minimum
-  // cross-domain propagation delay by note_cross_domain_delay(). Left at
-  // max() (no cross-domain traffic), domains free-run to the deadline.
-  Duration lookahead = Duration::max();
 };
 
 class ShardedEngine {
@@ -149,6 +145,9 @@ class ShardedEngine {
 
   ShardedConfig config_;
   bool golden_ = true;
+  // The lookahead window: the minimum cross-domain propagation delay
+  // note_cross_domain_delay() has seen. Left at max() (no cross-domain
+  // traffic), domains free-run to the deadline.
   Duration lookahead_ = Duration::max();
   std::vector<std::unique_ptr<Domain>> domains_;
   std::vector<std::vector<Post>> mailboxes_;  // [src * n + dst]

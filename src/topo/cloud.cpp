@@ -4,21 +4,27 @@
 
 namespace tsn::topo {
 
-CloudRegion::CloudRegion(net::Fabric& fabric, CloudConfig config)
-    : fabric_(fabric), config_(config) {
-  auto core_cfg = config_.core_switch;
-  core_cfg.port_count = config_.port_count;
+namespace {
+
+constexpr std::size_t kPortCount = 128;
+constexpr std::uint64_t kTenantRateBps = 10'000'000'000;
+
+}  // namespace
+
+CloudRegion::CloudRegion(net::Fabric& fabric) : fabric_(fabric) {
+  l2::CommoditySwitchConfig core_cfg;  // provider-managed, big tables
+  core_cfg.port_count = kPortCount;
   // Provider-managed fabric: plenty of multicast capacity (the provider
   // implements feed distribution as a managed service).
-  if (core_cfg.mroute_hardware_capacity < 4096) core_cfg.mroute_hardware_capacity = 4096;
+  core_cfg.mroute_hardware_capacity = 4096;
   core_ = std::make_unique<l2::CommoditySwitch>(fabric_.engine(), "cloud-core", core_cfg);
 }
 
 net::PortId CloudRegion::attach_with_latency(net::Nic& nic, sim::Duration latency) {
-  if (next_port_ >= config_.port_count) throw std::length_error{"cloud region full"};
+  if (next_port_ >= kPortCount) throw std::length_error{"cloud region full"};
   const net::PortId port = next_port_++;
   net::LinkConfig link;
-  link.rate_bps = config_.tenant_rate_bps;
+  link.rate_bps = kTenantRateBps;
   link.propagation = latency;
   link.queue_capacity_bytes = 4 << 20;
   fabric_.connect(*core_, port, nic, 0, link);
@@ -28,17 +34,17 @@ net::PortId CloudRegion::attach_with_latency(net::Nic& nic, sim::Duration latenc
 }
 
 net::PortId CloudRegion::attach_tenant(net::Nic& nic, sim::Duration native_latency) {
-  if (native_latency > config_.equalized_latency) {
+  if (native_latency > kCloudEqualizedLatency) {
     throw std::invalid_argument{
         "tenant's native latency exceeds the equalization target; the provider "
         "can add delay but not remove it"};
   }
   // The provider pads every path to the same value — virtual equalization.
-  return attach_with_latency(nic, config_.equalized_latency);
+  return attach_with_latency(nic, kCloudEqualizedLatency);
 }
 
 net::PortId CloudRegion::attach_external(net::Nic& nic) {
-  return attach_with_latency(nic, config_.external_wan_latency);
+  return attach_with_latency(nic, kCloudExternalWanLatency);
 }
 
 sim::Duration CloudRegion::attachment_latency(net::PortId port) const {

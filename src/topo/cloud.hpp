@@ -21,20 +21,15 @@
 
 namespace tsn::topo {
 
-struct CloudConfig {
-  std::size_t port_count = 128;
-  // One-way latency every tenant is equalized to (virtualization overhead
-  // included). Public-cloud fair-access proposals operate at this scale.
-  sim::Duration equalized_latency = sim::micros(std::int64_t{100});
-  // WAN delay to anything outside the region (e.g. an on-prem colo).
-  sim::Duration external_wan_latency = sim::millis(std::int64_t{2});
-  std::uint64_t tenant_rate_bps = 10'000'000'000;
-  l2::CommoditySwitchConfig core_switch;  // provider-managed, big tables
-};
+// One-way latency every tenant is equalized to (virtualization overhead
+// included). Public-cloud fair-access proposals operate at this scale.
+inline constexpr sim::Duration kCloudEqualizedLatency = sim::micros(std::int64_t{100});
+// WAN delay to anything outside the region (e.g. an on-prem colo).
+inline constexpr sim::Duration kCloudExternalWanLatency = sim::millis(std::int64_t{2});
 
 class CloudRegion {
  public:
-  CloudRegion(net::Fabric& fabric, CloudConfig config);
+  explicit CloudRegion(net::Fabric& fabric);
   CloudRegion(const CloudRegion&) = delete;
   CloudRegion& operator=(const CloudRegion&) = delete;
 
@@ -51,13 +46,11 @@ class CloudRegion {
   [[nodiscard]] sim::Duration attachment_latency(net::PortId port) const;
 
   [[nodiscard]] l2::CommoditySwitch& core() noexcept { return *core_; }
-  [[nodiscard]] const CloudConfig& config() const noexcept { return config_; }
 
  private:
   net::PortId attach_with_latency(net::Nic& nic, sim::Duration latency);
 
   net::Fabric& fabric_;
-  CloudConfig config_;
   std::unique_ptr<l2::CommoditySwitch> core_;
   net::PortId next_port_ = 0;
   std::vector<sim::Duration> port_latency_;

@@ -28,11 +28,14 @@ LeafSpineFabric::LeafSpineFabric(net::Fabric& fabric, LeafSpineConfig config)
   }
   next_leaf_port_.assign(config_.leaf_count, static_cast<net::PortId>(config_.spine_count));
 
-  // Wire leaf l port s <-> spine s port l.
+  // Wire leaf l port s <-> spine s port l: 100 GbE uplinks, 150 ns of
+  // propagation, 4 MiB egress buffers.
+  constexpr net::LinkConfig kFabricLink{100'000'000'000, sim::nanos(std::int64_t{150}), 4 << 20,
+                                        0.0};
   for (std::size_t l = 0; l < config_.leaf_count; ++l) {
     for (std::size_t s = 0; s < config_.spine_count; ++s) {
       fabric_.connect(*leaves_[l], static_cast<net::PortId>(s), *spines_[s],
-                      static_cast<net::PortId>(l), config_.fabric_link);
+                      static_cast<net::PortId>(l), kFabricLink);
     }
     // Spine 0 is the multicast rendezvous root: joins and source traffic
     // from hosts are pushed toward it.

@@ -25,8 +25,8 @@ struct LeafSpineConfig {
   std::size_t ports_per_leaf = 48;  // uplinks + hosts
   l2::CommoditySwitchConfig leaf_switch;
   l2::CommoditySwitchConfig spine_switch;
+  // tsn-lint: allow(unset-option) read by perfbench, which changes only with the benchmark
   net::LinkConfig host_link{10'000'000'000, sim::nanos(std::int64_t{50}), 1 << 20, 0.0};
-  net::LinkConfig fabric_link{100'000'000'000, sim::nanos(std::int64_t{150}), 4 << 20, 0.0};
 };
 
 class LeafSpineFabric {

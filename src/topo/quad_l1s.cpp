@@ -7,7 +7,7 @@ namespace tsn::topo {
 
 QuadL1Fabric::QuadL1Fabric(net::Fabric& fabric, QuadL1Config config)
     : fabric_(fabric), config_(config) {
-  auto sw_cfg = config_.switch_config;
+  l1s::L1SwitchConfig sw_cfg;
   sw_cfg.port_count = config_.ports_per_switch;
   static constexpr const char* kNames[4] = {"l1s-feeds", "l1s-normdist", "l1s-orderagg",
                                             "l1s-toexch"};
@@ -23,7 +23,9 @@ net::PortId QuadL1Fabric::attach(Stage stage, net::Nic& nic) {
     throw std::length_error{"L1S stage out of ports"};
   }
   const net::PortId port = next_port_[index]++;
-  fabric_.connect(*switches_[index], port, nic, 0, config_.link);
+  // Host-to-stage cables: 10 GbE with 30 ns of propagation.
+  constexpr net::LinkConfig kLink{10'000'000'000, sim::nanos(std::int64_t{30}), 1 << 20, 0.0};
+  fabric_.connect(*switches_[index], port, nic, 0, kLink);
   return port;
 }
 

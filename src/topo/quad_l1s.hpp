@@ -28,8 +28,6 @@ enum class Stage : std::uint8_t {
 
 struct QuadL1Config {
   std::size_t ports_per_switch = 64;
-  l1s::L1SwitchConfig switch_config;
-  net::LinkConfig link{10'000'000'000, sim::nanos(std::int64_t{30}), 1 << 20, 0.0};
 };
 
 class QuadL1Fabric {

@@ -9,7 +9,9 @@ namespace tsn::trading {
 
 LineArbiter::LineArbiter(sim::Scheduler& engine, ArbiterConfig config)
     : engine_(engine), config_(std::move(config)) {
-  host_ = std::make_unique<net::Host>(engine_, config_.name, config_.software_latency);
+  // Kernel-bypass arbitration hop (same order as the normalizer's, §3).
+  constexpr sim::Duration kSoftwareLatency = sim::nanos(std::int64_t{400});
+  host_ = std::make_unique<net::Host>(engine_, config_.name, kSoftwareLatency);
   a_nic_ = &host_->add_nic("a-in", config_.a_mac, config_.a_ip);
   b_nic_ = &host_->add_nic("b-in", config_.b_mac, config_.b_ip);
   out_nic_ = &host_->add_nic("out", config_.out_mac, config_.out_ip);

@@ -38,21 +38,19 @@ namespace tsn::trading {
 enum class Line : std::uint8_t { kA = 0, kB = 1 };
 
 struct ArbiterConfig {
-  std::string name = "arb";
+  std::string name = "arb";  // tsn-lint: allow(unset-option) an identity, like every name
   // The exchange's A-line and B-line groups for the units to arbitrate.
   std::vector<net::Ipv4Addr> a_groups;
   std::vector<net::Ipv4Addr> b_groups;
   std::uint16_t feed_port = 30001;
   // Arbitrated output: unit u republishes on out_group_base + u. The port
   // defaults to the feed port so a Normalizer binds without special-casing.
-  net::Ipv4Addr out_group_base{239, 103, 0, 0};
-  std::uint16_t out_port = 30001;
+  net::Ipv4Addr out_group_base{239, 103, 0, 0};  // tsn-lint: allow(unset-option) deployment address
+  std::uint16_t out_port = 30001;  // tsn-lint: allow(unset-option) deployment port
   // How long to hold an ahead-of-sequence datagram waiting for the lagging
   // line before declaring the missing range a dual gap. Should comfortably
   // exceed the A/B path-latency skew; 150 us covers a metro hop.
   sim::Duration gap_timeout = sim::micros(std::int64_t{150});
-  // Kernel-bypass arbitration hop (same order as the normalizer's, §3).
-  sim::Duration software_latency = sim::nanos(std::int64_t{400});
   net::MacAddr a_mac;
   net::Ipv4Addr a_ip;
   net::MacAddr b_mac;

@@ -119,10 +119,12 @@ void Gateway::schedule_reconnect() {
   // Exponential backoff, capped, with deterministic +/- jitter so a fleet
   // of gateways reconnecting after a shared outage doesn't thundering-herd
   // the exchange — yet a fixed seed replays byte-identically.
+  constexpr double kReconnectBackoffMultiplier = 2.0;
+  constexpr sim::Duration kReconnectBackoffMax = sim::millis(std::int64_t{50});
   double scale = 1.0;
-  for (int i = 1; i < backoff_attempt_; ++i) scale *= config_.reconnect_backoff_multiplier;
+  for (int i = 1; i < backoff_attempt_; ++i) scale *= kReconnectBackoffMultiplier;
   double picos = static_cast<double>(config_.reconnect_backoff_initial.picos()) * scale;
-  picos = std::min(picos, static_cast<double>(config_.reconnect_backoff_max.picos()));
+  picos = std::min(picos, static_cast<double>(kReconnectBackoffMax.picos()));
   picos *= reconnect_jitter_factor();
   const auto backoff = sim::Duration{static_cast<std::int64_t>(picos)};
   engine_.schedule_in(backoff, [this] { reconnect_now(); });
@@ -143,7 +145,8 @@ double Gateway::reconnect_jitter_factor() noexcept {
   mix(stats_.disconnects);
   mix(static_cast<std::uint64_t>(backoff_attempt_));
   sim::Rng rng{h};
-  return 1.0 + config_.reconnect_jitter * (2.0 * rng.uniform() - 1.0);
+  constexpr double kReconnectJitter = 0.1;  // +/- fraction of each backoff step
+  return 1.0 + kReconnectJitter * (2.0 * rng.uniform() - 1.0);
 }
 
 void Gateway::reconnect_now() {

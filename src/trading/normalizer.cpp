@@ -12,7 +12,7 @@ namespace tsn::trading {
 struct Normalizer::Partition {
   Partition(Normalizer& owner, std::uint16_t index)
       : group(owner.partition_group(index)),
-        builder(index, owner.config_.out_mtu_payload,
+        builder(index, net::kMaxDatagramPayload,
                 [&owner, this](std::vector<std::byte> payload,
                                const proto::norm::DatagramHeader&) {
                   owner.out_stack_->send_multicast(group, owner.config_.out_port, payload);

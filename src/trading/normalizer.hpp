@@ -42,13 +42,12 @@ struct NormalizerConfig {
   // buffered messages past its resume point are replayed. Requires
   // exchange_partitioning (to know which symbols belong to the unit).
   std::vector<net::Ipv4Addr> snapshot_groups;
-  std::uint16_t snapshot_port = 30002;
+  std::uint16_t snapshot_port = 30002;  // tsn-lint: allow(unset-option) deployment port
   std::shared_ptr<const proto::PartitionScheme> exchange_partitioning;
   // Firm-side output partitioning.
   std::shared_ptr<const proto::PartitionScheme> partitioning;
-  net::Ipv4Addr out_group_base{239, 200, 0, 0};
-  std::uint16_t out_port = 31001;
-  std::size_t out_mtu_payload = 1458;
+  net::Ipv4Addr out_group_base{239, 200, 0, 0};  // tsn-lint: allow(unset-option) deployment address
+  std::uint16_t out_port = 31001;  // tsn-lint: allow(unset-option) deployment port
   // Kernel-bypass software hop (§3: below 1 us on tuned hosts).
   sim::Duration software_latency = sim::nanos(std::int64_t{800});
   net::MacAddr in_mac;

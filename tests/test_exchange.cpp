@@ -281,6 +281,53 @@ TEST(ExchangeSession, ModifyRepricesOrder) {
             150u);
 }
 
+TEST(ExchangeSession, ModifyWithZeroQuantityOrNonPositivePriceIsRejected) {
+  // A ModifyOrder passes the field checks a NewOrder does: quantity 0 and a
+  // price <= 0 are rejected before the book is touched, and the order stays
+  // open and cancellable.
+  SessionRig rig;
+  auto& book = rig.exchange.book(proto::Symbol{"AAA"});
+  book.submit({rig.exchange.next_order_id(), proto::Side::kBuy, proto::price_from_dollars(99),
+               100});
+  rig.send(proto::boe::LoginRequest{1, 0xfeed});
+  rig.send(proto::boe::NewOrder{70, proto::Side::kSell, 100, proto::Symbol{"AAA"},
+                                proto::price_from_dollars(101), proto::boe::TimeInForce::kDay});
+  rig.send(proto::boe::NewOrder{71, proto::Side::kBuy, 100, proto::Symbol{"AAA"},
+                                proto::price_from_dollars(98), proto::boe::TimeInForce::kDay});
+  ASSERT_EQ(rig.exchange.session_store().open_orders_total(), 2u);
+  const std::size_t feed_before = rig.total_messages();
+  const auto expect_rejected = [&rig](proto::OrderId client_id, proto::boe::RejectReason reason) {
+    const auto* reject = rig.last_response_of<proto::boe::CancelRejected>();
+    ASSERT_NE(reject, nullptr);
+    EXPECT_EQ(reject->client_order_id, client_id);
+    EXPECT_EQ(reject->reason, reason);
+    rig.responses.clear();
+  };
+
+  rig.send(proto::boe::ModifyOrder{70, 0, proto::price_from_dollars(101)});
+  expect_rejected(70, proto::boe::RejectReason::kInvalidQuantity);
+  rig.send(proto::boe::ModifyOrder{70, 100, 0});  // would cross the $99 bid
+  expect_rejected(70, proto::boe::RejectReason::kInvalidPrice);
+  rig.send(proto::boe::ModifyOrder{71, 100, -5});
+  expect_rejected(71, proto::boe::RejectReason::kInvalidPrice);
+
+  EXPECT_EQ(book.depth_at(proto::Side::kSell, proto::price_from_dollars(101)), 100u);
+  EXPECT_EQ(book.depth_at(proto::Side::kBuy, proto::price_from_dollars(99)), 100u);
+  EXPECT_EQ(book.depth_at(proto::Side::kBuy, proto::price_from_dollars(98)), 100u);
+  EXPECT_EQ(rig.exchange.stats().fills_sent, 0u);
+  EXPECT_EQ(rig.total_messages(), feed_before) << "a rejected modify publishes nothing";
+  EXPECT_EQ(rig.exchange.session_store().open_orders_total(), 2u);
+
+  for (const proto::OrderId client_id : {70u, 71u}) {
+    rig.send(proto::boe::CancelOrder{client_id});
+    const auto* cancelled = rig.last_response_of<proto::boe::OrderCancelled>();
+    ASSERT_NE(cancelled, nullptr);
+    EXPECT_EQ(cancelled->client_order_id, client_id);
+    EXPECT_EQ(cancelled->cancelled_quantity, 100u);
+  }
+  EXPECT_EQ(rig.exchange.session_store().open_orders_total(), 0u);
+}
+
 TEST(ActivityDriver, GeneratesDecodableFeedTraffic) {
   ExchangeRig rig;
   ActivityConfig config;

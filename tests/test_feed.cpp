@@ -72,8 +72,8 @@ TEST(Trend, DayToDayVariabilityIsVisible) {
 }
 
 TEST(Trend, SeriesIsDeterministicPerSeed) {
-  MarketDataTrendModel a{TrendConfig{}, 99};
-  MarketDataTrendModel b{TrendConfig{}, 99};
+  MarketDataTrendModel a{99};
+  MarketDataTrendModel b{99};
   const auto sa = a.daily_series();
   const auto sb = b.daily_series();
   ASSERT_EQ(sa.size(), sb.size());
@@ -104,7 +104,7 @@ TEST(Intraday, SecondCountsMatchFigure2bCalibration) {
   ASSERT_EQ(counts.size(), 86'400u);
   telemetry::Histogram session;
   for (std::uint32_t sec = 0; sec < 86'400; ++sec) {
-    if (sec >= profile.config().open_second && sec < profile.config().close_second) {
+    if (sec >= kOpenSecond && sec < kCloseSecond) {
       session.add(static_cast<double>(counts[sec]));
     } else {
       EXPECT_LT(counts[sec], 3'000u) << "after-hours activity too high at " << sec;

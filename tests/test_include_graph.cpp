@@ -1,6 +1,6 @@
 // Unit tests for tsn_analyze's include-graph builder, cycle detector, layer
-// checker and reachability roots, run over in-memory file trees via the
-// FileProvider hook.
+// checker, reachability roots and option setters, run over in-memory file
+// trees via the FileProvider hook.
 // The on-disk corpora (tools/tsn_analyze/corpus/layering) exercise the same
 // code end-to-end through the CLI; these tests pin the builder's edge-level
 // behaviour (resolution, line numbers, angle-include handling) that the
@@ -16,6 +16,7 @@
 
 #include "baseline.hpp"
 #include "json_mini.hpp"
+#include "options.hpp"
 #include "reachability.hpp"
 
 namespace tsn::analyze {
@@ -263,6 +264,93 @@ TEST(Reachability, TheAnalyzerCorpusIsNotARoot) {
   EXPECT_FALSE(is_reach_root("tools/tsn_analyze/corpus/reachability/good/bench/b.cpp"));
   EXPECT_FALSE(is_reach_root("tests/test_x.cpp"));
   EXPECT_FALSE(is_reach_root("benchmarks/x.cpp"));
+}
+
+std::set<std::string> members_written(const std::vector<std::string>& code) {
+  return harvest_option_writes(code, {}).members;
+}
+
+TEST(Options, EveryWriteFormCountsAsASetter) {
+  const std::vector<std::string> code{
+      "void tune(WidgetConfig& c, WidgetConfig* p, Fabric& f) {",
+      "  c.alpha = 1;",
+      "  c.beta += 2;",
+      "  p->gamma = 3;",
+      "  c.link.rate_bps = 4;",
+      "  c.groups.push_back(f.group());",
+      "  c.delta",
+      "      = 5;",
+      "  const WidgetConfig d{.epsilon = 6,",
+      "                      .zeta{7}};",
+      "}"};
+  EXPECT_EQ(members_written(code),
+            (std::set<std::string>{"alpha", "beta", "gamma", "link", "rate_bps", "groups",
+                                   "delta", "epsilon", "zeta"}));
+}
+
+TEST(Options, ReadsCallsAndComparisonsAreNotWrites) {
+  const std::vector<std::string> code{
+      "int use(const WidgetConfig& c, Stack& s) {",
+      "  const int x = c.alpha;",
+      "  if (c.beta == 2 || c.gamma != 3 || c.delta <= 4 || c.epsilon >= 5) return 0;",
+      "  s.bind(c.zeta.size());",
+      "  // c.eta = 1;",
+      "  const char* text = \"c.theta = 1\";",
+      "  return x + c.iota;",
+      "}"};
+  EXPECT_TRUE(members_written(strip_comments(code).lines).empty());
+}
+
+TEST(Options, AnOwnersConfigCopyIsNotASetter) {
+  const std::vector<std::string> code{
+      "Pump::Pump(PumpConfig config) : config_(config) {",
+      "  config_.interval = std::max(1, config_.interval);",
+      "  this->config_.burst += 1;",
+      "  config_.link.rate_bps = 2;",
+      "  other.rate = config_.rate;",
+      "}"};
+  EXPECT_EQ(members_written(code), (std::set<std::string>{"rate"}));
+}
+
+TEST(Options, PositionalAggregateInitializationCoversLeadingFields) {
+  const std::vector<std::string> code{
+      "struct LinkConfig {",
+      "  long rate = 1;",
+      "};",
+      "const net::LinkConfig cable{10, sim::nanos(std::int64_t{50}), 1 << 20};",
+      "port.cable = LinkConfig{1, 2};",
+      "const LinkConfig empty{};",
+      "const LinkConfig named{.loss = 0.5};",
+      "const QueueConfig queue{8};"};
+  const OptionWrites writes = harvest_option_writes(code, {"LinkConfig", "PumpConfig"});
+  EXPECT_EQ(writes.positional,
+            (std::map<std::string, std::size_t>{{"LinkConfig", 3}}));
+  EXPECT_EQ(writes.members, (std::set<std::string>{"cable", "loss"}));
+}
+
+TEST(Options, TestsSetOptionsAndTheAnalyzerCorpusDoesNot) {
+  const Tree tree{
+      {"src/a/x.hpp",
+       {"#pragma once", "struct XConfig {", "  int shown = 1;", "  int tested = 2;",
+        "  int corpus_only = 3;", "  int owner_only = 4;", "  void describe() const {}",
+        "  static constexpr int kLimit = 9;", "};"}},
+      {"src/a/x.cpp", {"void X::x() { config_.owner_only = 5; }"}},
+      {"examples/x.cpp", {"int main() { XConfig c; c.shown = 2; }"}},
+      {"tests/test_x.cpp", {"TEST(X, Y) { XConfig c; c.tested = 3; }"}},
+      {"tools/tsn_analyze/corpus/options/t/bench/b.cpp",
+       {"void b(XConfig& c) { c.corpus_only = 1; }"}},
+  };
+  EXPECT_TRUE(is_option_setter("tests/test_x.cpp"));
+  EXPECT_TRUE(is_option_setter("perfbench/src/w.cpp"));
+  EXPECT_FALSE(is_option_setter("tools/tsn_analyze/corpus/options/t/bench/b.cpp"));
+  EXPECT_FALSE(is_option_setter("docs/x.cpp"));
+  Sink sink;
+  EXPECT_EQ(check_options(keys_of(tree), "src", provider_for(tree), "src", sink), 4U);
+  ASSERT_EQ(sink.findings.size(), 2U);
+  EXPECT_EQ(sink.findings[0].file, "src/a/x.hpp");
+  EXPECT_EQ(sink.findings[0].line, 5);
+  EXPECT_EQ(sink.findings[1].line, 6);
+  EXPECT_EQ(sink.findings[1].rule, "unset-option");
 }
 
 TEST(Baseline, AbsorbsUpToCountThenReportsRemainder) {

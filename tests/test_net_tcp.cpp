@@ -255,6 +255,43 @@ TEST(TcpLite, SilentPeerDeathExhaustsRetriesAndNotifies) {
   EXPECT_GT(ep.retransmit_count(), 0u);
 }
 
+TEST(TcpLite, FinAheadOfMissingBytesWaitsForThem) {
+  // "BBBB" is lost on a down link; the FIN that follows it must not close
+  // the stream over the gap, nor acknowledge bytes that never arrived.
+  sim::Engine engine;
+  Fabric fabric{engine};
+  Nic client_nic{engine, "client", MacAddr::from_host_id(1), Ipv4Addr{10, 0, 0, 1}};
+  Nic server_nic{engine, "server", MacAddr::from_host_id(2), Ipv4Addr{10, 0, 0, 2}};
+  NetStack client{client_nic};
+  NetStack server{server_nic};
+  Cable cable = fabric.connect(client_nic, 0, server_nic, 0, LinkConfig{});
+  TcpEndpoint* server_ep = nullptr;
+  server.listen_tcp(34000, [&](TcpEndpoint& ep) { server_ep = &ep; });
+  TcpEndpoint& ep = client.connect_tcp(server_nic.mac(), server_nic.ip(), 34000, 0);
+  std::string received;
+  ep.set_data_handler(
+      [&](std::span<const std::byte> bytes, sim::Time) { received += to_text(bytes); });
+  std::vector<TcpCloseReason> closes;
+  ep.set_closed_handler([&](TcpCloseReason r) { closes.push_back(r); });
+  engine.run();
+  ASSERT_NE(server_ep, nullptr);
+
+  server_ep->send(bytes_of("AAAA"));
+  engine.run();
+  ASSERT_EQ(received, "AAAA");
+  cable.b_to_a->set_admin_up(false);
+  server_ep->send(bytes_of("BBBB"));
+  engine.run_until(engine.now() + sim::micros(std::int64_t{10}));
+  cable.b_to_a->set_admin_up(true);
+  server_ep->close();
+  engine.run();
+
+  EXPECT_EQ(received, "AAAABBBB");
+  EXPECT_EQ(closes, (std::vector<TcpCloseReason>{TcpCloseReason::kPeerFin}));
+  EXPECT_EQ(ep.state(), TcpState::kCloseWait);
+  EXPECT_GE(server_ep->retransmit_count(), 1u) << "the gap is resent, not acknowledged away";
+}
+
 TEST(TcpLite, FailedConnectNotifiesRetransmitExhaustion) {
   // SYN to a closed port: the connect itself fails and the closed handler
   // still fires, so reconnect backoff grows across failed attempts too.

@@ -194,19 +194,19 @@ TEST(Cloud, TenantsAreLatencyEqualized) {
   // physical placement.
   sim::Engine engine;
   net::Fabric fabric{engine};
-  CloudRegion cloud{fabric, CloudConfig{}};
+  CloudRegion cloud{fabric};
   auto near = make_nic(engine, 1, net::Ipv4Addr{10, 0, 0, 1});
   auto far = make_nic(engine, 2, net::Ipv4Addr{10, 0, 0, 2});
   const auto p1 = cloud.attach_tenant(*near, sim::micros(std::int64_t{5}));
   const auto p2 = cloud.attach_tenant(*far, sim::micros(std::int64_t{90}));
   EXPECT_EQ(cloud.attachment_latency(p1), cloud.attachment_latency(p2));
-  EXPECT_EQ(cloud.attachment_latency(p1), cloud.config().equalized_latency);
+  EXPECT_EQ(cloud.attachment_latency(p1), kCloudEqualizedLatency);
 }
 
 TEST(Cloud, CannotEqualizeBelowPhysicalLatency) {
   sim::Engine engine;
   net::Fabric fabric{engine};
-  CloudRegion cloud{fabric, CloudConfig{}};
+  CloudRegion cloud{fabric};
   auto too_far = make_nic(engine, 1, net::Ipv4Addr{10, 0, 0, 1});
   EXPECT_THROW((void)cloud.attach_tenant(*too_far, sim::millis(std::int64_t{5})),
                std::invalid_argument);
@@ -215,7 +215,7 @@ TEST(Cloud, CannotEqualizeBelowPhysicalLatency) {
 TEST(Cloud, EqualizedDeliveryEndToEnd) {
   sim::Engine engine;
   net::Fabric fabric{engine};
-  CloudRegion cloud{fabric, CloudConfig{}};
+  CloudRegion cloud{fabric};
   auto a = make_nic(engine, 1, net::Ipv4Addr{10, 0, 0, 1});
   auto b = make_nic(engine, 2, net::Ipv4Addr{10, 0, 0, 2});
   (void)cloud.attach_tenant(*a, sim::micros(std::int64_t{1}));
@@ -234,12 +234,12 @@ TEST(Cloud, ExternalTrafficCrossesTheWan) {
   // §4.2: "latency for communication beyond the cloud will be excessive."
   sim::Engine engine;
   net::Fabric fabric{engine};
-  CloudRegion cloud{fabric, CloudConfig{}};
+  CloudRegion cloud{fabric};
   auto tenant = make_nic(engine, 1, net::Ipv4Addr{10, 0, 0, 1});
   auto colo = make_nic(engine, 2, net::Ipv4Addr{172, 16, 0, 1});
   (void)cloud.attach_tenant(*tenant, sim::micros(std::int64_t{1}));
   const auto wan_port = cloud.attach_external(*colo);
-  EXPECT_EQ(cloud.attachment_latency(wan_port), cloud.config().external_wan_latency);
+  EXPECT_EQ(cloud.attachment_latency(wan_port), kCloudExternalWanLatency);
   sim::Time arrival;
   colo->set_rx_handler([&](const net::PacketPtr&, sim::Time at) { arrival = at; });
   tenant->send_frame(net::build_udp_frame(tenant->mac(), net::MacAddr::from_host_id(9),

@@ -1,7 +1,7 @@
 // tsn_analyze — multi-pass static analysis for the trading-system simulator.
 //
 // Grown from the original tsn_lint wire-safety checker, this tool now scans
-// all of src/ with five rule families plus a suppression check (see
+// all of src/ with six rule families plus a suppression check (see
 // DESIGN.md "Static analysis"):
 //
 //   wire safety      unchecked-reader, raw-memcpy / raw-cast,
@@ -23,6 +23,8 @@
 //   reachability     unreached-module, unreached-symbol: every src/ module
 //                    and public symbol has a user under bench/, examples/,
 //                    perfbench/ or tools/ (tests/ do not count)
+//   options          unset-option: every *Config field has a setter under
+//                    src/, tests/, bench/, examples/, perfbench/ or tools/
 //   suppression      allow-no-reason: every allow() gives its reason
 //
 // Shared infrastructure: a line-oriented scanner over comment-stripped
@@ -73,6 +75,10 @@ struct CleanSource {
 
 CleanSource strip_comments(const std::vector<std::string>& raw);
 
+// True when an allow(rule) sits on 1-based `line`, or alone on the line
+// above it.
+bool allowed_at(const CleanSource& src, int line, const std::string& rule);
+
 // --- small text helpers ----------------------------------------------------
 
 bool is_ident_char(char c);
@@ -90,6 +96,9 @@ std::vector<std::string> split_lines(std::string_view text);
 
 // True for the C++ source/header extensions the analyzer scans.
 bool scannable(const std::filesystem::path& p);
+
+// True for a header path (.hpp or .h).
+bool is_header(const std::string& path);
 
 // Path relative to `root` with '/' separators, or the path unchanged when it
 // is not under `root`. Used to key findings and baseline entries stably.

@@ -9,9 +9,9 @@
 //                                            bench/, examples/, perfbench/
 //                                            and tools/ beside <dir>
 //   tsn_analyze <paths...>                   ad-hoc scan of files/dirs with
-//                                            the line rules (no layering or
-//                                            reachability — those need a
-//                                            tree root)
+//                                            the line rules (no layering,
+//                                            reachability or options —
+//                                            those need a tree root)
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 #include <algorithm>
@@ -25,6 +25,7 @@
 #include "analyzer.hpp"
 #include "baseline.hpp"
 #include "include_graph.hpp"
+#include "options.hpp"
 #include "reachability.hpp"
 #include "report.hpp"
 #include "rules.hpp"
@@ -123,18 +124,20 @@ int run_root_scan(const std::string& root, const std::string& baseline_path,
   check_includes(graph, root, report.sink);
   check_layers(graph, default_layer_config(), root, report.sink);
 
-  // Pass 4: reachability, rooted in the directories beside the scan root.
+  // Passes 4 and 5: reachability and options, over the directories beside
+  // the scan root.
   fs::path src_path = fs::absolute(root).lexically_normal();
   if (src_path.filename().empty()) src_path = src_path.parent_path();
   const fs::path tree = src_path.parent_path();
   const std::string src_dir = src_path.filename().string();
   std::map<std::string, std::vector<std::string>> tree_lines;  // keyed by path in `tree`
   for (const auto& [rel, raw] : raw_by_rel) tree_lines[src_dir + "/" + rel] = raw;
-  for (const auto dir : kReachRootDirs) {
+  // The reachability roots, and tests/ beside them as option setters.
+  for (const std::string_view dir : {"bench", "examples", "perfbench", "tests", "tools"}) {
     if (!fs::is_directory(tree / dir)) continue;
     for (const auto& file : collect_files(tree / dir)) {
       const std::string rel = relative_path(file, tree);
-      if (is_reach_root(rel)) tree_lines[rel] = read_lines(file);
+      if (is_reach_root(rel) || is_option_setter(rel)) tree_lines[rel] = read_lines(file);
     }
   }
   std::vector<std::string> tree_files;
@@ -147,6 +150,7 @@ int run_root_scan(const std::string& root, const std::string& baseline_path,
     return true;
   };
   check_reachability(tree_files, src_dir, tree_provider, root, report.sink);
+  report.option_fields = check_options(tree_files, src_dir, tree_provider, root, report.sink);
 
   if (!baseline_path.empty()) {
     std::string error;

@@ -9,11 +9,6 @@ namespace tsn::analyze {
 
 namespace {
 
-bool is_header(const std::string& path) {
-  const std::string ext = std::filesystem::path(path).extension().string();
-  return ext == ".hpp" || ext == ".h";
-}
-
 std::string without_extension(const std::string& path) {
   const std::size_t dot = path.rfind('.');
   const std::size_t slash = path.rfind('/');
@@ -378,12 +373,6 @@ bool allowed_at_top(const CleanSource& src, const std::string& rule) {
     if (src.lines[li].find_first_not_of(" \t") != std::string::npos) return false;
   }
   return false;
-}
-
-bool allowed_at(const CleanSource& src, int line, const std::string& rule) {
-  const auto li = static_cast<std::size_t>(line - 1);
-  return (li < src.allows.size() && src.allows[li].count(rule) > 0) ||
-         (li > 0 && li - 1 < src.allows.size() && src.allows[li - 1].count(rule) > 0);
 }
 
 std::string display(const std::string& prefix, const std::string& path) {

@@ -27,6 +27,7 @@ const std::vector<RuleInfo>& all_rules() {
       {"unknown-module", "layering"},
       {"unreached-module", "reachability"},
       {"unreached-symbol", "reachability"},
+      {"unset-option", "options"},
       {"allow-no-reason", "suppression"}};
   return kRules;
 }
@@ -71,6 +72,9 @@ std::size_t print_summary(const RunReport& report) {
                   entry.file.c_str(), entry.rule.c_str(), entry.count, entry.matched);
     }
   }
+  if (report.option_fields > 0) {
+    std::printf("options: %zu *Config field(s) scanned\n", report.option_fields);
+  }
   std::printf("tsn_analyze: scanned %zu files, %zu finding(s)\n", report.files_scanned,
               report.active.size());
   return report.active.size();
@@ -82,6 +86,7 @@ std::string findings_to_json(const RunReport& report) {
   w.field("schema", std::string_view{kFindingsSchema});
   w.field("root", report.root);
   w.field("files_scanned", static_cast<std::uint64_t>(report.files_scanned));
+  w.field("option_fields", static_cast<std::uint64_t>(report.option_fields));
   w.key("findings");
   w.begin_array();
   for (const auto& f : report.active) {
@@ -131,6 +136,9 @@ bool validate_findings_json(const std::string& text, std::string* error) {
   }
   if (const JsonValue* v = doc->get("files_scanned"); v == nullptr || !v->is_number()) {
     return fail("missing numeric 'files_scanned'");
+  }
+  if (const JsonValue* v = doc->get("option_fields"); v == nullptr || !v->is_number()) {
+    return fail("missing numeric 'option_fields'");
   }
   const JsonValue* findings = doc->get("findings");
   if (findings == nullptr || !findings->is_array()) return fail("missing 'findings' array");

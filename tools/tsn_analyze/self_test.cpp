@@ -17,6 +17,7 @@
 
 #include "analyzer.hpp"
 #include "include_graph.hpp"
+#include "options.hpp"
 #include "reachability.hpp"
 #include "rules.hpp"
 
@@ -26,7 +27,15 @@ namespace {
 
 namespace fs = std::filesystem;
 
-enum class Family { kWire, kDeterminism, kHotpath, kLayering, kReachability, kSuppression };
+enum class Family {
+  kWire,
+  kDeterminism,
+  kHotpath,
+  kLayering,
+  kReachability,
+  kOptions,
+  kSuppression
+};
 
 const std::map<std::string, Family>& rule_families() {
   static const std::map<std::string, Family> kFamilies = {
@@ -42,6 +51,7 @@ const std::map<std::string, Family>& rule_families() {
       {"hotpath-alloc", Family::kHotpath},
       {"layering", Family::kLayering},
       {"reachability", Family::kReachability},
+      {"options", Family::kOptions},
       {"allow-no-reason", Family::kSuppression},
   };
   return kFamilies;
@@ -138,6 +148,7 @@ void run_line_rule_case(const std::string& rule, Family family, const fs::path& 
       break;  // every case runs the allow() reason check below
     case Family::kLayering:
     case Family::kReachability:
+    case Family::kOptions:
       break;  // handled by run_tree_case
   }
   scan_allow_reasons(rel, raw, sink);
@@ -145,8 +156,8 @@ void run_line_rule_case(const std::string& rule, Family family, const fs::path& 
 }
 
 // A tree case: the layering family sees the tree as a scan root; the
-// reachability family sees it as a repo, with the scan root in src/ and
-// the roots beside it.
+// reachability and options families see it as a repo, with the scan root
+// in src/ and the roots and setters beside it.
 void run_tree_case(const std::string& rule, Family family, const fs::path& tree,
                    CaseResult& result) {
   ++result.cases;
@@ -172,6 +183,8 @@ void run_tree_case(const std::string& rule, Family family, const fs::path& tree,
   };
   if (family == Family::kReachability) {
     check_reachability(files, "src", provider, "src", sink);
+  } else if (family == Family::kOptions) {
+    (void)check_options(files, "src", provider, "src", sink);
   } else {
     const IncludeGraph graph = build_include_graph(files, provider);
     check_includes(graph, "", sink);
@@ -207,7 +220,8 @@ int run_self_test(const std::string& corpus_dir) {
       continue;
     }
     rules_seen.insert(rule);
-    if (family_it->second == Family::kLayering || family_it->second == Family::kReachability) {
+    if (family_it->second == Family::kLayering || family_it->second == Family::kReachability ||
+        family_it->second == Family::kOptions) {
       std::vector<fs::path> trees;
       for (const auto& entry : fs::directory_iterator(rule_dir)) {
         if (entry.is_directory()) trees.push_back(entry.path());

@@ -113,6 +113,15 @@ CleanSource strip_comments(const std::vector<std::string>& raw) {
   return out;
 }
 
+bool allowed_at(const CleanSource& src, int line, const std::string& rule) {
+  const auto li = static_cast<std::size_t>(line - 1);
+  if (li < src.allows.size() && src.allows[li].count(rule) > 0) return true;
+  // The line above counts only when it holds nothing but the comment, so a
+  // trailing allow never covers the next declaration too.
+  return li > 0 && li - 1 < src.allows.size() && src.allows[li - 1].count(rule) > 0 &&
+         src.lines[li - 1].find_first_not_of(" \t") == std::string::npos;
+}
+
 void scan_allow_reasons(const std::string& file, const std::vector<std::string>& raw,
                         Sink& sink) {
   const CleanSource src = strip_comments(raw);
@@ -196,6 +205,11 @@ std::vector<std::string> split_lines(std::string_view text) {
 bool scannable(const std::filesystem::path& p) {
   const auto ext = p.extension().string();
   return ext == ".cpp" || ext == ".hpp" || ext == ".cc" || ext == ".h";
+}
+
+bool is_header(const std::string& path) {
+  const std::string ext = std::filesystem::path(path).extension().string();
+  return ext == ".hpp" || ext == ".h";
 }
 
 std::string relative_path(const std::filesystem::path& p, const std::filesystem::path& root) {
