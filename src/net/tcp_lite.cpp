@@ -95,7 +95,9 @@ void TcpEndpoint::close() {
   closed_notified_ = true;  // locally initiated: the owner already knows
   transmit_segment(snd_next_, {}, static_cast<std::uint8_t>(TcpHeader::kFin | TcpHeader::kAck));
   ++snd_next_;  // FIN consumes a sequence number
-  set_state(state_ == TcpState::kCloseWait ? TcpState::kClosed : TcpState::kFinWait);
+  // A held FIN means the peer is done too; closing gives up the bytes before it.
+  const bool peer_done = state_ == TcpState::kCloseWait || held_fin_.has_value();
+  set_state(peer_done ? TcpState::kClosed : TcpState::kFinWait);
 }
 
 void TcpEndpoint::abort() {
@@ -167,7 +169,6 @@ void TcpEndpoint::deliver_in_order() {
     }
     it = out_of_order_.erase(it);
   }
-  if (held_fin_ == rcv_next_) accept_fin(rcv_next_);
 }
 
 void TcpEndpoint::accept_fin(std::uint32_t fin_seq) {
@@ -232,7 +233,11 @@ void TcpEndpoint::on_segment(const TcpHeader& tcp, std::span<const std::byte> pa
       bytes_received_ += payload.size();
       if (data_handler_) data_handler_(payload, arrival);
       deliver_in_order();
-      send_ack();
+      if (held_fin_ == rcv_next_) {
+        accept_fin(rcv_next_);  // its ACK covers the data as well
+      } else {
+        send_ack();
+      }
     } else if (tcp.seq > rcv_next_) {
       out_of_order_.emplace(tcp.seq,
                             std::vector<std::byte>{payload.begin(), payload.end()});
@@ -245,10 +250,8 @@ void TcpEndpoint::on_segment(const TcpHeader& tcp, std::span<const std::byte> pa
   if ((tcp.flags & TcpHeader::kFin) != 0) {
     const std::uint32_t fin_seq = tcp.seq + static_cast<std::uint32_t>(payload.size());
     if (state_ == TcpState::kEstablished && fin_seq > rcv_next_) {
-      // Bytes before the FIN are missing, and an established endpoint can
-      // still deliver them: hold the FIN, and ACK rcv_next_ so the sender's
-      // retransmit timer resends the gap; deliver_in_order applies the FIN
-      // once it reaches it.
+      // Bytes before the FIN are missing: hold it, and ACK rcv_next_ so the
+      // sender's retransmit timer resends them; the in-order path applies it.
       held_fin_ = fin_seq;
       send_ack();
     } else {

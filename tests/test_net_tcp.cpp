@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "net/fabric.hpp"
 #include "net/stack.hpp"
@@ -19,9 +20,10 @@ struct TcpPair {
   Nic server_nic{engine, "server", MacAddr::from_host_id(2), Ipv4Addr{10, 0, 0, 2}};
   NetStack client{client_nic};
   NetStack server{server_nic};
+  Cable cable;  // a_to_b: client -> server
 
   explicit TcpPair(LinkConfig link = LinkConfig{}) {
-    fabric.connect(client_nic, 0, server_nic, 0, link);
+    cable = fabric.connect(client_nic, 0, server_nic, 0, link);
   }
 };
 
@@ -255,41 +257,79 @@ TEST(TcpLite, SilentPeerDeathExhaustsRetriesAndNotifies) {
   EXPECT_GT(ep.retransmit_count(), 0u);
 }
 
-TEST(TcpLite, FinAheadOfMissingBytesWaitsForThem) {
-  // "BBBB" is lost on a down link; the FIN that follows it must not close
-  // the stream over the gap, nor acknowledge bytes that never arrived.
-  sim::Engine engine;
-  Fabric fabric{engine};
-  Nic client_nic{engine, "client", MacAddr::from_host_id(1), Ipv4Addr{10, 0, 0, 1}};
-  Nic server_nic{engine, "server", MacAddr::from_host_id(2), Ipv4Addr{10, 0, 0, 2}};
-  NetStack client{client_nic};
-  NetStack server{server_nic};
-  Cable cable = fabric.connect(client_nic, 0, server_nic, 0, LinkConfig{});
+// The server writes "AAAA", then "BBBB" while its link to the client is
+// down, then closes once the link is back up: its FIN reaches the client
+// ahead of the lost bytes, well inside the retransmit timeout.
+struct FinAheadOfGap {
+  TcpPair t;
   TcpEndpoint* server_ep = nullptr;
-  server.listen_tcp(34000, [&](TcpEndpoint& ep) { server_ep = &ep; });
-  TcpEndpoint& ep = client.connect_tcp(server_nic.mac(), server_nic.ip(), 34000, 0);
+  TcpEndpoint* client_ep = nullptr;
   std::string received;
-  ep.set_data_handler(
-      [&](std::span<const std::byte> bytes, sim::Time) { received += to_text(bytes); });
   std::vector<TcpCloseReason> closes;
-  ep.set_closed_handler([&](TcpCloseReason r) { closes.push_back(r); });
-  engine.run();
-  ASSERT_NE(server_ep, nullptr);
 
-  server_ep->send(bytes_of("AAAA"));
-  engine.run();
-  ASSERT_EQ(received, "AAAA");
-  cable.b_to_a->set_admin_up(false);
-  server_ep->send(bytes_of("BBBB"));
-  engine.run_until(engine.now() + sim::micros(std::int64_t{10}));
-  cable.b_to_a->set_admin_up(true);
-  server_ep->close();
-  engine.run();
+  FinAheadOfGap() {
+    t.server.listen_tcp(34000, [this](TcpEndpoint& ep) { server_ep = &ep; });
+    client_ep = &t.client.connect_tcp(t.server_nic.mac(), t.server_nic.ip(), 34000, 0);
+    client_ep->set_data_handler(
+        [this](std::span<const std::byte> bytes, sim::Time) { received += to_text(bytes); });
+    client_ep->set_closed_handler([this](TcpCloseReason r) { closes.push_back(r); });
+    t.engine.run();
+    server_ep->send(bytes_of("AAAA"));
+    t.engine.run();
+    t.cable.b_to_a->set_admin_up(false);
+    server_ep->send(bytes_of("BBBB"));
+    t.engine.run_until(t.engine.now() + sim::micros(std::int64_t{10}));
+    t.cable.b_to_a->set_admin_up(true);
+    server_ep->close();
+    t.engine.run_until(t.engine.now() + sim::micros(std::int64_t{10}));
+  }
+};
 
-  EXPECT_EQ(received, "AAAABBBB");
-  EXPECT_EQ(closes, (std::vector<TcpCloseReason>{TcpCloseReason::kPeerFin}));
-  EXPECT_EQ(ep.state(), TcpState::kCloseWait);
-  EXPECT_GE(server_ep->retransmit_count(), 1u) << "the gap is resent, not acknowledged away";
+TEST(TcpLite, FinAheadOfMissingBytesWaitsForThem) {
+  // The FIN must not close the stream over the gap, nor acknowledge bytes
+  // that never arrived.
+  FinAheadOfGap s;
+  EXPECT_EQ(s.received, "AAAA");
+  EXPECT_EQ(s.client_ep->state(), TcpState::kEstablished);
+  s.t.engine.run();
+
+  EXPECT_EQ(s.received, "AAAABBBB");
+  EXPECT_EQ(s.closes, (std::vector<TcpCloseReason>{TcpCloseReason::kPeerFin}));
+  EXPECT_EQ(s.client_ep->state(), TcpState::kCloseWait);
+  EXPECT_GE(s.server_ep->retransmit_count(), 1u) << "the gap is resent, not acknowledged away";
+}
+
+TEST(TcpLite, CloseWhileFinHeldClosesBothEnds) {
+  // The peer has finished sending, so an owner's close() over a held FIN
+  // ends the flow at once instead of waiting in kFinWait for bytes the
+  // closed peer will never resend.
+  FinAheadOfGap s;
+  ASSERT_EQ(s.client_ep->state(), TcpState::kEstablished);
+  s.client_ep->close();
+  s.t.engine.run();
+
+  EXPECT_EQ(s.received, "AAAA");
+  EXPECT_TRUE(s.closes.empty()) << "the owner closed; no notification";
+  EXPECT_EQ(s.client_ep->state(), TcpState::kClosed);
+  EXPECT_EQ(s.server_ep->state(), TcpState::kClosed);
+  EXPECT_EQ(s.t.client.reap_closed(), 1u);
+  EXPECT_EQ(s.t.server.reap_closed(), 1u);
+}
+
+TEST(TcpLite, AbortOnHeldFinSendsNothingAfter) {
+  // An owner that aborts from its closed handler, as the gateway does, ends
+  // the flow there: the ACK that takes in the held FIN is the last frame.
+  FinAheadOfGap s;
+  std::uint64_t tx_at_abort = 0;
+  s.client_ep->set_closed_handler([&](TcpCloseReason) {
+    s.client_ep->abort();
+    tx_at_abort = s.t.client_nic.tx_frames();
+  });
+  s.t.engine.run();
+
+  EXPECT_EQ(s.received, "AAAABBBB");
+  EXPECT_EQ(s.client_ep->state(), TcpState::kClosed);
+  EXPECT_EQ(s.t.client_nic.tx_frames(), tx_at_abort);
 }
 
 TEST(TcpLite, FailedConnectNotifiesRetransmitExhaustion) {

@@ -30,8 +30,9 @@
 // Shared infrastructure: a line-oriented scanner over comment-stripped
 // source. It tracks brace depth, strings and comments, not templates or
 // macros — it is a convention linter, not a compiler plugin. Suppressions
-// are `// tsn-lint: allow(<rule>) <reason>` on the offending (or preceding)
-// line; audited legacy findings can also live in a committed baseline file.
+// are `// tsn-lint: allow(<rule>) <reason>` on the offending line, or alone
+// on the line above it; audited legacy findings can also live in a committed
+// baseline file.
 #pragma once
 
 #include <filesystem>

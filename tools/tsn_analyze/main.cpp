@@ -132,12 +132,12 @@ int run_root_scan(const std::string& root, const std::string& baseline_path,
   const std::string src_dir = src_path.filename().string();
   std::map<std::string, std::vector<std::string>> tree_lines;  // keyed by path in `tree`
   for (const auto& [rel, raw] : raw_by_rel) tree_lines[src_dir + "/" + rel] = raw;
-  // The reachability roots, and tests/ beside them as option setters.
-  for (const std::string_view dir : {"bench", "examples", "perfbench", "tests", "tools"}) {
+  // The option setters, which include every reachability root.
+  for (const std::string_view dir : kSetterDirs) {
     if (!fs::is_directory(tree / dir)) continue;
     for (const auto& file : collect_files(tree / dir)) {
       const std::string rel = relative_path(file, tree);
-      if (is_reach_root(rel) || is_option_setter(rel)) tree_lines[rel] = read_lines(file);
+      if (is_option_setter(rel)) tree_lines[rel] = read_lines(file);
     }
   }
   std::vector<std::string> tree_files;

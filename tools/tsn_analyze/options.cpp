@@ -1,15 +1,11 @@
 #include "options.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 
 namespace tsn::analyze {
 
 namespace {
-
-constexpr std::array<std::string_view, 5> kSetterDirs = {"tests", "bench", "examples",
-                                                         "perfbench", "tools"};
 
 // A comment-stripped file as one string, so declarations and writes that
 // span lines read like one-line ones.

@@ -22,10 +22,11 @@
 // by an assigned field of the same name in another struct.
 //
 // Suppressions carry a reason: `// tsn-lint: allow(unset-option) why` on
-// (or above) the field's declaration. Deployment settings (addresses,
+// (or alone above) the field's declaration. Deployment settings (addresses,
 // ports, credentials, identities) are the expected allows.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -37,6 +38,11 @@
 #include "include_graph.hpp"
 
 namespace tsn::analyze {
+
+// The directories beside the scan root whose files are setters: the
+// reachability roots, and tests/.
+inline constexpr std::array<std::string_view, 5> kSetterDirs = {"bench", "examples",
+                                                                "perfbench", "tests", "tools"};
 
 // What one file writes: member names, and for each `*Config` struct the
 // most fields a positional aggregate initialization of it covers.

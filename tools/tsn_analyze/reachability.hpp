@@ -20,8 +20,8 @@
 //
 // Suppressions carry a reason: `// tsn-lint: allow(unreached-module) why`
 // in the header's leading comment block, `allow(unreached-symbol) why` on
-// (or above) the declaration. An allowed module counts as reached, so what
-// it uses is not reported again.
+// (or alone above) the declaration. An allowed module counts as reached,
+// so what it uses is not reported again.
 #pragma once
 
 #include <array>

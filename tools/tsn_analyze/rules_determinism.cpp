@@ -95,8 +95,7 @@ class DeterminismScanner {
 
  private:
   bool check(std::size_t li, const char* rule) {
-    if (src_.allows[li].count(rule) > 0 ||
-        (li > 0 && src_.allows[li - 1].count(rule) > 0)) {
+    if (allowed_at(src_, static_cast<int>(li) + 1, rule)) {
       sink_.suppress(rule);
       return false;
     }

@@ -95,8 +95,7 @@ class HotpathScanner {
   }
 
   bool allowed(std::size_t li) {
-    if (src_.allows[li].count("hotpath-alloc") > 0 ||
-        (li > 0 && src_.allows[li - 1].count("hotpath-alloc") > 0)) {
+    if (allowed_at(src_, static_cast<int>(li) + 1, "hotpath-alloc")) {
       sink_.suppress("hotpath-alloc");
       return true;
     }

@@ -63,10 +63,10 @@ class WireScanner {
     for (std::size_t li = 0; li < src_.lines.size(); ++li) {
       const std::string& line = src_.lines[li];
       const int line_no = static_cast<int>(li) + 1;
-      scan_raw_bytes(line, li, line_no);
-      scan_reader_decls(line, li, line_no);
-      scan_reader_uses(line, li, line_no);
-      scan_subspan(line, li, line_no);
+      scan_raw_bytes(line, line_no);
+      scan_reader_decls(line, line_no);
+      scan_reader_uses(line, line_no);
+      scan_subspan(line, line_no);
       scan_bounds_evidence(line);
       process_braces(line, line_no);
     }
@@ -93,21 +93,15 @@ class WireScanner {
     bool suppressed = false;
   };
 
-  bool allowed(std::size_t li, const std::string& rule) const {
-    if (src_.allows[li].count(rule) > 0) return true;
-    // An allow on the immediately preceding line also covers this one.
-    return li > 0 && src_.allows[li - 1].count(rule) > 0;
-  }
-
   int current_func() const { return blocks_.empty() ? -1 : blocks_.back().func_id; }
 
   void emit(int line_no, const std::string& rule, std::string message) {
     sink_.emit(Finding{file_, line_no, rule, std::move(message)});
   }
 
-  void scan_raw_bytes(const std::string& line, std::size_t li, int line_no) {
+  void scan_raw_bytes(const std::string& line, int line_no) {
     if (find_token(line, "memcpy(") != std::string::npos) {
-      if (allowed(li, "raw-memcpy")) {
+      if (allowed_at(src_, line_no, "raw-memcpy")) {
         sink_.suppress("raw-memcpy");
       } else {
         emit(line_no, "raw-memcpy",
@@ -115,7 +109,7 @@ class WireScanner {
       }
     }
     if (line.find("reinterpret_cast<") != std::string::npos) {
-      if (allowed(li, "raw-cast")) {
+      if (allowed_at(src_, line_no, "raw-cast")) {
         sink_.suppress("raw-cast");
       } else {
         emit(line_no, "raw-cast",
@@ -124,7 +118,7 @@ class WireScanner {
     }
   }
 
-  void scan_reader_decls(const std::string& line, std::size_t li, int line_no) {
+  void scan_reader_decls(const std::string& line, int line_no) {
     std::size_t pos = 0;
     while ((pos = find_token(line, "WireReader", pos)) != std::string::npos) {
       std::size_t i = pos + std::string_view{"WireReader"}.size();
@@ -143,12 +137,12 @@ class WireScanner {
       const int opens = net_braces(line);
       r.scope_close_depth = opens > 0 ? depth_ : depth_ - 1;
       r.first_use_line = line_no;
-      r.suppressed = allowed(li, "unchecked-reader");
+      r.suppressed = allowed_at(src_, line_no, "unchecked-reader");
       readers_.push_back(std::move(r));
     }
   }
 
-  void scan_reader_uses(const std::string& line, std::size_t /*li*/, int line_no) {
+  void scan_reader_uses(const std::string& line, int line_no) {
     for (Reader& r : readers_) {
       const std::string ok_call = r.name + ".ok()";
       if (find_token(line, ok_call) != std::string::npos) r.has_ok = true;
@@ -161,7 +155,7 @@ class WireScanner {
     }
   }
 
-  void scan_subspan(const std::string& line, std::size_t li, int line_no) {
+  void scan_subspan(const std::string& line, int line_no) {
     std::size_t pos = 0;
     while ((pos = line.find(".subspan(", pos)) != std::string::npos) {
       const std::size_t open = pos + std::string_view{".subspan("}.size() - 1;
@@ -177,7 +171,7 @@ class WireScanner {
       const std::string_view args =
           std::string_view{line}.substr(open + 1, end > open ? end - open - 1 : line.size());
       if (!has_runtime_identifier(args)) continue;
-      if (allowed(li, "unchecked-length-index")) {
+      if (allowed_at(src_, line_no, "unchecked-length-index")) {
         sink_.suppress("unchecked-length-index");
         continue;
       }

@@ -117,7 +117,7 @@ bool allowed_at(const CleanSource& src, int line, const std::string& rule) {
   const auto li = static_cast<std::size_t>(line - 1);
   if (li < src.allows.size() && src.allows[li].count(rule) > 0) return true;
   // The line above counts only when it holds nothing but the comment, so a
-  // trailing allow never covers the next declaration too.
+  // trailing allow never covers the next line too.
   return li > 0 && li - 1 < src.allows.size() && src.allows[li - 1].count(rule) > 0 &&
          src.lines[li - 1].find_first_not_of(" \t") == std::string::npos;
 }
