@@ -26,7 +26,6 @@ class MultiColoDeployment final : public Deployment {
 
   [[nodiscard]] l2::CommoditySwitch& exchange_switch() noexcept { return *exchange_switch_; }
   [[nodiscard]] l2::CommoditySwitch& firm_switch() noexcept { return *firm_switch_; }
-  [[nodiscard]] const MultiColoConfig& colo_config() const noexcept { return colo_config_; }
   // One-way WAN propagation for the configured technology.
   [[nodiscard]] sim::Duration wan_delay() const noexcept;
 

@@ -1,12 +1,27 @@
 #include "fault/injector.hpp"
 
+#include <charconv>
 #include <stdexcept>
 #include <utility>
 
-#include "core/check.hpp"
+#include "net/addr.hpp"
 #include "telemetry/json.hpp"
 
 namespace tsn::fault {
+
+namespace {
+
+template <typename Fn>
+const Fn& callback_for(const std::map<std::string, Fn>& registry, const std::string& name,
+                       const char* what) {
+  const auto it = registry.find(name);
+  if (it == registry.end()) {
+    throw std::invalid_argument{std::string{"fault target is not a "} + what + ": " + name};
+  }
+  return it->second;
+}
+
+}  // namespace
 
 std::string_view fault_kind_name(FaultKind kind) noexcept {
   switch (kind) {
@@ -38,10 +53,6 @@ void FaultInjector::register_link(net::Link& link) {
   hooks_.insert_or_assign(link.name(), &link);
 }
 
-void FaultInjector::register_hook(std::string name, net::FaultHook& hook) {
-  hooks_.insert_or_assign(std::move(name), &hook);
-}
-
 void FaultInjector::register_switch(l2::CommoditySwitch& sw) {
   std::string name{sw.name()};
   hooks_.insert_or_assign(name, static_cast<net::FaultHook*>(&sw));
@@ -69,166 +80,114 @@ net::FaultHook& FaultInjector::hook_for(const std::string& target) const {
   return *it->second;
 }
 
-l2::CommoditySwitch& FaultInjector::switch_for(const std::string& name) const {
-  const auto it = switches_.find(name);
+std::pair<l2::CommoditySwitch*, std::string_view> FaultInjector::switch_port(
+    const std::string& target) const {
+  const std::size_t colon = target.rfind(':');
+  const auto it = colon == std::string::npos ? switches_.end()
+                                             : switches_.find(target.substr(0, colon));
   if (it == switches_.end()) {
-    throw std::invalid_argument{"fault target is not a switch: " + name};
+    throw std::invalid_argument{"fault target is not on a switch: " + target};
   }
-  return *it->second;
+  return {it->second, std::string_view{target}.substr(colon + 1)};
 }
 
-void FaultInjector::record(FaultKind kind, std::string target, double value) {
-  ++stats_.faults_fired;
-  ++kind_counts_[static_cast<std::size_t>(kind)];
-  log_.push_back(FaultEvent{engine_.now(), kind, std::move(target), value});
-}
-
-void FaultInjector::down_at(const std::string& target, sim::Time at) {
-  net::FaultHook& hook = hook_for(target);
-  ++stats_.faults_scheduled;
-  engine_.schedule_at(at, [this, &hook, target] {
-    hook.set_admin_up(false);
-    record(FaultKind::kLinkDown, target, 0.0);
-  });
-}
-
-void FaultInjector::up_at(const std::string& target, sim::Time at) {
-  net::FaultHook& hook = hook_for(target);
-  ++stats_.faults_scheduled;
-  engine_.schedule_at(at, [this, &hook, target] {
-    hook.set_admin_up(true);
-    record(FaultKind::kLinkUp, target, 0.0);
-  });
-}
-
-void FaultInjector::flap(const std::string& target, sim::Time at, sim::Duration duration) {
-  down_at(target, at);
-  up_at(target, at + duration);
-}
-
-void FaultInjector::set_loss_at(const std::string& target, sim::Time at, double probability) {
-  net::FaultHook& hook = hook_for(target);
-  ++stats_.faults_scheduled;
-  engine_.schedule_at(at, [this, &hook, target, probability] {
-    hook.set_loss_override(probability);
-    record(FaultKind::kLossSet, target, probability);
-  });
-}
-
-void FaultInjector::clear_loss_at(const std::string& target, sim::Time at) {
-  net::FaultHook& hook = hook_for(target);
-  ++stats_.faults_scheduled;
-  engine_.schedule_at(at, [this, &hook, target] {
-    hook.set_loss_override(-1.0);
-    record(FaultKind::kLossClear, target, 0.0);
-  });
-}
-
-void FaultInjector::ramp_loss(const std::string& target, sim::Time start, sim::Duration rise,
-                              sim::Duration fall, double peak, std::size_t steps) {
-  TSN_ASSERT(steps > 0, "a loss ramp needs at least one step");
-  // Rising edge: step k (1-based) holds peak*k/steps, evenly spaced so the
-  // final step lands exactly at `start + rise` with the full peak.
-  for (std::size_t k = 1; k <= steps; ++k) {
-    const sim::Time at = start + sim::Duration{rise.picos() * static_cast<std::int64_t>(k - 1) /
-                                               static_cast<std::int64_t>(steps)};
-    set_loss_at(target, at, peak * static_cast<double>(k) / static_cast<double>(steps));
+FaultInjector::Action FaultInjector::resolve(const FaultEvent& event) const {
+  const double value = event.value;
+  switch (event.kind) {
+    case FaultKind::kLinkDown:
+    case FaultKind::kLinkUp: {
+      net::FaultHook* hook = &hook_for(event.target);
+      const bool up = event.kind == FaultKind::kLinkUp;
+      return [hook, up, value] {
+        hook->set_admin_up(up);
+        return value;
+      };
+    }
+    case FaultKind::kLossSet:
+    case FaultKind::kLossClear: {
+      net::FaultHook* hook = &hook_for(event.target);
+      // A negative override clears it: back to the configured loss.
+      const double probability = event.kind == FaultKind::kLossSet ? value : -1.0;
+      return [hook, probability, value] {
+        hook->set_loss_override(probability);
+        return value;
+      };
+    }
+    case FaultKind::kPortStall: {
+      const auto split = switch_port(event.target);
+      l2::CommoditySwitch* sw = split.first;
+      const std::string_view rest = split.second;
+      net::PortId port = 0;
+      const char* end = rest.data() + rest.size();
+      if (!rest.starts_with("port") || rest.size() == 4 ||
+          std::from_chars(rest.data() + 4, end, port).ptr != end) {
+        throw std::invalid_argument{"port_stall target is not <switch>:port<N>: " +
+                                    event.target};
+      }
+      const sim::Duration duration = sim::nanos(value);
+      return [sw, port, duration, value] {
+        sw->stall_port(port, duration);
+        return value;
+      };
+    }
+    case FaultKind::kMrouteEvict: {
+      const auto split = switch_port(event.target);
+      l2::CommoditySwitch* sw = split.first;
+      const auto group = net::Ipv4Addr::parse(split.second);
+      if (!group) {
+        throw std::invalid_argument{"mroute_evict target is not <switch>:<a.b.c.d>: " +
+                                    event.target};
+      }
+      return [sw, group = *group, value] {
+        sw->mroutes().evict(group);
+        return value;
+      };
+    }
+    case FaultKind::kSessionKill:
+    case FaultKind::kProcessCrash: {
+      // Copy the callback: the entry could be re-registered before firing.
+      std::function<void()> fault = event.kind == FaultKind::kSessionKill
+                                        ? callback_for(sessions_, event.target, "session")
+                                        : callback_for(processes_, event.target, "process");
+      return [fault = std::move(fault), value] {
+        fault();
+        return value;
+      };
+    }
+    case FaultKind::kSessionStorm: {
+      auto storm = callback_for(storms_, event.target, "storm");
+      const auto count = static_cast<std::uint32_t>(value);
+      // The log records how many sessions the storm actually dropped.
+      return [storm = std::move(storm), count] { return static_cast<double>(storm(count)); };
+    }
+    case FaultKind::kLinkPartition: {
+      const std::size_t bar = event.target.find('|');
+      if (bar == std::string::npos) {
+        throw std::invalid_argument{"link_partition target is not <link a>|<link b>: " +
+                                    event.target};
+      }
+      net::FaultHook* a = &hook_for(event.target.substr(0, bar));
+      net::FaultHook* b = &hook_for(event.target.substr(bar + 1));
+      const bool up = value == 0.0;
+      return [a, b, up, value] {
+        a->set_admin_up(up);
+        b->set_admin_up(up);
+        return value;
+      };
+    }
   }
-  // Falling edge mirrors the rise, then the override clears entirely.
-  for (std::size_t k = 1; k < steps; ++k) {
-    const sim::Time at =
-        start + rise + sim::Duration{fall.picos() * static_cast<std::int64_t>(k) /
-                                     static_cast<std::int64_t>(steps)};
-    set_loss_at(target, at,
-                peak * static_cast<double>(steps - k) / static_cast<double>(steps));
-  }
-  clear_loss_at(target, start + rise + fall);
+  throw std::invalid_argument{"unknown fault kind"};
 }
 
-void FaultInjector::stall_port_at(const std::string& switch_name, net::PortId port,
-                                  sim::Time at, sim::Duration duration) {
-  l2::CommoditySwitch& sw = switch_for(switch_name);
+void FaultInjector::schedule(const FaultEvent& event) {
+  Action fire = resolve(event);
   ++stats_.faults_scheduled;
-  const std::string target = switch_name + ":port" + std::to_string(port);
-  engine_.schedule_at(at, [this, &sw, port, duration, target] {
-    sw.stall_port(port, duration);
-    record(FaultKind::kPortStall, target, duration.nanos());
-  });
-}
-
-void FaultInjector::evict_mroute_at(const std::string& switch_name, net::Ipv4Addr group,
-                                    sim::Time at) {
-  l2::CommoditySwitch& sw = switch_for(switch_name);
-  ++stats_.faults_scheduled;
-  const std::string target = switch_name + ":" + group.to_string();
-  engine_.schedule_at(at, [this, &sw, group, target] {
-    sw.mroutes().evict(group);
-    record(FaultKind::kMrouteEvict, target, 0.0);
-  });
-}
-
-void FaultInjector::kill_session_at(const std::string& session, sim::Time at) {
-  const auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    throw std::invalid_argument{"fault target is not a session: " + session};
-  }
-  ++stats_.faults_scheduled;
-  // Copy the killer: the map entry could be re-registered before firing.
-  engine_.schedule_at(at, [this, kill = it->second, session] {
-    kill();
-    record(FaultKind::kSessionKill, session, 0.0);
-  });
-}
-
-void FaultInjector::storm_at(const std::string& name, sim::Time at, std::uint32_t count) {
-  const auto it = storms_.find(name);
-  if (it == storms_.end()) {
-    throw std::invalid_argument{"fault target is not a storm: " + name};
-  }
-  ++stats_.faults_scheduled;
-  // Copy the callback: the map entry could be re-registered before firing.
-  engine_.schedule_at(at, [this, storm = it->second, name, count] {
-    const std::uint32_t dropped = storm(count);
-    record(FaultKind::kSessionStorm, name, static_cast<double>(dropped));
-  });
-}
-
-void FaultInjector::crash_process_at(const std::string& process, sim::Time at) {
-  const auto it = processes_.find(process);
-  if (it == processes_.end()) {
-    throw std::invalid_argument{"fault target is not a process: " + process};
-  }
-  ++stats_.faults_scheduled;
-  // Copy the crasher: the map entry could be re-registered before firing.
-  engine_.schedule_at(at, [this, crash = it->second, process] {
-    crash();
-    record(FaultKind::kProcessCrash, process, 0.0);
-  });
-}
-
-void FaultInjector::partition_at(const std::string& link_a, const std::string& link_b,
-                                 sim::Time at) {
-  net::FaultHook& a = hook_for(link_a);
-  net::FaultHook& b = hook_for(link_b);
-  ++stats_.faults_scheduled;
-  const std::string target = link_a + "|" + link_b;
-  engine_.schedule_at(at, [this, &a, &b, target] {
-    a.set_admin_up(false);
-    b.set_admin_up(false);
-    record(FaultKind::kLinkPartition, target, 1.0);
-  });
-}
-
-void FaultInjector::heal_at(const std::string& link_a, const std::string& link_b,
-                            sim::Time at) {
-  net::FaultHook& a = hook_for(link_a);
-  net::FaultHook& b = hook_for(link_b);
-  ++stats_.faults_scheduled;
-  const std::string target = link_a + "|" + link_b;
-  engine_.schedule_at(at, [this, &a, &b, target] {
-    a.set_admin_up(true);
-    b.set_admin_up(true);
-    record(FaultKind::kLinkPartition, target, 0.0);
+  engine_.schedule_at(event.at, [this, kind = event.kind, target = event.target,
+                                 fire = std::move(fire)] {
+    const double logged = fire();
+    ++stats_.faults_fired;
+    ++kind_counts_[static_cast<std::size_t>(kind)];
+    log_.push_back(FaultEvent{engine_.now(), kind, target, logged});
   });
 }
 

@@ -1,14 +1,17 @@
 // Scripted fault injection for failure drills.
+// tsn-lint: allow(unreached-module) the failure drills are its only users; it models no paper figure
 //
 // The paper's central argument (§4) is that trading networks are engineered
 // around *failure*, not the happy path: merged feeds drop under bursts,
 // microwave links fade in rain, and mroute-table exhaustion black-holes
 // subscribers. `FaultInjector` turns those failure modes into scripted,
 // deterministic events on the simulation clock: link flaps (admin down/up),
-// transient loss-rate ramps, switch egress-port stalls, and mroute
-// evictions, all addressed to devices by name. Every transition is recorded
-// in an in-order fault log that exports as deterministic JSON, so a drill's
-// fault schedule is itself part of the reproducible output.
+// transient loss-rate steps, switch egress-port stalls, mroute evictions,
+// session kills and storms, process crashes and partitions, all addressed
+// to devices by name. A drill's faults are a plan of `FaultEvent`s, and
+// every event that fires is recorded in the same form, in an in-order log
+// that exports as deterministic JSON. So one run's log is the next run's
+// plan: a failing drill's log is its own reproducer.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +22,6 @@
 #include <vector>
 
 #include "l2/commodity_switch.hpp"
-#include "net/addr.hpp"
 #include "net/device.hpp"
 #include "net/link.hpp"
 #include "sim/scheduler.hpp"
@@ -44,12 +46,21 @@ inline constexpr std::size_t kFaultKindCount = 10;
 
 [[nodiscard]] std::string_view fault_kind_name(FaultKind kind) noexcept;
 
-// One fault transition as it fired, in simulation order.
+// One fault: an entry of a drill's plan, and the log's record of it firing.
+// Targets name what was registered, in the words the log prints:
+//   link_down, link_up, loss_set, loss_clear  a link or switch name
+//   port_stall                                "<switch>:port<N>"
+//   mroute_evict                              "<switch>:<a.b.c.d>"
+//   session_kill, session_storm, process_crash  the registered name
+//   link_partition                            "<link a>|<link b>"
 struct FaultEvent {
   sim::Time at;
   FaultKind kind = FaultKind::kLinkDown;
-  std::string target;  // device/link name (plus port or group where relevant)
-  double value = 0.0;  // loss probability, stall nanoseconds, ... (kind-specific)
+  std::string target;
+  // loss_set: the loss probability. port_stall: the stall in ns.
+  // session_storm: sessions to drop (logged: sessions dropped).
+  // link_partition: nonzero partitions both directions, 0 heals them.
+  double value = 0.0;
 };
 
 struct InjectorStats {
@@ -71,8 +82,6 @@ class FaultInjector {
 
   // --- target registry ------------------------------------------------
   void register_link(net::Link& link);
-  // Any device implementing FaultHook (Layer1Switch, custom devices).
-  void register_hook(std::string name, net::FaultHook& hook);
   // Registers the switch's FaultHook plus its stall/mroute surfaces.
   void register_switch(l2::CommoditySwitch& sw);
   // Registers a session-level kill switch (e.g. Gateway::kill_upstream):
@@ -84,58 +93,19 @@ class FaultInjector {
   // handling — while the host kernel keeps FIN/RST-ing new connections, the
   // way a dead matching engine looks from the outside.
   void register_process(std::string name, std::function<void()> crash);
-
-  [[nodiscard]] bool has_target(const std::string& name) const noexcept {
-    return hooks_.count(name) != 0;
-  }
-
-  // --- fault scheduling -----------------------------------------------
-  // All times are absolute simulation times; times already in the past
-  // fire on the next engine step (engine clamps to now()).
-  void down_at(const std::string& target, sim::Time at);
-  void up_at(const std::string& target, sim::Time at);
-  // Admin-down at `at`, admin-up `duration` later: one link flap.
-  void flap(const std::string& target, sim::Time at, sim::Duration duration);
-
-  // Raises the loss override in `steps` equal increments up to `peak`,
-  // holds nothing (the last step *is* the peak), then walks back down and
-  // clears the override — a triangular loss ramp over [start, start+rise+
-  // fall]. Models weather moving across a microwave path (§2).
-  void ramp_loss(const std::string& target, sim::Time start, sim::Duration rise,
-                 sim::Duration fall, double peak, std::size_t steps = 4);
-  // Sets/clears the loss override at a single instant.
-  void set_loss_at(const std::string& target, sim::Time at, double probability);
-  void clear_loss_at(const std::string& target, sim::Time at);
-
-  // Holds a switch egress port dark for `duration` (PFC storm, PHY retrain).
-  void stall_port_at(const std::string& switch_name, net::PortId port, sim::Time at,
-                     sim::Duration duration);
-
-  // Drops the group's mroute entry on the switch at `at` (§3 exhaustion).
-  void evict_mroute_at(const std::string& switch_name, net::Ipv4Addr group, sim::Time at);
-
-  // Kills a registered session at `at` (uplink death without link faults:
-  // the peer sees silence, not a FIN).
-  void kill_session_at(const std::string& session, sim::Time at);
-
   // Registers a correlated-reconnect storm target: `storm(count)` drops up
   // to `count` live sessions in one instant and returns how many it got
   // (e.g. exchange::LoadGen::storm — a rack switch reboot seen from the
   // exchange floor).
   void register_storm(std::string name, std::function<std::uint32_t(std::uint32_t)> storm);
 
-  // Fires a registered storm at `at`; the log records the sessions dropped.
-  void storm_at(const std::string& name, sim::Time at, std::uint32_t count);
-
-  // Crashes a registered process at `at`.
-  void crash_process_at(const std::string& process, sim::Time at);
-
-  // Partitions a bidirectional path at `at` by admin-downing both named
-  // link directions in one instant; `heal_at` brings both back. Logged as a
-  // single kLinkPartition event with target "a|b" and value 1.0 (partition)
-  // or 0.0 (heal), so a drill's partition windows read directly off the log.
-  void partition_at(const std::string& link_a, const std::string& link_b, sim::Time at);
-  void heal_at(const std::string& link_a, const std::string& link_b, sim::Time at);
+  // --- fault scheduling -----------------------------------------------
+  // Resolves the event's target now (an unknown target, or one of the wrong
+  // type, throws std::invalid_argument) and fires the fault at `event.at`,
+  // an absolute simulation time; a time already past fires on the next
+  // engine step. Events at one instant fire in the order they were
+  // scheduled. The log then records the event's kind, target and value.
+  void schedule(const FaultEvent& event);
 
   // --- observability ---------------------------------------------------
   [[nodiscard]] const std::vector<FaultEvent>& log() const noexcept { return log_; }
@@ -148,9 +118,14 @@ class FaultInjector {
   void register_metrics(telemetry::Registry& registry, const std::string& prefix) const;
 
  private:
+  // The fault itself, run at fire time; returns the value to log.
+  using Action = std::function<double()>;
+
+  [[nodiscard]] Action resolve(const FaultEvent& event) const;
   [[nodiscard]] net::FaultHook& hook_for(const std::string& target) const;
-  [[nodiscard]] l2::CommoditySwitch& switch_for(const std::string& name) const;
-  void record(FaultKind kind, std::string target, double value);
+  // Splits "<switch>:<rest>" at its last ':' and resolves the switch.
+  [[nodiscard]] std::pair<l2::CommoditySwitch*, std::string_view> switch_port(
+      const std::string& target) const;
 
   sim::Scheduler& engine_;
   // std::map: deterministic iteration should anyone ever walk the registry.

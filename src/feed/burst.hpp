@@ -35,8 +35,6 @@ class BurstMicrostructure {
       const std::vector<std::uint64_t>& counts, sim::Time second_start, sim::Duration window,
       std::uint64_t seed);
 
-  [[nodiscard]] const BurstConfig& config() const noexcept { return config_; }
-
  private:
   BurstConfig config_;
 };

@@ -69,11 +69,4 @@ std::vector<std::uint64_t> IntradayProfile::second_counts(std::uint64_t seed) co
   return counts;
 }
 
-std::function<double(sim::Time)> IntradayProfile::rate_multiplier() const {
-  return [](sim::Time now) {
-    const auto second = static_cast<std::uint32_t>(now.picos() / 1'000'000'000'000LL) % 86'400;
-    return IntradayProfile{}.shape(second);
-  };
-}
-
 }  // namespace tsn::feed

@@ -10,10 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
-
-#include "sim/time.hpp"
 
 namespace tsn::feed {
 
@@ -30,10 +27,6 @@ class IntradayProfile {
   // Simulated per-second event counts for a whole day (86400 entries,
   // indexed by second since midnight). Deterministic per seed.
   [[nodiscard]] std::vector<std::uint64_t> second_counts(std::uint64_t seed) const;
-
-  // Rate multiplier usable with exchange::ActivityConfig::rate_multiplier;
-  // sim Time zero is midnight.
-  [[nodiscard]] std::function<double(sim::Time)> rate_multiplier() const;
 };
 
 }  // namespace tsn::feed

@@ -59,7 +59,6 @@ class FpgaSwitch final : public net::PortedDevice {
   void receive(const net::PacketPtr& packet, net::PortId in_port) override;
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
   [[nodiscard]] const FpgaStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const FpgaSwitchConfig& config() const noexcept { return config_; }
 
   // Registers forwarding/filter gauges under "<prefix>.<name>".
   void register_metrics(telemetry::Registry& registry, const std::string& prefix) const {

@@ -87,17 +87,29 @@ void TcpEndpoint::flush_send_queue() {
     transmit_segment(seq, segment, static_cast<std::uint8_t>(TcpHeader::kAck | TcpHeader::kPsh));
     bytes_sent_ += segment.size();
   }
+  if (fin_seq_) send_fin();  // closed during the handshake
   if (!unacked_.empty()) arm_rto();
 }
 
 void TcpEndpoint::close() {
-  if (state_ != TcpState::kEstablished && state_ != TcpState::kCloseWait) return;
+  const bool handshaking = state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived;
+  if (fin_seq_ || !(handshaking || state_ == TcpState::kEstablished ||
+                    state_ == TcpState::kCloseWait)) {
+    return;
+  }
   closed_notified_ = true;  // locally initiated: the owner already knows
-  transmit_segment(snd_next_, {}, static_cast<std::uint8_t>(TcpHeader::kFin | TcpHeader::kAck));
-  ++snd_next_;  // FIN consumes a sequence number
+  fin_seq_ = snd_next_++;   // the FIN consumes a sequence number
+  // Mid-handshake, the FIN goes out once the handshake completes.
+  if (!handshaking) send_fin();
+}
+
+void TcpEndpoint::send_fin() {
+  transmit_segment(*fin_seq_, {}, static_cast<std::uint8_t>(TcpHeader::kFin | TcpHeader::kAck));
   // A held FIN means the peer is done too; closing gives up the bytes before it.
   const bool peer_done = state_ == TcpState::kCloseWait || held_fin_.has_value();
   set_state(peer_done ? TcpState::kClosed : TcpState::kFinWait);
+  // The FIN rides the data's retransmit timer, or starts its own.
+  if (state_ == TcpState::kFinWait && unacked_.empty()) arm_rto();
 }
 
 void TcpEndpoint::abort() {
@@ -144,14 +156,19 @@ void TcpEndpoint::on_rto() {
       transmit_segment(0, {}, static_cast<std::uint8_t>(TcpHeader::kSyn | TcpHeader::kAck));
       break;
     default:
-      // Go-back-N: retransmit everything outstanding.
+      // Go-back-N: retransmit everything outstanding, the FIN last.
       for (const auto& [seq, segment] : unacked_) {
         transmit_segment(seq, segment,
                          static_cast<std::uint8_t>(TcpHeader::kAck | TcpHeader::kPsh));
       }
+      if (fin_seq_) {
+        transmit_segment(*fin_seq_, {},
+                         static_cast<std::uint8_t>(TcpHeader::kFin | TcpHeader::kAck));
+      }
       break;
   }
-  if (!unacked_.empty() || state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived) {
+  if (!unacked_.empty() || fin_seq_ || state_ == TcpState::kSynSent ||
+      state_ == TcpState::kSynReceived) {
     arm_rto();
   }
 }
@@ -185,6 +202,8 @@ void TcpEndpoint::accept_fin(std::uint32_t fin_seq) {
 
 void TcpEndpoint::on_segment(const TcpHeader& tcp, std::span<const std::byte> payload,
                              sim::Time arrival) {
+  // A closed endpoint is done: it answers nothing, not even a resent FIN.
+  if (state_ == TcpState::kClosed) return;
   if ((tcp.flags & TcpHeader::kSyn) != 0 && (tcp.flags & TcpHeader::kAck) != 0) {
     if (state_ == TcpState::kSynSent) {
       rcv_next_ = tcp.seq + 1;
@@ -218,12 +237,16 @@ void TcpEndpoint::on_segment(const TcpHeader& tcp, std::span<const std::byte> pa
         break;
       }
     }
+    if (fin_seq_ && tcp.ack > *fin_seq_) {
+      fin_seq_.reset();  // the peer has our FIN
+      advanced = true;
+    }
     if (advanced) {
       snd_una_ = tcp.ack;
       rto_strikes_ = 0;
       stack_.engine().cancel(rto_timer_);
       rto_timer_ = sim::EventHandle{};
-      if (!unacked_.empty()) arm_rto();
+      if (!unacked_.empty() || fin_seq_) arm_rto();
     }
   }
 

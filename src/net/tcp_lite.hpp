@@ -67,7 +67,9 @@ class TcpEndpoint {
 
   // Queues bytes for ordered reliable delivery to the peer.
   void send(std::span<const std::byte> bytes);
-  // Graceful close (FIN).
+  // Graceful close (FIN). The FIN is resent until acknowledged, within the
+  // retransmit budget; a close() during the handshake sends it once the
+  // handshake completes.
   void close();
   // Immediate local teardown: no FIN, pending retransmissions cancelled, the
   // closed handler fires with kAborted. Safe to call only from outside this
@@ -91,6 +93,7 @@ class TcpEndpoint {
   void on_segment(const TcpHeader& tcp, std::span<const std::byte> payload, sim::Time arrival);
   void transmit_segment(std::uint32_t seq, std::span<const std::byte> payload, std::uint8_t flags);
   void send_ack();
+  void send_fin();
   void flush_send_queue();
   void arm_rto();
   void on_rto();
@@ -110,6 +113,9 @@ class TcpEndpoint {
   std::uint32_t snd_next_ = 1;  // next new sequence to assign
   std::uint32_t snd_una_ = 1;   // oldest unacknowledged
   std::deque<std::pair<std::uint32_t, std::vector<std::byte>>> unacked_;  // (seq, segment)
+  // Our FIN's sequence number from close() until an ACK covers it; resent
+  // with unacked_ on every retransmit timeout.
+  std::optional<std::uint32_t> fin_seq_;
   sim::EventHandle rto_timer_;
   int rto_strikes_ = 0;
   std::uint64_t retransmits_ = 0;

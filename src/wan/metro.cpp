@@ -56,12 +56,4 @@ net::LinkConfig wan_link_config(Colo a, Colo b, LinkTech tech, bool raining) noe
   return config;
 }
 
-void schedule_rain_fade(fault::FaultInjector& injector, const std::string& link_name,
-                        sim::Time start, sim::Duration rise, sim::Duration fall,
-                        LinkTech tech) {
-  const double peak = params_for(tech).weather_loss;
-  if (peak <= 0.0) return;
-  injector.ramp_loss(link_name, start, rise, fall, peak);
-}
-
 }  // namespace tsn::wan

@@ -10,10 +10,8 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
-#include "fault/injector.hpp"
 #include "net/link.hpp"
 #include "sim/time.hpp"
 
@@ -58,15 +56,5 @@ struct WanTechParams {
 // links suffer their weather loss probability; fiber is unaffected.
 [[nodiscard]] net::LinkConfig wan_link_config(Colo a, Colo b, LinkTech tech,
                                               bool raining = false) noexcept;
-
-// Schedules a rain-fade event against a fault-injector-registered WAN link:
-// a triangular loss ramp that climbs to the technology's weather-loss peak
-// over `rise`, then decays over `fall`. Fiber has no weather loss, so the
-// call is a no-op for it — which is exactly the paper's argument for keeping
-// a fiber backup under every microwave path.
-// tsn-lint: allow(unreached-symbol) the A/B drills' rain-fade action drives it
-void schedule_rain_fade(fault::FaultInjector& injector, const std::string& link_name,
-                        sim::Time start, sim::Duration rise, sim::Duration fall,
-                        LinkTech tech = LinkTech::kMicrowave);
 
 }  // namespace tsn::wan

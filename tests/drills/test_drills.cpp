@@ -8,14 +8,15 @@
 // tears a hole in its sequence space.
 #include <gtest/gtest.h>
 
-#include "drill_harness.hpp"
+#include "rig.hpp"
 
 namespace tsn::drills {
 namespace {
 
 TEST(FailureDrills, AFlapDuringBurstIsInvisibleBehindArbitration) {
-  DualFeedRig rig;
-  rig.run(a_flap_during_burst());
+  DrillRig rig{ab_feed_venue()};
+  rig.add_ab_consumer();
+  rig.run(a_flap(rig), a_flap_during_burst());
 
   // The fault really bit: the A line dropped traffic while down.
   EXPECT_GT(rig.a_link().stats().frames_dropped_down, 0u);
@@ -44,8 +45,9 @@ TEST(FailureDrills, AFlapDuringBurstIsInvisibleBehindArbitration) {
 }
 
 TEST(FailureDrills, SameFlapWithoutArbitrationTearsTheStream) {
-  SingleFeedRig rig;
-  rig.run(a_flap_during_burst());
+  DrillRig rig{ab_feed_venue()};
+  rig.add_single_line();
+  rig.run(a_flap(rig), a_flap_during_burst());
 
   EXPECT_GT(rig.a_link().stats().frames_dropped_down, 0u);
   // No second line: the flap is a real gap, and recovery has to run.
@@ -56,8 +58,9 @@ TEST(FailureDrills, SameFlapWithoutArbitrationTearsTheStream) {
 // Satellite: normalizer gap counters surface as telemetry gauges and match
 // the drill's ground truth on both sides of the comparison.
 TEST(FailureDrills, GapGaugesMatchDrillGroundTruth) {
-  DualFeedRig arbitrated;
-  arbitrated.run(a_flap_during_burst());
+  DrillRig arbitrated{ab_feed_venue()};
+  arbitrated.add_ab_consumer();
+  arbitrated.run(a_flap(arbitrated), a_flap_during_burst());
   telemetry::Registry reg_arbitrated;
   arbitrated.register_all(reg_arbitrated);
   EXPECT_EQ(reg_arbitrated.gauge_value("norm.sequence_gaps"), 0.0);
@@ -66,8 +69,9 @@ TEST(FailureDrills, GapGaugesMatchDrillGroundTruth) {
             static_cast<double>(arbitrated.arb().stats().forwarded));
   EXPECT_EQ(reg_arbitrated.gauge_value("fault.fired"), 2.0);
 
-  SingleFeedRig single;
-  single.run(a_flap_during_burst());
+  DrillRig single{ab_feed_venue()};
+  single.add_single_line();
+  single.run(a_flap(single), a_flap_during_burst());
   telemetry::Registry reg_single;
   single.norm().register_metrics(reg_single, "norm");
   EXPECT_GE(reg_single.gauge_value("norm.sequence_gaps"), 1.0);
@@ -78,22 +82,9 @@ TEST(FailureDrills, GapGaugesMatchDrillGroundTruth) {
 }
 
 TEST(FailureDrills, RainFadeOnOneLineIsAbsorbed) {
-  DrillScenario scenario;
-  scenario.name = "a-rain-fade";
-  scenario.seed = 43;
-  scenario.run_for = sim::millis(std::int64_t{150});
-  scenario.burst_start = sim::Time::zero() + sim::millis(std::int64_t{40});
-  scenario.burst_end = sim::Time::zero() + sim::millis(std::int64_t{100});
-  scenario.burst_multiplier = 4.0;
-  FaultAction fade;
-  fade.kind = FaultAction::Kind::kLossRampA;
-  fade.at = sim::Time::zero() + sim::millis(std::int64_t{30});
-  fade.duration = sim::millis(std::int64_t{80});
-  fade.value = 0.25;  // heavy fade so the drill always observes drops
-  scenario.faults = {fade};
-
-  DualFeedRig rig;
-  rig.run(scenario);
+  DrillRig rig{ab_feed_venue()};
+  rig.add_ab_consumer();
+  rig.run(a_rain_fade(rig), rain_fade_load());
   EXPECT_GT(rig.a_link().stats().frames_dropped_loss, 0u);
   EXPECT_EQ(rig.norm().stats().sequence_gaps, 0u);
   EXPECT_EQ(rig.norm().stats().resyncs_started, 0u);
@@ -103,17 +94,9 @@ TEST(FailureDrills, RainFadeOnOneLineIsAbsorbed) {
 }
 
 TEST(FailureDrills, MrouteEvictionBlackholesOnlyTheEvictedLine) {
-  DrillScenario scenario;
-  scenario.name = "a-mroute-evict";
-  scenario.seed = 44;
-  scenario.run_for = sim::millis(std::int64_t{120});
-  FaultAction evict;
-  evict.kind = FaultAction::Kind::kEvictGroupA;
-  evict.at = sim::Time::zero() + sim::millis(std::int64_t{50});
-  scenario.faults = {evict};
-
-  DualFeedRig rig;
-  rig.run(scenario);
+  DrillRig rig{ab_feed_venue()};
+  rig.add_ab_consumer();
+  rig.run(a_mroute_evict(rig), quiet_load(44));
   // With no querier running, nothing re-installs the entry: the A line
   // stays dark for the rest of the run (§3's silent black-hole) ...
   EXPECT_EQ(rig.xsw().mroutes().stats().evictions, 1u);
@@ -124,18 +107,9 @@ TEST(FailureDrills, MrouteEvictionBlackholesOnlyTheEvictedLine) {
 }
 
 TEST(FailureDrills, PortStallDelaysOneLineWithoutCorruptingTheStream) {
-  DrillScenario scenario;
-  scenario.name = "a-port-stall";
-  scenario.seed = 45;
-  scenario.run_for = sim::millis(std::int64_t{120});
-  FaultAction stall;
-  stall.kind = FaultAction::Kind::kStallPortA;
-  stall.at = sim::Time::zero() + sim::millis(std::int64_t{40});
-  stall.duration = sim::millis(std::int64_t{3});
-  scenario.faults = {stall};
-
-  DualFeedRig rig;
-  rig.run(scenario);
+  DrillRig rig{ab_feed_venue()};
+  rig.add_ab_consumer();
+  rig.run(a_port_stall(), quiet_load(45));
   // Frames queued behind the stalled port and released late; by then the
   // B line had delivered, so every late A copy must be discarded as a
   // duplicate — never forwarded, which would rewind the normalizer.

@@ -89,7 +89,10 @@ RigResult run_rig(bool storm) {
   fault::FaultInjector injector{engine};
   injector.register_storm("loadgen",
                           [&gen](std::uint32_t count) { return gen.storm(count); });
-  if (storm) injector.storm_at("loadgen", at(8), kStormKill);
+  if (storm) {
+    injector.schedule({at(8), fault::FaultKind::kSessionStorm, "loadgen",
+                       static_cast<double>(kStormKill)});
+  }
 
   engine.run_until(at(5));
   EXPECT_TRUE(gen.all_admitted()) << "admission ramp incomplete at 5ms";

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "boe_client.hpp"
 #include "exchange/activity.hpp"
 #include "net/fabric.hpp"
 #include "net/stack.hpp"
@@ -119,6 +120,32 @@ TEST(Exchange, PartitioningRoutesSymbolsToUnits) {
   EXPECT_NE(rig.frame_groups[0], rig.frame_groups[1]);
 }
 
+TEST(Exchange, NonAcceptingExchangeClosesTheLegWithinOneRoundTrip) {
+  // A halted or not-yet-promoted exchange refuses a session with a FIN as
+  // soon as the handshake completes, so the client can move to its next
+  // endpoint instead of waiting out a login timeout.
+  ExchangeRig rig;
+  rig.exchange.set_accepting(false);
+  net::TcpEndpoint& leg = rig.client.connect_tcp(
+      rig.exchange.order_nic().mac(), rig.exchange.order_nic().ip(),
+      rig.exchange.config().order_port, 0);
+  sim::Time established_at;
+  sim::Time closed_at;
+  net::TcpCloseReason reason = net::TcpCloseReason::kNone;
+  leg.set_state_handler([&](net::TcpState state) {
+    if (state == net::TcpState::kEstablished) established_at = rig.engine.now();
+  });
+  leg.set_closed_handler([&](net::TcpCloseReason r) {
+    reason = r;
+    closed_at = rig.engine.now();
+  });
+  rig.engine.run_until(rig.engine.now() + sim::millis(std::int64_t{100}));
+
+  EXPECT_EQ(reason, net::TcpCloseReason::kPeerFin);
+  // The handshake took one round trip from t=0; the FIN lands within one more.
+  EXPECT_LE(closed_at - established_at, established_at - sim::Time::zero());
+}
+
 TEST(Exchange, UnknownSymbolThrows) {
   ExchangeRig rig;
   EXPECT_THROW((void)rig.exchange.book(proto::Symbol{"NOPE"}), std::out_of_range);
@@ -128,29 +155,18 @@ TEST(Exchange, UnknownSymbolThrows) {
 
 // Full order-entry session walkthrough over real TCP.
 struct SessionRig : ExchangeRig {
-  net::TcpEndpoint* session = nullptr;
-  proto::boe::StreamParser parser;
-  std::vector<proto::boe::Message> responses;
-  std::uint32_t seq = 1;
-
-  SessionRig() {
-    session = &client.connect_tcp(exchange.order_nic().mac(), exchange.order_nic().ip(),
-                                  exchange.config().order_port, 0);
-    session->set_data_handler([this](std::span<const std::byte> bytes, sim::Time) {
-      parser.feed(bytes);
-      while (auto decoded = parser.next()) responses.push_back(decoded->message);
-    });
-  }
+  BoeClient session{client, exchange.order_nic().mac(), exchange.order_nic().ip(),
+                    exchange.config().order_port};
 
   void send(const proto::boe::Message& message) {
-    session->send(proto::boe::encode(message, seq++));
+    session.send(message);
     engine.run();
   }
 
   template <typename T>
   const T* last_response_of() const {
-    for (auto it = responses.rbegin(); it != responses.rend(); ++it) {
-      if (const T* typed = std::get_if<T>(&*it)) return typed;
+    for (auto it = session.msgs.rbegin(); it != session.msgs.rend(); ++it) {
+      if (const T* typed = std::get_if<T>(&it->second)) return typed;
     }
     return nullptr;
   }
@@ -210,11 +226,8 @@ TEST(ExchangeSession, TradeGeneratesFillsForBothSides) {
   rig.send(proto::boe::NewOrder{21, proto::Side::kBuy, 100, proto::Symbol{"AAA"},
                                 proto::price_from_dollars(100), proto::boe::TimeInForce::kDay});
   // Both legs belong to this session: two fills.
-  int fills = 0;
-  for (const auto& r : rig.responses) {
-    if (std::holds_alternative<proto::boe::Fill>(r)) ++fills;
-  }
-  EXPECT_EQ(fills, 2);
+  const std::size_t fills = rig.session.received<proto::boe::Fill>().size();
+  EXPECT_EQ(fills, 2u);
   EXPECT_EQ(rig.exchange.stats().fills_sent, 2u);
   const auto* fill = rig.last_response_of<proto::boe::Fill>();
   EXPECT_EQ(fill->price, proto::price_from_dollars(100));
@@ -301,7 +314,7 @@ TEST(ExchangeSession, ModifyWithZeroQuantityOrNonPositivePriceIsRejected) {
     ASSERT_NE(reject, nullptr);
     EXPECT_EQ(reject->client_order_id, client_id);
     EXPECT_EQ(reject->reason, reason);
-    rig.responses.clear();
+    rig.session.msgs.clear();
   };
 
   rig.send(proto::boe::ModifyOrder{70, 0, proto::price_from_dollars(101)});

@@ -117,13 +117,6 @@ TEST(Intraday, SecondCountsMatchFigure2bCalibration) {
   EXPECT_LT(session.max(), 2'200'000.0);
 }
 
-TEST(Intraday, RateMultiplierTracksShape) {
-  IntradayProfile profile;
-  const auto fn = profile.rate_multiplier();
-  EXPECT_NEAR(fn(sim::Time::zero() + sim::seconds(std::int64_t{12 * 3600})),
-              profile.shape(12 * 3600), 1e-9);
-}
-
 // --- Figure 2(c) --------------------------------------------------------------
 
 TEST(Burst, WindowCountsPreserveTotal) {

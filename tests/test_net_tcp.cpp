@@ -332,6 +332,48 @@ TEST(TcpLite, AbortOnHeldFinSendsNothingAfter) {
   EXPECT_EQ(s.t.client_nic.tx_frames(), tx_at_abort);
 }
 
+TEST(TcpLite, LostFinIsResentUntilAcknowledged) {
+  // The server's FIN is lost while its link to the client is down for
+  // 10 us. The retransmit timer resends it, so the client still hears the
+  // close instead of sitting in kEstablished.
+  TcpPair t;
+  TcpEndpoint* server_ep = nullptr;
+  t.server.listen_tcp(34000, [&](TcpEndpoint& ep) { server_ep = &ep; });
+  TcpEndpoint& client = t.client.connect_tcp(t.server_nic.mac(), t.server_nic.ip(), 34000, 0);
+  std::vector<TcpCloseReason> closes;
+  client.set_closed_handler([&](TcpCloseReason r) { closes.push_back(r); });
+  t.engine.run();
+  ASSERT_NE(server_ep, nullptr);
+  t.cable.b_to_a->set_admin_up(false);
+  server_ep->close();
+  t.engine.run_until(t.engine.now() + sim::micros(std::int64_t{10}));
+  t.cable.b_to_a->set_admin_up(true);
+  t.engine.run();
+
+  EXPECT_EQ(closes, (std::vector<TcpCloseReason>{TcpCloseReason::kPeerFin}));
+  EXPECT_EQ(client.state(), TcpState::kCloseWait);
+  EXPECT_GE(server_ep->retransmit_count(), 1u);
+}
+
+TEST(TcpLite, UnansweredCloseGivesUpAfterTheRetransmitBudget) {
+  // The peer is gone: the closer's FIN retries run out as a data sender's
+  // do, and the endpoint closes, so reap_closed() frees it rather than
+  // leaving it in kFinWait for good.
+  TcpPair t;
+  t.server.listen_tcp(34000, [](TcpEndpoint&) {});
+  TcpEndpoint& client = t.client.connect_tcp(t.server_nic.mac(), t.server_nic.ip(), 34000, 0);
+  t.engine.run();
+  ASSERT_EQ(client.state(), TcpState::kEstablished);
+  t.cable.a_to_b->set_admin_up(false);
+  t.cable.b_to_a->set_admin_up(false);
+  client.close();
+  t.engine.run();
+
+  EXPECT_EQ(client.state(), TcpState::kClosed);
+  EXPECT_EQ(client.retransmit_count(), static_cast<std::uint64_t>(kTcpMaxRetransmits));
+  EXPECT_EQ(t.client.reap_closed(), 1u);
+}
+
 TEST(TcpLite, FailedConnectNotifiesRetransmitExhaustion) {
   // SYN to a closed port: the connect itself fails and the closed handler
   // still fires, so reconnect backoff grows across failed attempts too.

@@ -4,6 +4,7 @@
 #include "sim/engine.hpp"
 #include <gtest/gtest.h>
 
+#include "boe_client.hpp"
 #include "exchange/exchange.hpp"
 #include "net/fabric.hpp"
 #include "trading/gateway.hpp"
@@ -28,31 +29,20 @@ exchange::ExchangeConfig exchange_config() {
 struct LivenessRig {
   sim::Engine engine;
   net::Fabric fabric{engine};
-  exchange::Exchange exch;
+  exchange::Exchange exch{engine, exchange_config()};
   net::Nic client_nic{engine, "client", net::MacAddr::from_host_id(10),
                       net::Ipv4Addr{10, 0, 0, 10}};
   net::NetStack client{client_nic};
-  net::TcpEndpoint* session = nullptr;
-  proto::boe::StreamParser parser;
-  int heartbeats_received = 0;
-  std::uint32_t seq = 1;
+  net::Cable cable{fabric.connect(exch.order_nic(), 0, client_nic, 0, net::LinkConfig{})};
+  BoeClient session{client, exch.order_nic().mac(), exch.order_nic().ip(),
+                    exch.config().order_port};
 
-  LivenessRig() : exch(engine, exchange_config()) {
-    fabric.connect(exch.order_nic(), 0, client_nic, 0, net::LinkConfig{});
-    session = &client.connect_tcp(exch.order_nic().mac(), exch.order_nic().ip(),
-                                  exch.config().order_port, 0);
-    session->set_data_handler([this](std::span<const std::byte> bytes, sim::Time) {
-      parser.feed(bytes);
-      while (auto decoded = parser.next()) {
-        if (std::holds_alternative<proto::boe::Heartbeat>(decoded->message)) {
-          ++heartbeats_received;
-        }
-      }
-    });
+  [[nodiscard]] std::size_t heartbeats_received() const {
+    return session.received<proto::boe::Heartbeat>().size();
   }
 
   void login() {
-    session->send(proto::boe::encode(proto::boe::LoginRequest{1, 0xfeed}, seq++));
+    session.send(proto::boe::LoginRequest{1, 0xfeed});
     engine.run_until(engine.now() + sim::millis(std::int64_t{1}));
   }
 
@@ -64,7 +54,7 @@ TEST(SessionLiveness, IdleSessionReceivesHeartbeats) {
   rig.login();
   rig.exch.start_heartbeats();
   rig.run_for(60);  // under the timeout; several heartbeat intervals
-  EXPECT_GE(rig.heartbeats_received, 1);
+  EXPECT_GE(rig.heartbeats_received(), 1u);
   EXPECT_GE(rig.exch.stats().heartbeats_sent, 1u);
   EXPECT_EQ(rig.exch.stats().sessions_timed_out, 0u);
 }
@@ -77,7 +67,7 @@ TEST(SessionLiveness, SilentSessionTimesOutAndIsDisconnected) {
   rig.run_for(200);
   EXPECT_EQ(rig.exch.stats().sessions_timed_out, 1u);
   // The exchange closed the connection (FIN reached the client).
-  EXPECT_NE(rig.session->state(), net::TcpState::kEstablished);
+  EXPECT_NE(rig.session.ep->state(), net::TcpState::kEstablished);
 }
 
 TEST(SessionLiveness, ClientHeartbeatsKeepTheSessionAlive) {
@@ -85,11 +75,11 @@ TEST(SessionLiveness, ClientHeartbeatsKeepTheSessionAlive) {
   rig.login();
   rig.exch.start_heartbeats();
   for (int i = 0; i < 20; ++i) {
-    rig.session->send(proto::boe::encode(proto::boe::Heartbeat{}, rig.seq++));
+    rig.session.send(proto::boe::Heartbeat{});
     rig.run_for(15);
   }
   EXPECT_EQ(rig.exch.stats().sessions_timed_out, 0u);
-  EXPECT_EQ(rig.session->state(), net::TcpState::kEstablished);
+  EXPECT_EQ(rig.session.ep->state(), net::TcpState::kEstablished);
 }
 
 TEST(SessionLiveness, SilentSessionDiesInExactlyTheTimeoutWindow) {
@@ -115,15 +105,15 @@ TEST(SessionLiveness, ClientHeartbeatsRefreshWithoutPingPong) {
   rig.login();
   rig.exch.start_heartbeats();
   for (int i = 0; i < 50; ++i) {
-    rig.session->send(proto::boe::encode(proto::boe::Heartbeat{}, rig.seq++));
+    rig.session.send(proto::boe::Heartbeat{});
     rig.run_for(2);
   }
   // 50 client heartbeats over 100ms: session alive, and the exchange sent
   // nothing back (idle never crossed one heartbeat interval).
   EXPECT_EQ(rig.exch.stats().sessions_timed_out, 0u);
   EXPECT_EQ(rig.exch.stats().heartbeats_sent, 0u);
-  EXPECT_EQ(rig.heartbeats_received, 0);
-  EXPECT_EQ(rig.session->state(), net::TcpState::kEstablished);
+  EXPECT_EQ(rig.heartbeats_received(), 0u);
+  EXPECT_EQ(rig.session.ep->state(), net::TcpState::kEstablished);
 }
 
 TEST(SessionLiveness, StartHeartbeatsValidatesConfig) {

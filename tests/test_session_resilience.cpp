@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "boe_client.hpp"
 #include "exchange/exchange.hpp"
 #include "net/fabric.hpp"
 #include "net/stack.hpp"
@@ -44,39 +45,16 @@ struct ExchangeRig {
   net::Nic client_nic{engine, "client", net::MacAddr::from_host_id(10),
                       net::Ipv4Addr{10, 0, 0, 10}};
   net::NetStack client{client_nic};
-  std::uint32_t seq = 1;
-
-  struct Conn {
-    net::TcpEndpoint* ep = nullptr;
-    proto::boe::StreamParser parser;
-    std::vector<std::byte> raw;  // every byte received, in order
-    std::vector<std::pair<std::uint32_t, Message>> msgs;
-  };
-  std::vector<std::unique_ptr<Conn>> conns;
+  std::vector<std::unique_ptr<BoeClient>> conns;
 
   explicit ExchangeRig(bool cancel_on_disconnect = false)
       : exch(engine, exchange_config(cancel_on_disconnect)) {
     fabric.connect(exch.order_nic(), 0, client_nic, 0, net::LinkConfig{});
   }
 
-  Conn& open() {
-    auto conn = std::make_unique<Conn>();
-    Conn* raw_conn = conn.get();
-    conn->ep = &client.connect_tcp(exch.order_nic().mac(), exch.order_nic().ip(),
-                                   exch.config().order_port, 0);
-    conn->ep->set_data_handler([raw_conn](std::span<const std::byte> bytes, sim::Time) {
-      raw_conn->raw.insert(raw_conn->raw.end(), bytes.begin(), bytes.end());
-      raw_conn->parser.feed(bytes);
-      while (auto decoded = raw_conn->parser.next()) {
-        raw_conn->msgs.emplace_back(decoded->seq, decoded->message);
-      }
-    });
-    conns.push_back(std::move(conn));
-    return *raw_conn;
-  }
-
-  void send(Conn& conn, const Message& message) {
-    conn.ep->send(proto::boe::encode(message, seq++));
+  BoeClient& open() {
+    return *conns.emplace_back(std::make_unique<BoeClient>(
+        client, exch.order_nic().mac(), exch.order_nic().ip(), exch.config().order_port));
   }
 
   void run(std::int64_t ms = 5) { engine.run_until(engine.now() + sim::millis(ms)); }
@@ -86,26 +64,17 @@ struct ExchangeRig {
     return {id, proto::Side::kSell, qty, proto::Symbol{"AAA"},
             proto::price_from_dollars(dollars), proto::boe::TimeInForce::kDay};
   }
-
-  template <typename T>
-  std::vector<T> received(const Conn& conn) const {
-    std::vector<T> out;
-    for (const auto& [msg_seq, msg] : conn.msgs) {
-      if (const auto* typed = std::get_if<T>(&msg)) out.push_back(*typed);
-    }
-    return out;
-  }
 };
 
 TEST(SessionResilience, ReplayIsByteIdenticalToTheLiveStream) {
   ExchangeRig rig;
   auto& first = rig.open();
-  rig.send(first, proto::boe::LoginRequest{7, 0xfeed});
+  first.send(proto::boe::LoginRequest{7, 0xfeed});
   rig.run();
-  rig.send(first, rig.resting_sell(1, 100, 101.0));
-  rig.send(first, rig.resting_sell(2, 50, 102.0));
+  first.send(rig.resting_sell(1, 100, 101.0));
+  first.send(rig.resting_sell(2, 50, 102.0));
   rig.run();
-  rig.send(first, proto::boe::CancelOrder{1});
+  first.send(proto::boe::CancelOrder{1});
   rig.run();
   // Live sequenced stream: OrderAccepted(1), OrderAccepted(2),
   // OrderCancelled(1) at seqs 1..3, preceded by the unsequenced login ack.
@@ -119,9 +88,9 @@ TEST(SessionResilience, ReplayIsByteIdenticalToTheLiveStream) {
   // Same credentials on a fresh connection take the session over; a replay
   // from zero must reproduce the journal verbatim.
   auto& second = rig.open();
-  rig.send(second, proto::boe::LoginRequest{7, 0xfeed});
+  second.send(proto::boe::LoginRequest{7, 0xfeed});
   rig.run();
-  rig.send(second, proto::boe::ReplayRequest{0});
+  second.send(proto::boe::ReplayRequest{0});
   rig.run();
   EXPECT_EQ(rig.exch.stats().sessions_taken_over, 1u);
   EXPECT_EQ(rig.exch.stats().replays_served, 1u);
@@ -134,14 +103,14 @@ TEST(SessionResilience, ReplayIsByteIdenticalToTheLiveStream) {
       second.raw.end() - static_cast<std::ptrdiff_t>(reset_size));
   EXPECT_EQ(replay_tail, live_tail);
   // The replay closes with the next sequence the live stream would use.
-  const auto resets = rig.received<proto::boe::SequenceReset>(second);
+  const auto resets = second.received<proto::boe::SequenceReset>();
   ASSERT_EQ(resets.size(), 1u);
   EXPECT_EQ(resets[0].next_seq, 4u);
 
   // A second replay serves the identical bytes again: replay is a pure
   // function of the journal, not a destructive pop.
   second.raw.clear();
-  rig.send(second, proto::boe::ReplayRequest{0});
+  second.send(proto::boe::ReplayRequest{0});
   rig.run();
   EXPECT_EQ(rig.exch.stats().replays_served, 2u);
   const std::vector<std::byte> replay_again(
@@ -152,22 +121,22 @@ TEST(SessionResilience, ReplayIsByteIdenticalToTheLiveStream) {
 TEST(SessionResilience, ReplayFromLastSeenSendsOnlyTheMissedTail) {
   ExchangeRig rig;
   auto& first = rig.open();
-  rig.send(first, proto::boe::LoginRequest{3, 0xfeed});
+  first.send(proto::boe::LoginRequest{3, 0xfeed});
   rig.run();
-  rig.send(first, rig.resting_sell(1, 100, 101.0));
+  first.send(rig.resting_sell(1, 100, 101.0));
   rig.run();
   first.ep->close();  // graceful death; the session survives
   rig.run();
 
   auto& second = rig.open();
-  rig.send(second, proto::boe::LoginRequest{3, 0xfeed});
+  second.send(proto::boe::LoginRequest{3, 0xfeed});
   rig.run();
   EXPECT_EQ(rig.exch.stats().sessions_resumed, 1u);
-  rig.send(second, proto::boe::ReplayRequest{1});  // we saw seq 1 already
+  second.send(proto::boe::ReplayRequest{1});  // we saw seq 1 already
   rig.run();
   EXPECT_EQ(rig.exch.stats().replays_served, 1u);
   EXPECT_EQ(rig.exch.stats().replayed_messages, 0u);
-  const auto resets = rig.received<proto::boe::SequenceReset>(second);
+  const auto resets = second.received<proto::boe::SequenceReset>();
   ASSERT_EQ(resets.size(), 1u);
   EXPECT_EQ(resets[0].next_seq, 2u);
 }
@@ -175,12 +144,12 @@ TEST(SessionResilience, ReplayFromLastSeenSendsOnlyTheMissedTail) {
 TEST(SessionResilience, DuplicateClientOrderIdNeverExecutesTwice) {
   ExchangeRig rig;
   auto& conn = rig.open();
-  rig.send(conn, proto::boe::LoginRequest{1, 0xfeed});
+  conn.send(proto::boe::LoginRequest{1, 0xfeed});
   rig.run();
-  rig.send(conn, rig.resting_sell(9, 100, 101.0));
+  conn.send(rig.resting_sell(9, 100, 101.0));
   rig.run();
   // Resubmission while the original is still live.
-  rig.send(conn, rig.resting_sell(9, 100, 101.0));
+  conn.send(rig.resting_sell(9, 100, 101.0));
   rig.run();
   EXPECT_EQ(rig.exch.stats().orders_accepted, 1u);
   EXPECT_EQ(rig.exch.stats().duplicate_client_ids_rejected, 1u);
@@ -190,11 +159,11 @@ TEST(SessionResilience, DuplicateClientOrderIdNeverExecutesTwice) {
       .submit({rig.exch.next_order_id(), proto::Side::kBuy,
                proto::price_from_dollars(101.0), 100});
   rig.run();
-  rig.send(conn, rig.resting_sell(9, 100, 101.0));
+  conn.send(rig.resting_sell(9, 100, 101.0));
   rig.run();
   EXPECT_EQ(rig.exch.stats().orders_accepted, 1u);
   EXPECT_EQ(rig.exch.stats().duplicate_client_ids_rejected, 2u);
-  const auto rejects = rig.received<proto::boe::OrderRejected>(conn);
+  const auto rejects = conn.received<proto::boe::OrderRejected>();
   ASSERT_EQ(rejects.size(), 2u);
   for (const auto& reject : rejects) {
     EXPECT_EQ(reject.client_order_id, 9u);
@@ -205,11 +174,11 @@ TEST(SessionResilience, DuplicateClientOrderIdNeverExecutesTwice) {
 TEST(SessionResilience, CancelOnDisconnectPullsRestingOrdersAndJournalsThem) {
   ExchangeRig rig{/*cancel_on_disconnect=*/true};
   auto& first = rig.open();
-  rig.send(first, proto::boe::LoginRequest{1, 0xfeed});
+  first.send(proto::boe::LoginRequest{1, 0xfeed});
   rig.run();
-  rig.send(first, rig.resting_sell(1, 100, 101.0));
-  rig.send(first, rig.resting_sell(2, 200, 102.0));
-  rig.send(first, rig.resting_sell(3, 300, 103.0));
+  first.send(rig.resting_sell(1, 100, 101.0));
+  first.send(rig.resting_sell(2, 200, 102.0));
+  first.send(rig.resting_sell(3, 300, 103.0));
   rig.run();
   ASSERT_EQ(rig.exch.book(proto::Symbol{"AAA"}).open_orders(), 3u);
 
@@ -222,13 +191,13 @@ TEST(SessionResilience, CancelOnDisconnectPullsRestingOrdersAndJournalsThem) {
   // The cancels were journaled: a resumed session replaying the tail sees
   // exactly what the exchange did while it was gone, in sorted id order.
   auto& second = rig.open();
-  rig.send(second, proto::boe::LoginRequest{1, 0xfeed});
+  second.send(proto::boe::LoginRequest{1, 0xfeed});
   rig.run();
   EXPECT_EQ(rig.exch.stats().sessions_resumed, 1u);
-  rig.send(second, proto::boe::ReplayRequest{3});  // acks 1..3 were seen live
+  second.send(proto::boe::ReplayRequest{3});  // acks 1..3 were seen live
   rig.run();
   EXPECT_EQ(rig.exch.stats().replayed_messages, 3u);
-  const auto cancels = rig.received<proto::boe::OrderCancelled>(second);
+  const auto cancels = second.received<proto::boe::OrderCancelled>();
   ASSERT_EQ(cancels.size(), 3u);
   EXPECT_EQ(cancels[0].client_order_id, 1u);
   EXPECT_EQ(cancels[1].client_order_id, 2u);
@@ -245,9 +214,9 @@ TEST(SessionResilience, UndecodableFrameDropsTheLegAndCancelsOnDisconnect) {
   auto& conn = rig.open();
   bool closed = false;
   conn.ep->set_closed_handler([&closed](net::TcpCloseReason) { closed = true; });
-  rig.send(conn, proto::boe::LoginRequest{1, 0xfeed});
+  conn.send(proto::boe::LoginRequest{1, 0xfeed});
   rig.run();
-  rig.send(conn, rig.resting_sell(1, 100, 101.0));
+  conn.send(rig.resting_sell(1, 100, 101.0));
   rig.run();
   ASSERT_EQ(rig.exch.book(proto::Symbol{"AAA"}).open_orders(), 1u);
 
@@ -255,7 +224,7 @@ TEST(SessionResilience, UndecodableFrameDropsTheLegAndCancelsOnDisconnect) {
   conn.ep->send(std::vector<std::byte>{std::byte{0x7a}, std::byte{0xba}, std::byte{0x09},
                                        std::byte{0x00}, std::byte{0x99}, std::byte{0x00},
                                        std::byte{0x00}, std::byte{0x00}, std::byte{0x00}});
-  rig.send(conn, proto::boe::CancelOrder{1});
+  conn.send(proto::boe::CancelOrder{1});
   rig.run();
   EXPECT_TRUE(closed);
   EXPECT_EQ(rig.exch.stats().cancels_received, 0u);
@@ -271,10 +240,10 @@ TEST(SessionResilience, UndecodableFrameDropsTheLegAndCancelsOnDisconnect) {
 TEST(SessionResilience, NewOrderWithInvalidSideReachesNeitherBookNorFeed) {
   ExchangeRig rig;
   auto& conn = rig.open();
-  rig.send(conn, proto::boe::LoginRequest{1, 0xfeed});
+  conn.send(proto::boe::LoginRequest{1, 0xfeed});
   rig.run();
   const std::uint64_t feed_before = rig.exch.stats().feed_messages;
-  auto wire = proto::boe::encode(rig.resting_sell(1, 100, 101.0), rig.seq++);
+  auto wire = proto::boe::encode(rig.resting_sell(1, 100, 101.0), conn.seq++);
   wire[proto::boe::kHeaderSize + 8] = std::byte{0x00};  // the side byte
   EXPECT_FALSE(proto::boe::decode(wire).has_value());
   conn.ep->send(wire);
@@ -287,15 +256,15 @@ TEST(SessionResilience, NewOrderWithInvalidSideReachesNeitherBookNorFeed) {
 TEST(SessionResilience, TakeoverByLiveCredentialsSkipsCancelOnDisconnect) {
   ExchangeRig rig{/*cancel_on_disconnect=*/true};
   auto& first = rig.open();
-  rig.send(first, proto::boe::LoginRequest{1, 0xfeed});
+  first.send(proto::boe::LoginRequest{1, 0xfeed});
   rig.run();
-  rig.send(first, rig.resting_sell(1, 100, 101.0));
+  first.send(rig.resting_sell(1, 100, 101.0));
   rig.run();
 
   // The client re-logs in on a new leg while the old one still looks alive
   // (it aborted without a FIN). The session never died: orders stay.
   auto& second = rig.open();
-  rig.send(second, proto::boe::LoginRequest{1, 0xfeed});
+  second.send(proto::boe::LoginRequest{1, 0xfeed});
   rig.run();
   EXPECT_EQ(rig.exch.stats().sessions_taken_over, 1u);
   EXPECT_EQ(rig.exch.stats().cod_sessions, 0u);
@@ -307,15 +276,15 @@ TEST(SessionResilience, TakeoverByLiveCredentialsSkipsCancelOnDisconnect) {
 TEST(SessionResilience, WrongTokenIsRejectedWithoutDisturbingTheSession) {
   ExchangeRig rig{/*cancel_on_disconnect=*/true};
   auto& first = rig.open();
-  rig.send(first, proto::boe::LoginRequest{1, 0xfeed});
+  first.send(proto::boe::LoginRequest{1, 0xfeed});
   rig.run();
-  rig.send(first, rig.resting_sell(1, 100, 101.0));
+  first.send(rig.resting_sell(1, 100, 101.0));
   rig.run();
 
   auto& intruder = rig.open();
-  rig.send(intruder, proto::boe::LoginRequest{1, 0xbad});
+  intruder.send(proto::boe::LoginRequest{1, 0xbad});
   rig.run();
-  const auto rejects = rig.received<proto::boe::LoginRejected>(intruder);
+  const auto rejects = intruder.received<proto::boe::LoginRejected>();
   ASSERT_EQ(rejects.size(), 1u);
   EXPECT_EQ(rejects[0].reason, RejectReason::kSessionInUse);
   // The rightful owner's leg and orders are untouched.
@@ -335,10 +304,8 @@ struct GatewayRig {
   net::Nic strat_nic{engine, "strat", net::MacAddr::from_host_id(30),
                      net::Ipv4Addr{10, 0, 0, 30}};
   net::NetStack strat{strat_nic};
-  net::TcpEndpoint* strat_ep = nullptr;
-  proto::boe::StreamParser strat_parser;
-  std::vector<Message> strat_msgs;
-  std::uint32_t seq = 1;
+  net::Cable strat_cable{fabric.connect(strat_nic, 0, gw.client_nic(), 0, net::LinkConfig{})};
+  BoeClient strategy{strat, gw.client_nic().mac(), gw.client_nic().ip(), gw.config().listen_port};
 
   static trading::GatewayConfig gateway_config(exchange::Exchange& exch) {
     trading::GatewayConfig config;
@@ -359,38 +326,19 @@ struct GatewayRig {
           tweak(config);
           return config;
         }()),
-        up_cable(fabric.connect(gw.upstream_nic(), 0, exch.order_nic(), 0, net::LinkConfig{})) {
-    fabric.connect(strat_nic, 0, gw.client_nic(), 0, net::LinkConfig{});
-    strat_ep = &strat.connect_tcp(gw.client_nic().mac(), gw.client_nic().ip(),
-                                  gw.config().listen_port, 0);
-    strat_ep->set_data_handler([this](std::span<const std::byte> bytes, sim::Time) {
-      strat_parser.feed(bytes);
-      while (auto decoded = strat_parser.next()) strat_msgs.push_back(decoded->message);
-    });
-  }
+        up_cable(fabric.connect(gw.upstream_nic(), 0, exch.order_nic(), 0, net::LinkConfig{})) {}
 
   void start_and_login() {
     gw.start();
-    strat_ep->send(proto::boe::encode(proto::boe::LoginRequest{1, 1}, seq++));
+    strategy.send(proto::boe::LoginRequest{1, 1});
     engine.run();
     ASSERT_EQ(gw.upstream_state(), trading::UpstreamState::kReady);
   }
 
   void send_order(proto::OrderId id, proto::Quantity qty, double dollars) {
-    strat_ep->send(proto::boe::encode(
-        Message{proto::boe::NewOrder{id, proto::Side::kSell, qty, proto::Symbol{"AAA"},
-                                     proto::price_from_dollars(dollars),
-                                     proto::boe::TimeInForce::kDay}},
-        seq++));
-  }
-
-  template <typename T>
-  std::vector<T> strat_received() const {
-    std::vector<T> out;
-    for (const auto& msg : strat_msgs) {
-      if (const auto* typed = std::get_if<T>(&msg)) out.push_back(*typed);
-    }
-    return out;
+    strategy.send(proto::boe::NewOrder{id, proto::Side::kSell, qty, proto::Symbol{"AAA"},
+                                       proto::price_from_dollars(dollars),
+                                       proto::boe::TimeInForce::kDay});
   }
 
   void run(std::int64_t ms) { engine.run_until(engine.now() + sim::millis(ms)); }
@@ -401,7 +349,7 @@ TEST(SessionResilience, GatewayReconnectsAfterKillAndFlowResumes) {
   rig.start_and_login();
   rig.send_order(100, 100, 101.0);
   rig.engine.run();
-  ASSERT_EQ(rig.strat_received<proto::boe::OrderAccepted>().size(), 1u);
+  ASSERT_EQ(rig.strategy.received<proto::boe::OrderAccepted>().size(), 1u);
 
   rig.gw.kill_upstream();
   rig.engine.run();
@@ -422,7 +370,7 @@ TEST(SessionResilience, GatewayReconnectsAfterKillAndFlowResumes) {
 
   rig.send_order(101, 50, 102.0);
   rig.engine.run();
-  EXPECT_EQ(rig.strat_received<proto::boe::OrderAccepted>().size(), 2u);
+  EXPECT_EQ(rig.strategy.received<proto::boe::OrderAccepted>().size(), 2u);
   EXPECT_EQ(rig.exch.stats().orders_accepted, 2u);
   // Risk exposure is continuous across the disconnect: both orders rest.
   EXPECT_EQ(rig.gw.risk().open_orders(), 2u);
@@ -446,7 +394,7 @@ TEST(SessionResilience, UnreachedOrderIsResubmittedExactlyOnce) {
   EXPECT_EQ(rig.gw.stats().orders_resubmitted, 1u);
   // Exactly one execution, one ack to the strategy, one risk reservation.
   EXPECT_EQ(rig.exch.stats().orders_accepted, 1u);
-  EXPECT_EQ(rig.strat_received<proto::boe::OrderAccepted>().size(), 1u);
+  EXPECT_EQ(rig.strategy.received<proto::boe::OrderAccepted>().size(), 1u);
   EXPECT_EQ(rig.gw.risk().open_orders(), 1u);
 }
 
@@ -471,7 +419,7 @@ TEST(SessionResilience, LostResponsesAreResolvedByReplayNotResubmission) {
   EXPECT_GE(rig.exch.stats().replayed_messages, 1u);
   EXPECT_EQ(rig.exch.stats().orders_accepted, 1u);
   EXPECT_EQ(rig.exch.stats().duplicate_client_ids_rejected, 0u);
-  const auto acks = rig.strat_received<proto::boe::OrderAccepted>();
+  const auto acks = rig.strategy.received<proto::boe::OrderAccepted>();
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0].client_order_id, 100u);
 }
@@ -485,15 +433,15 @@ TEST(SessionResilience, GatewayForwardsCancelsAndRoutesTheResult) {
   rig.send_order(100, 100, 101.0);
   rig.send_order(101, 50, 102.0);
   rig.engine.run();
-  ASSERT_EQ(rig.strat_received<proto::boe::OrderAccepted>().size(), 2u);
+  ASSERT_EQ(rig.strategy.received<proto::boe::OrderAccepted>().size(), 2u);
   auto best = rig.exch.book(proto::Symbol{"AAA"}).best();
   ASSERT_TRUE(best.ask_price.has_value());
   EXPECT_EQ(*best.ask_price, proto::price_from_dollars(101.0));
 
-  rig.strat_ep->send(proto::boe::encode(Message{proto::boe::CancelOrder{100}}, rig.seq++));
+  rig.strategy.send(proto::boe::CancelOrder{100});
   rig.engine.run();
   EXPECT_EQ(rig.gw.stats().cancels_forwarded, 1u);
-  const auto cancelled = rig.strat_received<proto::boe::OrderCancelled>();
+  const auto cancelled = rig.strategy.received<proto::boe::OrderCancelled>();
   ASSERT_EQ(cancelled.size(), 1u);
   EXPECT_EQ(cancelled[0].client_order_id, 100u);
   best = rig.exch.book(proto::Symbol{"AAA"}).best();
@@ -518,16 +466,16 @@ TEST(SessionResilience, PendingUpstreamBoundShedsWithCountedRejects) {
   EXPECT_EQ(rig.gw.stats().orders_shed, 2u);
   // Shed orders released their risk reservations; queued ones still hold.
   EXPECT_EQ(rig.gw.risk().open_orders(), 2u);
-  const auto rejects = rig.strat_received<proto::boe::OrderRejected>();
+  const auto rejects = rig.strategy.received<proto::boe::OrderRejected>();
   ASSERT_EQ(rejects.size(), 2u);
   for (const auto& reject : rejects) {
     EXPECT_EQ(reject.reason, RejectReason::kGatewayBackpressure);
   }
   // A cancel hitting the full queue is shed too, but keeps the order alive.
-  rig.strat_ep->send(proto::boe::encode(Message{proto::boe::CancelOrder{100}}, rig.seq++));
+  rig.strategy.send(proto::boe::CancelOrder{100});
   rig.run(5);
   EXPECT_EQ(rig.gw.stats().cancels_shed, 1u);
-  const auto cancel_rejects = rig.strat_received<proto::boe::CancelRejected>();
+  const auto cancel_rejects = rig.strategy.received<proto::boe::CancelRejected>();
   ASSERT_EQ(cancel_rejects.size(), 1u);
   EXPECT_EQ(cancel_rejects[0].reason, RejectReason::kGatewayBackpressure);
 }

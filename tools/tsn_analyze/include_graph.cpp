@@ -73,7 +73,7 @@ const LayerConfig& default_layer_config() {
     c.deps["proto"] = {"net"};
     c.deps["l2"] = {"mcast"};
     c.deps["fault"] = {"l2"};
-    c.deps["wan"] = {"fault"};
+    c.deps["wan"] = {"net"};
     c.deps["capture"] = {"net", "book"};
     c.deps["cluster"] = {"sim"};
     c.deps["book"] = {"proto"};
