@@ -5,6 +5,7 @@
 // with functions grouped by rack, and measures the latency decomposition
 // event-driven. Prints the paper's hop arithmetic (12 switch hops, 3
 // software hops, network = half the total) next to the measured values.
+#include <cstdint>
 #include <cstdio>
 
 #include "core/design.hpp"
@@ -28,6 +29,9 @@ int main() {
   deployment.start();
   deployment.run(sim::millis(std::int64_t{200}));
   const auto report = deployment.report();
+  const std::uint64_t events = deployment.engine().events_fired();
+  const double events_per_feed_msg =
+      static_cast<double>(events) / static_cast<double>(report.feed_messages);
 
   std::printf("simulated deployment (8 strategies, 200 ms of market activity):\n");
   std::printf("  feed datagrams published:   %10llu\n",
@@ -40,8 +44,10 @@ int main() {
   std::printf("  orders sent / acked:        %10llu / %llu\n",
               static_cast<unsigned long long>(report.orders_sent),
               static_cast<unsigned long long>(report.acks));
-  std::printf("  frames dropped in fabric:   %10llu\n\n",
+  std::printf("  frames dropped in fabric:   %10llu\n",
               static_cast<unsigned long long>(report.frames_dropped));
+  std::printf("  engine events:              %10llu (%.2f per feed message)\n\n",
+              static_cast<unsigned long long>(events), events_per_feed_msg);
 
   auto print_stats = [](const char* label, const telemetry::Histogram& stats) {
     std::printf("  %-26s min %8.0f  mean %8.0f  p99 %8.0f  max %8.0f (ns)\n", label,
@@ -79,6 +85,8 @@ int main() {
   bench_report.metric("acks", static_cast<double>(report.acks), "count");
   bench_report.metric("sequence_gaps", static_cast<double>(report.sequence_gaps), "count");
   bench_report.metric("frames_dropped", static_cast<double>(report.frames_dropped), "count");
+  bench_report.metric("sim.events", static_cast<double>(events), "count");
+  bench_report.metric("sim.events_per_feed_msg", events_per_feed_msg, "events/msg");
   bench_report.stats("feed_path_ns", report.feed_path_ns, "ns");
   bench_report.stats("tick_to_trade_ns", report.tick_to_trade_ns, "ns");
   bench_report.stats("order_rtt_ns", report.order_rtt_ns, "ns");

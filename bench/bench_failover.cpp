@@ -97,8 +97,7 @@ int main() {
   exchange::ReplicaStream stream{engine, primary, scfg};
   exchange::ReplicaApplier applier{engine, backup, acfg};
   fabric.connect(stream.nic(), 0, applier.nic(), 0, net::LinkConfig{});
-  exchange::FailoverController controller{engine, backup, applier,
-                                          exchange::FailoverConfig{}};
+  exchange::FailoverController controller{engine, backup, applier};
 
   exchange::LoadGenConfig gcfg;
   gcfg.sessions = kSessions;

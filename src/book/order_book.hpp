@@ -78,10 +78,12 @@ class BookListener {
 
 class OrderBook {
  public:
-  explicit OrderBook(Symbol symbol, BookListener* listener = nullptr) noexcept
-      : symbol_(symbol), listener_(listener) {}
+  // One book per symbol; matching itself needs no symbol, so the book
+  // keeps none. (The parameter stays because perfbench builds books
+  // with it.)
+  explicit OrderBook(Symbol /*symbol*/, BookListener* listener = nullptr) noexcept
+      : listener_(listener) {}
 
-  void set_listener(BookListener* listener) noexcept { listener_ = listener; }
 
   enum class SubmitResult {
     kFilled,              // fully executed on entry
@@ -120,9 +122,9 @@ class OrderBook {
   [[nodiscard]] std::size_t open_orders() const noexcept { return index_.size(); }
   [[nodiscard]] std::size_t bid_levels() const noexcept { return bid_level_count_; }
   [[nodiscard]] std::size_t ask_levels() const noexcept { return ask_level_count_; }
-  [[nodiscard]] Symbol symbol() const noexcept { return symbol_; }
   [[nodiscard]] std::uint64_t executions() const noexcept { return exec_count_; }
   // Depth at a given price level (0 if none).
+  // tsn-lint: allow(unreached-member) the differential suite checks it against the reference book
   [[nodiscard]] Quantity depth_at(Side side, Price price) const;
   // O(1) lookup of a resting order (replay-to-book consumers resolve
   // executed/reduced quantities through this).
@@ -145,7 +147,6 @@ class OrderBook {
   void grow_orders(std::size_t new_capacity);
   void grow_levels(std::size_t new_capacity);
 
-  Symbol symbol_;
   BookListener* listener_;
 
   // Order slab (parallel columns; slot = row).

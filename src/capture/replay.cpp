@@ -26,8 +26,12 @@ std::vector<RecordedFrame> FrameRecorder::deserialize(std::span<const std::byte>
   net::WireReader r{blob};
   if (r.u32() != 0x7ca97e01) throw std::invalid_argument{"not a capture blob"};
   const std::uint64_t count = r.u64();
+  // The count comes from outside the program: reserve only what the bytes
+  // left can hold, so a lying count fails below as a truncated blob.
+  constexpr std::size_t kMinFrameBytes = 12;  // its time (u64) and length (u32)
   std::vector<RecordedFrame> out;
-  out.reserve(count);
+  out.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, r.remaining() / kMinFrameBytes)));
   for (std::uint64_t i = 0; i < count; ++i) {
     RecordedFrame frame;
     frame.at = sim::Time{static_cast<std::int64_t>(r.u64())};

@@ -14,9 +14,11 @@ void Tap::attach_port(net::PortId port, net::Link& egress) noexcept {
 void Tap::receive(const net::PacketPtr& packet, net::PortId port) {
   if (port >= 2) return;
   const sim::Time now = engine_.now();
-  if (records_.size() >= record_limit_) {
-    records_.erase(records_.begin(), records_.begin() + static_cast<std::ptrdiff_t>(
-                                                            record_limit_ / 2));
+  // Bounded memory: past kRecordLimit records, the oldest half goes.
+  constexpr std::size_t kRecordLimit = std::size_t{1} << 22;
+  if (records_.size() >= kRecordLimit) {
+    records_.erase(records_.begin(),
+                   records_.begin() + static_cast<std::ptrdiff_t>(kRecordLimit / 2));
   }
   records_.push_back(CaptureRecord{packet->id(), static_cast<std::uint32_t>(packet->size_bytes()),
                                    port, now, clock_.stamp(now)});

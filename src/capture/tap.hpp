@@ -67,8 +67,6 @@ class Tap final : public net::PortedDevice {
 
   [[nodiscard]] const std::vector<CaptureRecord>& records() const noexcept { return records_; }
   void clear() noexcept { records_.clear(); }
-  // Bounds memory for long runs: keep only the newest `limit` records.
-  void set_record_limit(std::size_t limit) noexcept { record_limit_ = limit; }
 
   // Registers capture-volume gauges under "<prefix>".
   void register_metrics(telemetry::Registry& registry, const std::string& prefix) const {
@@ -87,7 +85,6 @@ class Tap final : public net::PortedDevice {
   net::Link* egress_[2] = {nullptr, nullptr};
   PacketHook packet_hook_;
   std::vector<CaptureRecord> records_;
-  std::size_t record_limit_ = 1 << 22;
   // Totals survive record eviction/clear, so gauges stay monotonic.
   std::uint64_t frames_tapped_ = 0;
   std::uint64_t bytes_tapped_ = 0;

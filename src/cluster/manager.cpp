@@ -1,91 +1,15 @@
 #include "cluster/manager.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace tsn::cluster {
-
-void ClusterManager::add_server(const Server& server) {
-  for (const auto& existing : servers_) {
-    if (existing.id == server.id) throw std::invalid_argument{"duplicate server id"};
-  }
-  servers_.push_back(server);
-}
 
 void ClusterManager::add_job(const Job& job) {
   for (const auto& existing : jobs_) {
     if (existing.id == job.id) throw std::invalid_argument{"duplicate job id"};
   }
   jobs_.push_back(job);
-}
-
-PlacementResult ClusterManager::place() const {
-  PlacementResult result;
-  std::unordered_map<ServerId, double> cpu_left;
-  for (const auto& server : servers_) cpu_left[server.id] = server.cpu_capacity;
-
-  // Sort servers by distance to the exchange rack (stable by id).
-  std::vector<const Server*> by_proximity;
-  by_proximity.reserve(servers_.size());
-  for (const auto& server : servers_) by_proximity.push_back(&server);
-  std::sort(by_proximity.begin(), by_proximity.end(), [this](const Server* a, const Server* b) {
-    const double da = rack_distance(a->rack, exchange_rack_);
-    const double db = rack_distance(b->rack, exchange_rack_);
-    if (da != db) return da < db;
-    return a->id < b->id;
-  });
-
-  // Phase 1: normalizers and gateways hug the exchange. Track which rack
-  // produces each partition for phase 2.
-  std::unordered_map<std::uint32_t, std::uint32_t> partition_rack;
-  auto place_near_exchange = [&](const Job& job) {
-    for (const Server* server : by_proximity) {
-      if (cpu_left[server->id] >= job.cpu_cores) {
-        cpu_left[server->id] -= job.cpu_cores;
-        result.assignment[job.id] = server->id;
-        result.total_hop_cost += rack_distance(server->rack, exchange_rack_);
-        if (job.kind == JobKind::kNormalizer) {
-          for (const std::uint32_t p : job.partitions) partition_rack[p] = server->rack;
-        }
-        return true;
-      }
-    }
-    return false;
-  };
-
-  for (const auto& job : jobs_) {
-    if (job.kind == JobKind::kStrategy) continue;
-    if (!place_near_exchange(job)) result.unplaced.push_back(job.id);
-  }
-
-  // Phase 2: each strategy minimizes the hop cost to its subscriptions
-  // (and, secondarily, to the exchange for its order path).
-  for (const auto& job : jobs_) {
-    if (job.kind != JobKind::kStrategy) continue;
-    const Server* best = nullptr;
-    double best_cost = std::numeric_limits<double>::infinity();
-    for (const auto& server : servers_) {
-      if (cpu_left[server.id] < job.cpu_cores) continue;
-      double cost = 0.1 * rack_distance(server.rack, exchange_rack_);
-      for (const std::uint32_t p : job.partitions) {
-        const auto it = partition_rack.find(p);
-        cost += it == partition_rack.end() ? 3.0 : rack_distance(server.rack, it->second);
-      }
-      if (cost < best_cost || (cost == best_cost && best != nullptr && server.id < best->id)) {
-        best_cost = cost;
-        best = &server;
-      }
-    }
-    if (best == nullptr) {
-      result.unplaced.push_back(job.id);
-      continue;
-    }
-    cpu_left[best->id] -= job.cpu_cores;
-    result.assignment[job.id] = best->id;
-    result.total_hop_cost += best_cost;
-  }
-  return result;
 }
 
 std::vector<SubscriptionPlan> ClusterManager::plan_l1s_subscriptions(
@@ -120,35 +44,6 @@ std::vector<SubscriptionPlan> ClusterManager::plan_l1s_subscriptions(
     plans.push_back(std::move(plan));
   }
   return plans;
-}
-
-MigrationPlan ClusterManager::plan_migration(JobId job, ServerId to,
-                                             const PlacementResult& current) const {
-  const auto it = current.assignment.find(job);
-  if (it == current.assignment.end()) throw std::invalid_argument{"job is not placed"};
-  const Job* spec = nullptr;
-  for (const auto& j : jobs_) {
-    if (j.id == job) spec = &j;
-  }
-  if (spec == nullptr) throw std::invalid_argument{"unknown job"};
-
-  MigrationPlan plan;
-  plan.job = job;
-  plan.from = it->second;
-  plan.to = to;
-  // Bare metal: no live migration — provision, warm, re-join, cut over.
-  plan.steps = {
-      {"provision target server (image, tuning, NIC setup)", sim::seconds(std::int64_t{90})},
-      {"warm start application and replay state", sim::seconds(std::int64_t{20})},
-      {"join multicast feeds on target and verify gap-free reception",
-       sim::millis(std::int64_t{500})},
-      {"drain in-flight orders on source", sim::millis(std::int64_t{250})},
-      {"cut over (stop source, promote target)", sim::millis(std::int64_t{50})},
-  };
-  // Only the drain + cutover take the job offline; joins overlap with the
-  // source still serving.
-  plan.total_downtime = sim::millis(std::int64_t{300});
-  return plan;
 }
 
 }  // namespace tsn::cluster

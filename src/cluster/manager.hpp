@@ -3,30 +3,20 @@
 // The paper asks for automated provisioning, placement and scaling that
 // optimizes latency above other criteria while respecting bandwidth and
 // application constraints (a strategy must reach the normalized feeds it
-// subscribes to), plus bare-metal job migration. This module implements:
-//  - latency-aware greedy placement over racks (normalizers and gateways
-//    gravitate toward the exchange ToR; strategies toward the racks that
-//    serve their subscriptions),
-//  - the L1S subscription-cap solver (§4.3): given a per-server NIC budget,
-//    decide which feeds each strategy takes on dedicated NICs and which
-//    must share a merged circuit,
-//  - bare-metal migration planning with estimated downtime.
+// subscribes to). This module implements the L1S subscription-cap solver
+// (§4.3): given a per-server NIC budget, decide which feeds each strategy
+// takes on dedicated NICs and which must share a merged circuit.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "sim/time.hpp"
 
 namespace tsn::cluster {
 
 enum class JobKind : std::uint8_t { kNormalizer, kStrategy, kGateway };
 
 using JobId = std::uint32_t;
-using ServerId = std::uint32_t;
 
 struct Job {
   JobId id = 0;
@@ -34,23 +24,6 @@ struct Job {
   // Normalized partitions this job consumes (strategies) or produces
   // (normalizers).
   std::vector<std::uint32_t> partitions;
-  double cpu_cores = 1.0;
-};
-
-struct Server {
-  ServerId id = 0;
-  std::uint32_t rack = 0;
-  double cpu_capacity = 16.0;
-  std::uint32_t nic_slots = 3;  // management + market data + orders
-};
-
-struct PlacementResult {
-  // job id -> server id; jobs that could not be placed are absent.
-  std::unordered_map<JobId, ServerId> assignment;
-  std::vector<JobId> unplaced;
-  // Expected switch hops from the exchange ToR to each job's rack plus
-  // subscription distance, the objective the optimizer minimizes.
-  double total_hop_cost = 0.0;
 };
 
 // How one strategy's subscriptions map onto its NICs in the L1S design.
@@ -58,38 +31,11 @@ struct SubscriptionPlan {
   JobId strategy = 0;
   std::vector<std::uint32_t> dedicated;  // one NIC each
   std::vector<std::uint32_t> merged;     // share the final NIC via a mux
-  [[nodiscard]] bool requires_merge() const noexcept { return !merged.empty(); }
-};
-
-struct MigrationStep {
-  std::string action;
-  sim::Duration estimated_duration;
-};
-
-struct MigrationPlan {
-  JobId job = 0;
-  ServerId from = 0;
-  ServerId to = 0;
-  std::vector<MigrationStep> steps;
-  sim::Duration total_downtime;  // time the job is not consuming its feeds
 };
 
 class ClusterManager {
  public:
-  // `exchange_rack` is where the dedicated exchange ToR lives (Design 1).
-  explicit ClusterManager(std::uint32_t exchange_rack = 0) noexcept
-      : exchange_rack_(exchange_rack) {}
-
-  void add_server(const Server& server);
   void add_job(const Job& job);
-
-  [[nodiscard]] const std::vector<Server>& servers() const noexcept { return servers_; }
-  [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }
-
-  // Greedy latency-aware placement. Normalizers and gateways fill racks
-  // closest to the exchange; each strategy then picks the feasible server
-  // minimizing hops to the normalizers producing its partitions.
-  [[nodiscard]] PlacementResult place() const;
 
   // L1S subscription capping: each strategy may use at most
   // `max_feed_nics` market-data NICs. The most active partitions (by the
@@ -99,18 +45,7 @@ class ClusterManager {
       std::uint32_t max_feed_nics,
       const std::unordered_map<std::uint32_t, double>& partition_weight) const;
 
-  // Bare-metal migration: drain, re-provision, re-join feeds, cut over.
-  [[nodiscard]] MigrationPlan plan_migration(JobId job, ServerId to,
-                                             const PlacementResult& current) const;
-
-  // Rack distance in switch hops (1 intra-rack, 3 inter-rack: Design 1).
-  [[nodiscard]] static double rack_distance(std::uint32_t a, std::uint32_t b) noexcept {
-    return a == b ? 1.0 : 3.0;
-  }
-
  private:
-  std::uint32_t exchange_rack_;
-  std::vector<Server> servers_;
   std::vector<Job> jobs_;
 };
 

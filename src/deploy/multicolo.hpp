@@ -24,8 +24,6 @@ class MultiColoDeployment final : public Deployment {
  public:
   explicit MultiColoDeployment(MultiColoConfig config);
 
-  [[nodiscard]] l2::CommoditySwitch& exchange_switch() noexcept { return *exchange_switch_; }
-  [[nodiscard]] l2::CommoditySwitch& firm_switch() noexcept { return *firm_switch_; }
   // One-way WAN propagation for the configured technology.
   [[nodiscard]] sim::Duration wan_delay() const noexcept;
 

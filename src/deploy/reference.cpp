@@ -22,19 +22,7 @@ void Deployment::start() {
   engine_.run();
 }
 
-void Deployment::run(sim::Duration duration) {
-  if (!driver_) {
-    exchange::ActivityConfig activity;
-    activity.events_per_second = config_.events_per_second;
-    activity.cross_weight = 0.2;
-    driver_ = std::make_unique<exchange::MarketActivityDriver>(*exchange_, activity,
-                                                               config_.seed);
-  }
-  driver_->run_until(engine_.now() + duration);
-  engine_.run();
-}
-
-void Deployment::run_bounded(sim::Duration activity, sim::Duration drain) {
+void Deployment::drive(sim::Duration activity) {
   if (!driver_) {
     exchange::ActivityConfig activity_config;
     activity_config.events_per_second = config_.events_per_second;
@@ -43,6 +31,15 @@ void Deployment::run_bounded(sim::Duration activity, sim::Duration drain) {
                                                                config_.seed);
   }
   driver_->run_until(engine_.now() + activity);
+}
+
+void Deployment::run(sim::Duration duration) {
+  drive(duration);
+  engine_.run();
+}
+
+void Deployment::run_bounded(sim::Duration activity, sim::Duration drain) {
+  drive(activity);
   engine_.run_until(engine_.now() + activity + drain);
 }
 
@@ -205,9 +202,8 @@ LeafSpineDeployment::LeafSpineDeployment(DeploymentConfig config,
   topo_->attach_host(3, gateway_->upstream_nic());
 }
 
-QuadL1sDeployment::QuadL1sDeployment(DeploymentConfig config, topo::QuadL1Config topo_config)
-    : Deployment(config) {
-  topo_ = std::make_unique<topo::QuadL1Fabric>(fabric_, topo_config);
+QuadL1sDeployment::QuadL1sDeployment(DeploymentConfig config) : Deployment(config) {
+  topo_ = std::make_unique<topo::QuadL1Fabric>(fabric_);
   // Flat addressing: the circuit fabric does no routing.
   auto address = [](std::size_t rack, std::size_t index) {
     return net::Ipv4Addr{10, 9, static_cast<std::uint8_t>(rack),

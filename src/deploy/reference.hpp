@@ -83,6 +83,10 @@ class Deployment {
  protected:
   explicit Deployment(DeploymentConfig config);
 
+  // Schedules `activity` of market activity from now, building the driver
+  // on first use.
+  void drive(sim::Duration activity);
+
   sim::Engine engine_;
   net::Fabric fabric_{engine_};
   DeploymentConfig config_;
@@ -119,8 +123,7 @@ class LeafSpineDeployment final : public Deployment {
 // exercised by the D3 bench directly against Layer1Switch.
 class QuadL1sDeployment final : public Deployment {
  public:
-  explicit QuadL1sDeployment(DeploymentConfig config = {},
-                             topo::QuadL1Config topo_config = topo::QuadL1Config{});
+  explicit QuadL1sDeployment(DeploymentConfig config = {});
 
   [[nodiscard]] topo::QuadL1Fabric& topology() noexcept { return *topo_; }
 

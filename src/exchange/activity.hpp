@@ -21,6 +21,7 @@ struct ActivityConfig {
   // Aggregate book-operation rate (events/second) before modulation.
   double events_per_second = 50'000.0;
   // Optional time-varying multiplier (intraday profile / bursts); default 1.
+  // tsn-lint: allow(unset-option) the drill bursts ramp activity; Design runs are flat
   std::function<double(sim::Time)> rate_multiplier;
   // Weight of marketable IOC orders that trade, against the fixed add,
   // cancel and replace weights (normalized internally).

@@ -210,10 +210,6 @@ book::OrderBook& Exchange::book(const proto::Symbol& symbol) {
   return *it->second;
 }
 
-bool Exchange::lists(const proto::Symbol& symbol) const noexcept {
-  return books_.contains(symbol);
-}
-
 std::uint32_t Exchange::now_seconds() const noexcept {
   return static_cast<std::uint32_t>(now_ps() / kPicosPerSecond);
 }

@@ -87,6 +87,7 @@ struct ExchangeConfig {
   // two groups that traverse disjoint paths, so receivers can arbitrate and
   // survive single-path loss (§4). When enabled, unit u's datagrams also go
   // to feed_group_b_base + u with byte-identical payloads (same sequences).
+  // tsn-lint: allow(unset-option) the A/B drills arbitrate two lines; Design runs use one
   bool dual_publish = false;
   // tsn-lint: allow(unset-option) a deployment setting: each venue or firm picks its own addresses
   net::Ipv4Addr feed_group_b_base{239, 102, 0, 0};
@@ -191,7 +192,6 @@ class Exchange {
   // Direct book access, used by the background activity driver. Changes
   // made through the returned book are published on the feed.
   [[nodiscard]] book::OrderBook& book(const proto::Symbol& symbol);
-  [[nodiscard]] bool lists(const proto::Symbol& symbol) const noexcept;
   [[nodiscard]] const std::vector<SymbolSpec>& symbols() const noexcept {
     return config_.symbols;
   }
@@ -225,7 +225,6 @@ class Exchange {
   // with the primary) but not transmitted until promotion unmutes them —
   // the promoted backup then continues the A/B streams seamlessly.
   void set_feed_muted(bool muted) noexcept { feed_muted_ = muted; }
-  [[nodiscard]] bool feed_muted() const noexcept { return feed_muted_; }
   // While not accepting, new order-port connections are closed immediately
   // (a follower must not admit inputs of its own); promotion re-opens.
   void set_accepting(bool accepting) noexcept { accepting_ = accepting; }
@@ -250,7 +249,6 @@ class Exchange {
   // silences itself — feed muted, accepts refused, live legs closed so
   // clients re-home — but its books stay intact for post-mortem parity.
   void fence();
-  [[nodiscard]] bool halted() const noexcept { return halted_; }
   [[nodiscard]] bool fenced() const noexcept { return fenced_; }
 
   // Replication-parity digest: session-store rows + order-id allocator +

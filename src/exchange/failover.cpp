@@ -15,12 +15,12 @@ const char* to_string(FailoverState state) noexcept {
 }
 
 FailoverController::FailoverController(sim::Scheduler& engine, Exchange& backup,
-                                       ReplicaApplier& applier, FailoverConfig config)
-    : engine_(engine), backup_(backup), applier_(applier), config_(config) {}
+                                       ReplicaApplier& applier)
+    : engine_(engine), backup_(backup), applier_(applier) {}
 
 void FailoverController::start() {
   last_heartbeat_seen_ = applier_.last_heartbeat_at();
-  engine_.schedule_in(config_.poll_interval, [this] { tick(); });
+  engine_.schedule_in(kFailoverPollInterval, [this] { tick(); });
 }
 
 void FailoverController::tick() {
@@ -30,7 +30,7 @@ void FailoverController::tick() {
   switch (state_) {
     case FailoverState::kFollowing:
       last_heartbeat_seen_ = beat;
-      if (silence > config_.suspect_after) {
+      if (silence > kSuspectAfter) {
         state_ = FailoverState::kSuspect;
         suspected_at_ = now;
         ++stats_.suspects;
@@ -44,7 +44,7 @@ void FailoverController::tick() {
         state_ = FailoverState::kFollowing;
         last_heartbeat_seen_ = beat;
         ++stats_.false_suspects;
-      } else if (now - suspected_at_ > config_.promote_after) {
+      } else if (now - suspected_at_ > kPromoteAfter) {
         state_ = FailoverState::kPromoting;
         promote_started_ = now;
         // Epoch bump first: from this instant our status datagrams fence
@@ -54,13 +54,12 @@ void FailoverController::tick() {
       }
       break;
     case FailoverState::kPromoting:
-      if (now - promote_started_ > config_.promote_replay) {
+      if (now - promote_started_ > kPromoteReplay) {
         // Journal tail drained (in-flight records landed during the replay
         // window). Open for business.
         backup_.set_feed_muted(false);
         backup_.set_accepting(true);
         state_ = FailoverState::kActive;
-        promoted_at_ = now;
         recovery_ = now - last_heartbeat_seen_;
         ++stats_.promotions;
       }
@@ -68,7 +67,7 @@ void FailoverController::tick() {
     case FailoverState::kActive:
       return;  // terminal: stop the poll chain
   }
-  engine_.schedule_in(config_.poll_interval, [this] { tick(); });
+  engine_.schedule_in(kFailoverPollInterval, [this] { tick(); });
 }
 
 void FailoverController::register_metrics(telemetry::Registry& registry,

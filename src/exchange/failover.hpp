@@ -29,18 +29,16 @@ enum class FailoverState : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FailoverState state) noexcept;
 
-struct FailoverConfig {
-  // Detector poll cadence; keep well under suspect_after for tight bounds.
-  sim::Duration poll_interval = sim::micros(std::int64_t{200});
-  // Heartbeat silence before the primary is suspected (>= 2 intervals so a
-  // single lost heartbeat never trips it).
-  sim::Duration suspect_after = sim::millis(std::int64_t{2});
-  // Additional silence, while suspect, before promotion begins.
-  sim::Duration promote_after = sim::millis(std::int64_t{1});
-  // Journal-tail drain: records already on the wire at promotion land
-  // during this window and are applied before the book goes live.
-  sim::Duration promote_replay = sim::micros(std::int64_t{200});
-};
+// Detector poll cadence; well under kSuspectAfter for tight bounds.
+inline constexpr sim::Duration kFailoverPollInterval = sim::micros(std::int64_t{200});
+// Heartbeat silence before the primary is suspected (>= 2 intervals so a
+// single lost heartbeat never trips it).
+inline constexpr sim::Duration kSuspectAfter = sim::millis(std::int64_t{2});
+// Additional silence, while suspect, before promotion begins.
+inline constexpr sim::Duration kPromoteAfter = sim::millis(std::int64_t{1});
+// Journal-tail drain: records already on the wire at promotion land
+// during this window and are applied before the book goes live.
+inline constexpr sim::Duration kPromoteReplay = sim::micros(std::int64_t{200});
 
 struct FailoverStats {
   std::uint64_t suspects = 0;
@@ -50,16 +48,13 @@ struct FailoverStats {
 
 class FailoverController {
  public:
-  FailoverController(sim::Scheduler& engine, Exchange& backup, ReplicaApplier& applier,
-                     FailoverConfig config);
+  FailoverController(sim::Scheduler& engine, Exchange& backup, ReplicaApplier& applier);
 
   // Starts the poll chain. The applier must be start()ed first so its
   // heartbeat watermark is initialized.
   void start();
 
   [[nodiscard]] FailoverState state() const noexcept { return state_; }
-  [[nodiscard]] sim::Time suspected_at() const noexcept { return suspected_at_; }
-  [[nodiscard]] sim::Time promoted_at() const noexcept { return promoted_at_; }
   // Outage as the clients saw it: last heartbeat the detector trusted to
   // the instant the backup opened for business.
   [[nodiscard]] sim::Duration recovery_duration() const noexcept { return recovery_; }
@@ -73,12 +68,10 @@ class FailoverController {
   sim::Scheduler& engine_;
   Exchange& backup_;
   ReplicaApplier& applier_;
-  FailoverConfig config_;
   FailoverState state_ = FailoverState::kFollowing;
   sim::Time last_heartbeat_seen_;  // watermark backing recovery_duration()
   sim::Time suspected_at_;
   sim::Time promote_started_;
-  sim::Time promoted_at_;
   sim::Duration recovery_ = sim::Duration::zero();
   FailoverStats stats_;
 };

@@ -422,12 +422,6 @@ void LoadGen::send(std::uint32_t session, const proto::boe::Message& message) {
   });
 }
 
-std::int64_t LoadGen::total_position() const noexcept {
-  std::int64_t total = 0;
-  for (const Sess& sess : sessions_) total += sess.position;
-  return total;
-}
-
 std::uint64_t LoadGen::fingerprint() const noexcept {
   book::Fnv1a digest;
   for (const Sess& sess : sessions_) {

@@ -86,6 +86,7 @@ class LoadGen final : public DirectClient {
   // Begins the admission ramp and the master tick. Idempotent.
   void start();
   // Stops ticking after the current tick (sessions stay logged in).
+  // tsn-lint: allow(unreached-member) the session-scale drill quiesces before checking open orders
   void stop() noexcept { running_ = false; }
 
   // Drops the first `count` ready sessions at the current instant (call
@@ -112,7 +113,6 @@ class LoadGen final : public DirectClient {
   [[nodiscard]] std::uint32_t open_orders(std::uint32_t session) const noexcept {
     return sessions_[session].open_count;
   }
-  [[nodiscard]] std::int64_t total_position() const noexcept;
   // FNV-1a digest over every session's externally visible end state plus
   // the stats block — the two-run determinism probe.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;

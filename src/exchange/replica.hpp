@@ -98,8 +98,6 @@ class ReplicaStream final : public InputListener {
   [[nodiscard]] const ReplicaStreamStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] bool fenced() const noexcept { return fenced_; }
-  [[nodiscard]] std::uint32_t emitted_seq() const noexcept { return next_rep_seq_ - 1; }
-  [[nodiscard]] std::uint32_t flushed_seq() const noexcept { return flushed_seq_; }
 
   void register_metrics(telemetry::Registry& registry, const std::string& prefix) const;
 
@@ -170,8 +168,6 @@ class ReplicaApplier {
 
   [[nodiscard]] sim::Time last_heartbeat_at() const noexcept { return last_heartbeat_at_; }
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-  [[nodiscard]] std::uint64_t remote_epoch() const noexcept { return remote_epoch_; }
-  [[nodiscard]] std::uint32_t applied_seq() const noexcept { return applied_seq_; }
   [[nodiscard]] const ReplicaApplierStats& stats() const noexcept { return stats_; }
 
   void register_metrics(telemetry::Registry& registry, const std::string& prefix) const;

@@ -143,9 +143,6 @@ class SessionStore {
   [[nodiscard]] std::uint32_t session_id(std::uint32_t slot) const noexcept {
     return sess_external_[slot];
   }
-  [[nodiscard]] std::uint64_t token(std::uint32_t slot) const noexcept {
-    return sess_token_[slot];
-  }
   [[nodiscard]] std::uint32_t conn(std::uint32_t slot) const noexcept { return sess_conn_[slot]; }
   [[nodiscard]] bool logged_in(std::uint32_t slot) const noexcept {
     return sess_logged_in_[slot] != 0;

@@ -1,18 +1,15 @@
 #include "feed/burst.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/random.hpp"
 
 namespace tsn::feed {
 
-BurstMicrostructure::BurstMicrostructure(BurstConfig config) : config_(config) {}
-
 std::vector<std::uint64_t> BurstMicrostructure::window_counts(std::uint64_t total_events,
                                                               std::uint64_t seed) const {
   sim::Rng rng{seed};
-  const std::size_t n = config_.window_count;
+  const std::size_t n = kBurstWindowCount;
   std::vector<double> rate(n, 0.0);
   // Heavy-tailed autocorrelated base process: AR(1) on the log-rate.
   constexpr double kPhi = 0.985;
@@ -56,27 +53,6 @@ std::vector<std::uint64_t> BurstMicrostructure::window_counts(std::uint64_t tota
     counts[i] = rng.poisson(mean);
   }
   return counts;
-}
-
-std::vector<sim::Time> BurstMicrostructure::event_times(
-    const std::vector<std::uint64_t>& counts, sim::Time second_start, sim::Duration window,
-    std::uint64_t seed) {
-  sim::Rng rng{seed};
-  std::vector<sim::Time> out;
-  std::uint64_t total = 0;
-  for (auto c : counts) total += c;
-  out.reserve(total);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const sim::Time window_start = second_start + window * static_cast<std::int64_t>(i);
-    for (std::uint64_t e = 0; e < counts[i]; ++e) {
-      const auto offset =
-          static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(window.picos())));
-      out.push_back(window_start + sim::Duration{offset});
-    }
-    // Keep each window's events ordered.
-    std::sort(out.end() - static_cast<std::ptrdiff_t>(counts[i]), out.end());
-  }
-  return out;
 }
 
 }  // namespace tsn::feed

@@ -8,35 +8,21 @@
 // Poisson.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace tsn::feed {
 
-struct BurstConfig {
-  std::size_t window_count = 10'000;  // 100 us windows in one second
-};
+// 100 us windows in one second.
+inline constexpr std::size_t kBurstWindowCount = 10'000;
 
 class BurstMicrostructure {
  public:
-  explicit BurstMicrostructure(BurstConfig config = {});
-
   // Distributes `total_events` across the windows. The returned counts sum
   // to ~total_events (each window is Poisson around its share).
   [[nodiscard]] std::vector<std::uint64_t> window_counts(std::uint64_t total_events,
                                                          std::uint64_t seed) const;
-
-  // Expands window counts into event timestamps (uniform within each
-  // window), offset from `second_start`. Used to drive simulations with a
-  // faithful arrival process.
-  [[nodiscard]] static std::vector<sim::Time> event_times(
-      const std::vector<std::uint64_t>& counts, sim::Time second_start, sim::Duration window,
-      std::uint64_t seed);
-
- private:
-  BurstConfig config_;
 };
 
 }  // namespace tsn::feed

@@ -161,6 +161,5 @@ std::vector<std::byte> FrameLengthSampler::next_frame() {
                                     net::Ipv4Addr{239, 100, 0, 1}, 30001, payload);
 }
 
-std::size_t FrameLengthSampler::next_frame_length() { return next_frame().size(); }
 
 }  // namespace tsn::feed

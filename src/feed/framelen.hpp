@@ -57,9 +57,7 @@ class FrameLengthSampler {
 
   // Next complete Ethernet frame (header + IP + UDP + payload + pad + FCS).
   [[nodiscard]] std::vector<std::byte> next_frame();
-  [[nodiscard]] std::size_t next_frame_length();
 
-  [[nodiscard]] const FeedProfile& profile() const noexcept { return profile_; }
 
  private:
   void generate_datagrams();

@@ -35,20 +35,6 @@ void Layer1Switch::patch(net::PortId in, net::PortId out) {
              "an output cannot have more feeders than there are input ports");
 }
 
-void Layer1Switch::unpatch(net::PortId in, net::PortId out) {
-  if (in >= patch_map_.size() || out >= egress_.size()) return;
-  auto& outs = patch_map_[in];
-  const auto it = std::find(outs.begin(), outs.end(), out);
-  if (it == outs.end()) return;
-  outs.erase(it);
-  TSN_DCHECK(feeders_[out] > 0, "a tracked circuit implies a feeder on its output");
-  if (feeders_[out] > 0) --feeders_[out];
-}
-
-bool Layer1Switch::is_merge_output(net::PortId out) const noexcept {
-  return out < feeders_.size() && feeders_[out] > 1;
-}
-
 std::size_t Layer1Switch::circuit_count() const noexcept {
   std::size_t count = 0;
   for (const auto& outs : patch_map_) count += outs.size();
@@ -58,7 +44,6 @@ std::size_t Layer1Switch::circuit_count() const noexcept {
 void Layer1Switch::receive(const net::PacketPtr& packet, net::PortId in_port) {
   TSN_DCHECK(egress_.size() == patch_map_.size() && egress_.size() == feeders_.size(),
              "patch tables must stay sized to the configured port count");
-  if (timestamp_hook_) timestamp_hook_(packet, in_port, engine_.now());
   if (!admin_up_) {
     ++stats_.admin_down_drops;
     return;
@@ -78,7 +63,7 @@ void Layer1Switch::receive(const net::PacketPtr& packet, net::PortId in_port) {
     if (link == nullptr) continue;
     const bool merged = feeders_[out] > 1;
     const sim::Duration delay =
-        config_.fanout_latency + (merged ? config_.merge_latency : sim::Duration::zero());
+        kL1sFanoutLatency + (merged ? kL1sMergeLatency : sim::Duration::zero());
     ++stats_.frames_forwarded;
     if (merged) ++stats_.merged_frames;
     engine_.schedule_in(delay, [self, link, packet, rx, merged] {

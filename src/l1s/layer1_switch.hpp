@@ -7,13 +7,10 @@
 //  - merging: several inputs can be patched onto one output through a mux
 //    stage, at the cost of ~50 ns extra latency — and of contention, since
 //    the output serializes whatever arrives (bursts on merged feeds queue or
-//    drop at the egress link, §4.3's central caveat);
-//  - hardware timestamping: every ingress frame can be stamped with the
-//    arrival time at full precision.
+//    drop at the egress link, §4.3's central caveat).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,12 +21,13 @@
 
 namespace tsn::l1s {
 
+// Input-to-output circuit latency (§4.3: 5-6 ns).
+inline constexpr sim::Duration kL1sFanoutLatency = sim::nanos(std::int64_t{6});
+// Extra latency when the output is a merge (mux) of several inputs (§4.3).
+inline constexpr sim::Duration kL1sMergeLatency = sim::nanos(std::int64_t{50});
+
 struct L1SwitchConfig {
   std::size_t port_count = 32;
-  // Input-to-output circuit latency.
-  sim::Duration fanout_latency = sim::nanos(std::int64_t{6});
-  // Extra latency when the output is a merge (mux) of several inputs.
-  sim::Duration merge_latency = sim::nanos(std::int64_t{50});
 };
 
 struct L1Stats {
@@ -42,10 +40,6 @@ struct L1Stats {
 
 class Layer1Switch final : public net::PortedDevice, public net::FaultHook {
  public:
-  // Callback invoked for every ingress frame with the hardware timestamp.
-  using TimestampHook =
-      std::function<void(const net::PacketPtr&, net::PortId in_port, sim::Time at)>;
-
   Layer1Switch(sim::Scheduler& engine, std::string name, L1SwitchConfig config);
 
   void attach_port(net::PortId port, net::Link& egress) noexcept override;
@@ -53,21 +47,14 @@ class Layer1Switch final : public net::PortedDevice, public net::FaultHook {
   // Patches a circuit from `in` to `out`. A given input may feed many
   // outputs (fan-out); a given output may be fed by many inputs (merge).
   void patch(net::PortId in, net::PortId out);
-  void unpatch(net::PortId in, net::PortId out);
-  [[nodiscard]] bool is_merge_output(net::PortId out) const noexcept;
   [[nodiscard]] std::size_t circuit_count() const noexcept;
-
-  void set_timestamp_hook(TimestampHook hook) { timestamp_hook_ = std::move(hook); }
 
   // FaultHook: an L1S has no buffering, so admin-down simply goes dark and a
   // loss override models a degraded optical path through the crossbar.
   void set_admin_up(bool up) noexcept override { admin_up_ = up; }
-  [[nodiscard]] bool admin_up() const noexcept override { return admin_up_; }
   void set_loss_override(double probability) noexcept override {
     loss_override_ = probability;
   }
-  [[nodiscard]] double loss_override() const noexcept override { return loss_override_; }
-  void seed_fault_loss(std::uint64_t seed) noexcept { fault_rng_ = sim::Rng{seed}; }
 
   void receive(const net::PacketPtr& packet, net::PortId in_port) override;
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
@@ -98,7 +85,6 @@ class Layer1Switch final : public net::PortedDevice, public net::FaultHook {
   std::vector<net::Link*> egress_;
   std::vector<std::vector<net::PortId>> patch_map_;  // in-port -> out-ports
   std::vector<std::uint32_t> feeders_;               // out-port -> #inputs patched to it
-  TimestampHook timestamp_hook_;
   L1Stats stats_;
   bool admin_up_ = true;
   double loss_override_ = -1.0;

@@ -56,10 +56,6 @@ void CommoditySwitch::join_group(net::Ipv4Addr group, net::PortId port) {
   mroutes_.join(group, port);
 }
 
-void CommoditySwitch::leave_group(net::Ipv4Addr group, net::PortId port) {
-  mroutes_.leave(group, port);
-}
-
 const CommoditySwitch::Route* CommoditySwitch::lookup_route(net::Ipv4Addr dst) const noexcept {
   for (const auto& route : routes_) {
     const std::uint32_t mask = route.len == 0 ? 0 : ~std::uint32_t{0} << (32 - route.len);
@@ -172,7 +168,7 @@ void CommoditySwitch::forward_unicast(const net::PacketPtr& packet,
     out = factory_.remake(rewrite_scratch_, packet->created(), packet->id(), packet->trace());
   }
   ++stats_.unicast_forwarded;
-  const sim::Duration delay = config_.forwarding_latency;
+  const sim::Duration delay = kSwitchForwardingLatency;
   auto self = this;
   const sim::Time rx = engine_.now();
   engine_.schedule_in(delay, [self, out, out_port, rx] {
@@ -215,7 +211,7 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
   const bool hardware = entry.ports == nullptr || entry.hardware;
   if (hardware) {
     ++stats_.multicast_hw_forwarded;
-    replicate(packet, in_port, config_.forwarding_latency);
+    replicate(packet, in_port, kSwitchForwardingLatency);
     return;
   }
   // Software path: single-server queue with bounded depth. Queue depth is
@@ -223,13 +219,13 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
   const sim::Time now = engine_.now();
   const sim::Duration backlog =
       software_free_at_ > now ? software_free_at_ - now : sim::Duration::zero();
-  const auto queued = static_cast<std::size_t>(backlog / config_.software_service_time);
-  if (queued >= config_.software_queue_packets) {
+  const auto queued = static_cast<std::size_t>(backlog / kSoftwareServiceTime);
+  if (queued >= kSoftwareQueuePackets) {
     ++stats_.software_queue_drops;
     return;
   }
   const sim::Time done = (software_free_at_ > now ? software_free_at_ : now) +
-                         config_.software_service_time;
+                         kSoftwareServiceTime;
   TSN_DCHECK(done >= now, "software service completion cannot precede now");
   software_free_at_ = done;
   ++stats_.multicast_sw_forwarded;
@@ -299,7 +295,7 @@ void CommoditySwitch::handle_igmp(const net::PacketPtr& packet,
   for (net::PortId p = 0; p < router_port_.size(); ++p) {
     if (router_port_[p] && p != in_port) egress_scratch_.push_back(p);
   }
-  replicate(packet, in_port, config_.forwarding_latency);
+  replicate(packet, in_port, kSwitchForwardingLatency);
 }
 
 void CommoditySwitch::register_metrics(telemetry::Registry& registry,
@@ -329,7 +325,7 @@ void CommoditySwitch::register_metrics(telemetry::Registry& registry,
   registry.gauge(base + ".software_queue_depth", [this] {
     const sim::Time now = engine_.now();
     if (software_free_at_ <= now) return 0.0;
-    return static_cast<double>((software_free_at_ - now) / config_.software_service_time);
+    return static_cast<double>((software_free_at_ - now) / kSoftwareServiceTime);
   });
   mroutes_.register_metrics(registry, base + ".mroute");
 }

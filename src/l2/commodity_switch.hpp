@@ -4,7 +4,7 @@
 //  - Cut-through forwarding with a fixed pipeline latency (~500 ns for
 //    current-generation devices, §3 Latency Trends). Serialization is
 //    charged by the egress Link, so "switch hop latency" in the paper's
-//    arithmetic corresponds to `forwarding_latency` here.
+//    arithmetic corresponds to `kSwitchForwardingLatency` here.
 //  - L3 unicast via longest-prefix-match routes with ECMP across equal-cost
 //    egress ports (leaf-spine runs a standard Layer-3 protocol, §4.1); the
 //    route table is programmed by the topology builder, standing in for BGP.
@@ -33,21 +33,24 @@
 
 namespace tsn::l2 {
 
+// Pipeline latency of the hardware forwarding path (§3: ~500 ns).
+inline constexpr sim::Duration kSwitchForwardingLatency = sim::nanos(std::int64_t{500});
+// Software (CPU) forwarding path, used when the mroute table overflows:
+// per-packet service time and bounded queue.
+inline constexpr sim::Duration kSoftwareServiceTime = sim::micros(std::int64_t{40});
+inline constexpr std::size_t kSoftwareQueuePackets = 256;
+
 struct CommoditySwitchConfig {
   std::size_t port_count = 48;
-  // Pipeline latency of the hardware forwarding path.
-  sim::Duration forwarding_latency = sim::nanos(std::int64_t{500});
   // ASIC mroute table size (groups).
   std::size_t mroute_hardware_capacity = 512;
-  // Software (CPU) forwarding path, used when the mroute table overflows:
-  // per-packet service time and bounded queue.
-  sim::Duration software_service_time = sim::micros(std::int64_t{40});
-  std::size_t software_queue_packets = 256;
   // Querier + membership aging (both disabled when zero). With a querier
   // running, receiver ports that stop answering queries are aged out of
   // the mroute table after `membership_timeout` — how real snooping state
   // behaves. Enable via start_querier().
+  // tsn-lint: allow(unset-option) IgmpAging tests: silent ports age out, answered ones stay
   sim::Duration igmp_query_interval = sim::Duration::zero();
+  // tsn-lint: allow(unset-option) IgmpAging tests: silent ports age out, answered ones stay
   sim::Duration membership_timeout = sim::Duration::zero();
 };
 
@@ -85,9 +88,10 @@ class CommoditySwitch final : public net::PortedDevice, public net::FaultHook {
   void bind_host(net::Ipv4Addr ip, net::MacAddr mac, net::PortId port);
   // Programs a static multicast route (alternative to IGMP snooping).
   void join_group(net::Ipv4Addr group, net::PortId port);
-  void leave_group(net::Ipv4Addr group, net::PortId port);
   // Starts periodic General Queries and membership aging (requires both
   // intervals in the config to be positive). Runs until the engine stops.
+  // No deployment starts one: that would change the Design outputs.
+  // tsn-lint: allow(unreached-member) IgmpAging tests: silent ports age out, answered ones stay
   void start_querier();
 
   // --- fault injection ------------------------------------------------------
@@ -95,13 +99,9 @@ class CommoditySwitch final : public net::PortedDevice, public net::FaultHook {
   // off or rebooting switch); a loss override randomly discards received
   // frames (ASIC parity errors, overheating optics).
   void set_admin_up(bool up) noexcept override { admin_up_ = up; }
-  [[nodiscard]] bool admin_up() const noexcept override { return admin_up_; }
   void set_loss_override(double probability) noexcept override {
     loss_override_ = probability;
   }
-  [[nodiscard]] double loss_override() const noexcept override { return loss_override_; }
-  // Deterministic stream for fault-loss draws.
-  void seed_fault_loss(std::uint64_t seed) noexcept { fault_rng_ = sim::Rng{seed}; }
   // Pauses one egress port: frames bound for it during the stall window are
   // held and released, in order, when the stall ends — head-of-line blocking
   // from a PFC storm or a draining linecard buffer.

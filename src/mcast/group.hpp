@@ -44,19 +44,9 @@ class GroupAllocator {
       if (index >= count) throw std::out_of_range{"group index outside block"};
       return net::Ipv4Addr{first.value() + index};
     }
-    [[nodiscard]] bool contains(net::Ipv4Addr g) const noexcept {
-      return g.value() >= first.value() && g.value() < first.value() + count;
-    }
-    [[nodiscard]] std::uint32_t index_of(net::Ipv4Addr g) const {
-      if (!contains(g)) throw std::out_of_range{"group outside block"};
-      return g.value() - first.value();
-    }
   };
 
   [[nodiscard]] const Block& block(const std::string& label) const { return blocks_.at(label); }
-  [[nodiscard]] bool has_block(const std::string& label) const {
-    return blocks_.contains(label);
-  }
   [[nodiscard]] std::uint32_t total_allocated() const noexcept { return next_ - base_.value(); }
 
  private:

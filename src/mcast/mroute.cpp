@@ -57,22 +57,4 @@ bool MrouteTable::evict(net::Ipv4Addr group) {
   return true;
 }
 
-void MrouteTable::reprogram() {
-  // Deterministic refill: sort groups numerically, then assign hardware
-  // slots from the front.
-  std::vector<net::Ipv4Addr> groups;
-  groups.reserve(entries_.size());
-  // tsn-lint: allow(unordered-iter) order-independent: groups sorted before slots are assigned
-  for (const auto& [group, entry] : entries_) groups.push_back(group);
-  std::sort(groups.begin(), groups.end());
-  hardware_used_ = 0;
-  for (const auto& group : groups) {
-    Entry& entry = entries_.at(group);
-    entry.hardware = hardware_used_ < hardware_capacity_;
-    if (entry.hardware) ++hardware_used_;
-  }
-  TSN_DCHECK(hardware_used_ <= hardware_capacity_,
-             "reprogram must not oversubscribe hardware slots");
-}
-
 }  // namespace tsn::mcast

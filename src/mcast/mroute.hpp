@@ -39,8 +39,7 @@ class MrouteTable {
 
   // Removes `port`; the entry disappears with its last port. Freed hardware
   // slots are re-used by the next new entry (no automatic promotion —
-  // matching observed ASIC behaviour where software entries stay slow until
-  // re-programmed).
+  // matching observed ASIC behaviour where software entries stay slow).
   void leave(net::Ipv4Addr group, net::PortId port);
 
   struct Lookup {
@@ -56,13 +55,8 @@ class MrouteTable {
   [[nodiscard]] std::size_t software_group_count() const noexcept {
     return entries_.size() - hardware_used_;
   }
-  [[nodiscard]] std::size_t hardware_capacity() const noexcept { return hardware_capacity_; }
   [[nodiscard]] bool overflowed() const noexcept { return entries_.size() > hardware_used_; }
   [[nodiscard]] const MrouteStats& stats() const noexcept { return stats_; }
-
-  // Operator action: clears and re-programs every entry, refilling the
-  // hardware table in group order (what "re-provisioning the switch" does).
-  void reprogram();
 
   // Fault injection: drops the group's entry outright — table corruption or
   // exhaustion-driven reprogramming silently black-holing subscribers (§3).

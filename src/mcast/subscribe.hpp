@@ -1,5 +1,5 @@
 // Host-side multicast membership helper: programs the NIC's hardware MAC
-// filter and announces the join/leave in-band via IGMP so snooping switches
+// filter and announces the join in-band via IGMP so snooping switches
 // program their mroute tables.
 #pragma once
 
@@ -12,12 +12,6 @@ inline void join_group(net::Nic& nic, net::Ipv4Addr group) {
   nic.subscribe_multicast_mac(net::multicast_mac(group));
   nic.send_frame(build_igmp_frame(nic.mac(), nic.ip(),
                                   IgmpMessage{IgmpType::kMembershipReport, group}));
-}
-
-inline void leave_group(net::Nic& nic, net::Ipv4Addr group) {
-  nic.unsubscribe_multicast_mac(net::multicast_mac(group));
-  nic.send_frame(build_igmp_frame(nic.mac(), nic.ip(),
-                                  IgmpMessage{IgmpType::kLeaveGroup, group}));
 }
 
 }  // namespace tsn::mcast

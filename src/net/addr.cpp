@@ -11,35 +11,6 @@ std::string MacAddr::to_string() const {
   return buf;
 }
 
-std::optional<MacAddr> MacAddr::parse(std::string_view text) {
-  std::array<std::uint8_t, 6> octets{};
-  std::size_t pos = 0;
-  for (std::size_t i = 0; i < 6; ++i) {
-    if (i > 0) {
-      if (pos >= text.size() || text[pos] != ':') return std::nullopt;
-      ++pos;
-    }
-    if (pos + 2 > text.size()) return std::nullopt;
-    unsigned value = 0;
-    for (int j = 0; j < 2; ++j) {
-      const char c = text[pos++];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        return std::nullopt;
-      }
-    }
-    octets[i] = static_cast<std::uint8_t>(value);
-  }
-  if (pos != text.size()) return std::nullopt;
-  return MacAddr{octets};
-}
-
 std::string Ipv4Addr::to_string() const {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value_ >> 24) & 0xff, (value_ >> 16) & 0xff,

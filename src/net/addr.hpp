@@ -42,7 +42,6 @@ class MacAddr {
   }
 
   [[nodiscard]] std::string to_string() const;
-  [[nodiscard]] static std::optional<MacAddr> parse(std::string_view text);
 
   constexpr auto operator<=>(const MacAddr&) const noexcept = default;
 

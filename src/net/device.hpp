@@ -40,12 +40,10 @@ class FaultHook {
   // Administrative availability. While down the entity drops everything it
   // is handed — a pulled cable, a faded microwave path, a dead linecard.
   virtual void set_admin_up(bool up) noexcept = 0;
-  [[nodiscard]] virtual bool admin_up() const noexcept = 0;
 
   // Dynamic loss override: replaces the configured loss probability until
   // cleared. Negative values clear the override.
   virtual void set_loss_override(double probability) noexcept = 0;
-  [[nodiscard]] virtual double loss_override() const noexcept = 0;
 };
 
 }  // namespace tsn::net

@@ -46,7 +46,6 @@ class Fabric {
 
   [[nodiscard]] sim::Scheduler& engine() noexcept { return engine_; }
   [[nodiscard]] PacketFactory& packets() noexcept { return packets_; }
-  [[nodiscard]] std::size_t link_count() const noexcept { return links_.size(); }
 
   // Aggregate drop counters across every link in the fabric.
   [[nodiscard]] LinkStats total_stats() const noexcept {

@@ -71,16 +71,13 @@ class Link : public FaultHook {
   // Serialization time for a frame of `wire_bytes` at this link's rate.
   [[nodiscard]] sim::Duration serialization_delay(std::size_t wire_bytes) const noexcept;
 
-  // Deterministic loss draws: the link owns its RNG stream.
-  void seed_loss(std::uint64_t seed) noexcept { rng_ = sim::Rng{seed}; }
-
   // FaultHook: admin state and dynamic loss override (failure drills).
   void set_admin_up(bool up) noexcept override { admin_up_ = up; }
-  [[nodiscard]] bool admin_up() const noexcept override { return admin_up_; }
+  [[nodiscard]] bool admin_up() const noexcept { return admin_up_; }
   void set_loss_override(double probability) noexcept override {
     loss_override_ = probability;
   }
-  [[nodiscard]] double loss_override() const noexcept override { return loss_override_; }
+  [[nodiscard]] double loss_override() const noexcept { return loss_override_; }
   // The loss probability currently in force (override beats config).
   [[nodiscard]] double effective_loss() const noexcept {
     return loss_override_ >= 0.0 ? loss_override_ : config_.loss_probability;
@@ -95,7 +92,7 @@ class Link : public FaultHook {
   RemoteDelivery remote_delivery_;
   sim::Time egress_free_at_ = sim::Time::zero();
   LinkStats stats_;
-  sim::Rng rng_{0xd1cefa11};
+  sim::Rng rng_{0xd1cefa11};  // the link's own stream of loss draws
   bool admin_up_ = true;
   double loss_override_ = -1.0;  // negative: use config_.loss_probability
 };

@@ -207,7 +207,6 @@ class BlockPool {
 
   [[nodiscard]] std::uint64_t blocks_allocated() const noexcept { return allocated_; }
   [[nodiscard]] std::uint64_t blocks_reused() const noexcept { return reused_; }
-  [[nodiscard]] std::size_t free_blocks() const noexcept { return free_.size(); }
 
  private:
   std::vector<void*> free_;

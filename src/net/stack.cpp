@@ -14,8 +14,6 @@ void NetStack::bind_udp(std::uint16_t port, UdpHandler handler) {
   udp_handlers_[port] = std::move(handler);
 }
 
-void NetStack::unbind_udp(std::uint16_t port) { udp_handlers_.erase(port); }
-
 void NetStack::send_udp(MacAddr dst_mac, Ipv4Addr dst_ip, std::uint16_t src_port,
                         std::uint16_t dst_port, std::span<const std::byte> payload) {
   build_udp_frame_into(tx_scratch_, nic_.mac(), dst_mac, nic_.ip(), dst_ip, src_port, dst_port,
@@ -60,12 +58,8 @@ void NetStack::on_frame(const PacketPtr& packet, sim::Time arrival) {
   const DecodedFrame* frame = packet->decoded();
   if (frame == nullptr || !frame->ip) return;
   if (frame->udp) {
-    ++udp_rx_;
     auto it = udp_handlers_.find(frame->udp->dst_port);
-    if (it == udp_handlers_.end()) {
-      ++udp_unbound_;
-      return;
-    }
+    if (it == udp_handlers_.end()) return;
     it->second(*frame->ip, *frame->udp, frame->payload, arrival);
     return;
   }

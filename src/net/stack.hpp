@@ -29,7 +29,6 @@ class NetStack {
 
   // --- UDP ------------------------------------------------------------------
   void bind_udp(std::uint16_t port, UdpHandler handler);
-  void unbind_udp(std::uint16_t port);
   // Sends a UDP datagram. `dst_mac` is the next-hop MAC (the ToR's router
   // MAC for routed fabrics, or the RFC1112 mapping for multicast).
   void send_udp(MacAddr dst_mac, Ipv4Addr dst_ip, std::uint16_t src_port, std::uint16_t dst_port,
@@ -54,8 +53,6 @@ class NetStack {
 
   [[nodiscard]] Nic& nic() noexcept { return nic_; }
   [[nodiscard]] sim::Scheduler& engine() noexcept { return nic_.engine(); }
-  [[nodiscard]] std::uint64_t udp_rx_count() const noexcept { return udp_rx_; }
-  [[nodiscard]] std::uint64_t udp_unbound_drops() const noexcept { return udp_unbound_; }
 
  private:
   friend class TcpEndpoint;
@@ -80,8 +77,6 @@ class NetStack {
   std::map<std::uint16_t, AcceptHandler> tcp_listeners_;
   std::map<FlowKey, std::unique_ptr<TcpEndpoint>> tcp_flows_;
   std::uint16_t next_ephemeral_ = 49152;
-  std::uint64_t udp_rx_ = 0;
-  std::uint64_t udp_unbound_ = 0;
 };
 
 }  // namespace tsn::net

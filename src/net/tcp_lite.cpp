@@ -21,12 +21,6 @@ TcpEndpoint::~TcpEndpoint() {
   stack_.engine().cancel(rto_timer_);
 }
 
-void TcpEndpoint::set_state(TcpState state) {
-  if (state_ == state) return;
-  state_ = state;
-  if (state_handler_) state_handler_(state);
-}
-
 void TcpEndpoint::notify_closed(TcpCloseReason reason) {
   if (closed_notified_) return;
   closed_notified_ = true;
@@ -48,14 +42,14 @@ void TcpEndpoint::transmit_segment(std::uint32_t seq, std::span<const std::byte>
 }
 
 void TcpEndpoint::start_connect() {
-  set_state(TcpState::kSynSent);
+  state_ = TcpState::kSynSent;
   transmit_segment(0, {}, TcpHeader::kSyn);
   arm_rto();
 }
 
 void TcpEndpoint::accept_syn(std::uint32_t peer_isn) {
   rcv_next_ = peer_isn + 1;
-  set_state(TcpState::kSynReceived);
+  state_ = TcpState::kSynReceived;
   transmit_segment(0, {}, static_cast<std::uint8_t>(TcpHeader::kSyn | TcpHeader::kAck));
   arm_rto();
 }
@@ -107,7 +101,7 @@ void TcpEndpoint::send_fin() {
   transmit_segment(*fin_seq_, {}, static_cast<std::uint8_t>(TcpHeader::kFin | TcpHeader::kAck));
   // A held FIN means the peer is done too; closing gives up the bytes before it.
   const bool peer_done = state_ == TcpState::kCloseWait || held_fin_.has_value();
-  set_state(peer_done ? TcpState::kClosed : TcpState::kFinWait);
+  state_ = peer_done ? TcpState::kClosed : TcpState::kFinWait;
   // The FIN rides the data's retransmit timer, or starts its own.
   if (state_ == TcpState::kFinWait && unacked_.empty()) arm_rto();
 }
@@ -119,7 +113,7 @@ void TcpEndpoint::abort() {
   unacked_.clear();
   out_of_order_.clear();
   held_fin_.reset();
-  set_state(TcpState::kClosed);
+  state_ = TcpState::kClosed;
   notify_closed(TcpCloseReason::kAborted);
 }
 
@@ -143,7 +137,7 @@ void TcpEndpoint::on_rto() {
   if (++rto_strikes_ > kTcpMaxRetransmits) {
     // The peer is unreachable. Tell the owner — stalling here silently is
     // exactly how a gateway loses track of its exchange session.
-    set_state(TcpState::kClosed);
+    state_ = TcpState::kClosed;
     notify_closed(TcpCloseReason::kRetransmitExhausted);
     return;
   }
@@ -181,7 +175,6 @@ void TcpEndpoint::deliver_in_order() {
       const std::size_t skip = rcv_next_ - it->first;
       std::span<const std::byte> fresh{it->second.data() + skip, it->second.size() - skip};
       rcv_next_ += static_cast<std::uint32_t>(fresh.size());
-      bytes_received_ += fresh.size();
       if (data_handler_) data_handler_(fresh, stack_.engine().now());
     }
     it = out_of_order_.erase(it);
@@ -193,9 +186,9 @@ void TcpEndpoint::accept_fin(std::uint32_t fin_seq) {
   rcv_next_ = fin_seq + 1;  // the FIN consumes a sequence number
   send_ack();
   if (state_ == TcpState::kFinWait) {
-    set_state(TcpState::kClosed);
+    state_ = TcpState::kClosed;
   } else if (state_ == TcpState::kEstablished) {
-    set_state(TcpState::kCloseWait);
+    state_ = TcpState::kCloseWait;
     notify_closed(TcpCloseReason::kPeerFin);
   }
 }
@@ -210,7 +203,7 @@ void TcpEndpoint::on_segment(const TcpHeader& tcp, std::span<const std::byte> pa
       rto_strikes_ = 0;
       stack_.engine().cancel(rto_timer_);
       rto_timer_ = sim::EventHandle{};
-      set_state(TcpState::kEstablished);
+      state_ = TcpState::kEstablished;
       send_ack();
       flush_send_queue();
     } else {
@@ -224,7 +217,7 @@ void TcpEndpoint::on_segment(const TcpHeader& tcp, std::span<const std::byte> pa
       rto_strikes_ = 0;
       stack_.engine().cancel(rto_timer_);
       rto_timer_ = sim::EventHandle{};
-      set_state(TcpState::kEstablished);
+      state_ = TcpState::kEstablished;
       flush_send_queue();
     }
     bool advanced = false;
@@ -253,7 +246,6 @@ void TcpEndpoint::on_segment(const TcpHeader& tcp, std::span<const std::byte> pa
   if (!payload.empty() && state_ == TcpState::kEstablished) {
     if (tcp.seq == rcv_next_) {
       rcv_next_ += static_cast<std::uint32_t>(payload.size());
-      bytes_received_ += payload.size();
       if (data_handler_) data_handler_(payload, arrival);
       deliver_in_order();
       if (held_fin_ == rcv_next_) {

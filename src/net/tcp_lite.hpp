@@ -51,7 +51,6 @@ enum class TcpCloseReason : std::uint8_t {
 class TcpEndpoint {
  public:
   using DataHandler = std::function<void(std::span<const std::byte> bytes, sim::Time arrival)>;
-  using StateHandler = std::function<void(TcpState state)>;
   using ClosedHandler = std::function<void(TcpCloseReason reason)>;
 
   // Construction is done by NetStack (active or passive open).
@@ -60,7 +59,6 @@ class TcpEndpoint {
   ~TcpEndpoint();
 
   void set_data_handler(DataHandler handler) { data_handler_ = std::move(handler); }
-  void set_state_handler(StateHandler handler) { state_handler_ = std::move(handler); }
   // Fired exactly once when the connection dies for a reason the owner did
   // not initiate through close(): peer FIN, retransmit exhaustion, abort().
   void set_closed_handler(ClosedHandler handler) { closed_handler_ = std::move(handler); }
@@ -80,10 +78,8 @@ class TcpEndpoint {
   [[nodiscard]] TcpCloseReason close_reason() const noexcept { return close_reason_; }
   [[nodiscard]] std::uint16_t local_port() const noexcept { return local_port_; }
   [[nodiscard]] std::uint16_t peer_port() const noexcept { return peer_port_; }
-  [[nodiscard]] Ipv4Addr peer_ip() const noexcept { return peer_ip_; }
   [[nodiscard]] std::uint64_t retransmit_count() const noexcept { return retransmits_; }
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
-  [[nodiscard]] std::uint64_t bytes_received() const noexcept { return bytes_received_; }
 
  private:
   friend class NetStack;
@@ -97,7 +93,6 @@ class TcpEndpoint {
   void flush_send_queue();
   void arm_rto();
   void on_rto();
-  void set_state(TcpState state);
   void deliver_in_order();
   void accept_fin(std::uint32_t fin_seq);
   void notify_closed(TcpCloseReason reason);
@@ -127,10 +122,8 @@ class TcpEndpoint {
   // A FIN that arrived ahead of missing bytes: its sequence number, applied
   // once rcv_next_ reaches it.
   std::optional<std::uint32_t> held_fin_;
-  std::uint64_t bytes_received_ = 0;
 
   DataHandler data_handler_;
-  StateHandler state_handler_;
   ClosedHandler closed_handler_;
   TcpCloseReason close_reason_ = TcpCloseReason::kNone;
   bool closed_notified_ = false;

@@ -64,7 +64,6 @@ class WireWriter {
     }
   }
 
-  void zeros(std::size_t n) { out_.insert(out_.end(), n, std::byte{0}); }
 
   [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
 

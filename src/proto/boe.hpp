@@ -186,6 +186,7 @@ class StreamParser {
   // and feed() drops its input.
   [[nodiscard]] std::optional<Decoded> next();
   [[nodiscard]] bool broken() const noexcept { return broken_; }
+  // tsn-lint: allow(unreached-member) test_proto_boe: a broken stream buffers nothing more
   [[nodiscard]] std::size_t buffered_bytes() const noexcept { return buffer_.size() - offset_; }
 
  private:

@@ -346,29 +346,4 @@ bool decode_batch(std::span<const std::byte> payload, DecodedBatch& out) {
   return p == end;
 }
 
-Message DecodedBatch::message_at(std::size_t i) const {
-  switch (kind[i]) {
-    case DecodedKind::kTime:
-      return Time{u32a[i]};
-    case DecodedKind::kAddOrder:
-      return AddOrder{u32a[i], order_id[i], side[i], quantity[i], symbol[i], price[i], flags[i]};
-    case DecodedKind::kOrderExecuted:
-      return OrderExecuted{u32a[i], order_id[i], quantity[i], execution_id[i]};
-    case DecodedKind::kReduceSize:
-      return ReduceSize{u32a[i], order_id[i], quantity[i]};
-    case DecodedKind::kModifyOrder:
-      return ModifyOrder{u32a[i], order_id[i], quantity[i], price[i], flags[i]};
-    case DecodedKind::kDeleteOrder:
-      return DeleteOrder{u32a[i], order_id[i]};
-    case DecodedKind::kTrade:
-      return Trade{u32a[i], order_id[i], side[i], quantity[i], symbol[i], price[i],
-                   execution_id[i]};
-    case DecodedKind::kSnapshotBegin:
-      return SnapshotBegin{flags[i], u32a[i]};
-    case DecodedKind::kSnapshotEnd:
-      return SnapshotEnd{flags[i], u32a[i]};
-  }
-  return Time{};  // unreachable: kind only ever holds the enumerators above
-}
-
 }  // namespace tsn::proto::pitch

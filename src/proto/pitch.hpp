@@ -154,7 +154,6 @@ class FrameBuilder {
   void flush();
 
   [[nodiscard]] std::uint32_t next_sequence() const noexcept { return sequence_; }
-  [[nodiscard]] std::size_t pending_messages() const noexcept { return count_; }
 
  private:
   void begin_frame();
@@ -223,9 +222,6 @@ struct DecodedBatch {
   std::vector<ExecId> execution_id;
   std::vector<Symbol> symbol;
   std::vector<std::uint8_t> flags;
-
-  // AoS view of row i, for tests and tools that want the variant.
-  [[nodiscard]] Message message_at(std::size_t i) const;
 };
 
 // Decodes every message of `payload` into `out`. Returns true when the whole

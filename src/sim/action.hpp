@@ -62,6 +62,7 @@ class InlineAction {
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
   // True when the stored callable lives in the inline buffer (no heap).
+  // tsn-lint: allow(unreached-member) test_sim_action: hot-path captures never reach the heap
   [[nodiscard]] bool stored_inline() const noexcept { return ops_ != nullptr && ops_->inline_stored; }
 
   // Compile-time predicate tests use to pin the hot-path capture budget.

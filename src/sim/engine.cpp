@@ -21,16 +21,14 @@ bool Engine::cancel(EventHandle handle) {
 }
 
 std::uint64_t Engine::run() {
-  stop_requested_ = false;
   std::uint64_t count = 0;
-  while (!stop_requested_ && queue_.pop_one(now_, fired_)) ++count;
+  while (queue_.pop_one(now_, fired_)) ++count;
   return count;
 }
 
 std::uint64_t Engine::run_until(Time deadline) {
-  stop_requested_ = false;
   std::uint64_t count = 0;
-  while (!stop_requested_) {
+  for (;;) {
     const EventQueue::HeapEntry* next = queue_.peek_live();
     if (next == nullptr || next->at > deadline) break;
     if (queue_.pop_one(now_, fired_)) ++count;

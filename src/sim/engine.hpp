@@ -56,9 +56,6 @@ class Engine final : public Scheduler {
   // Runs exactly one event, if any. Returns true if one fired.
   bool step();
 
-  // Stops a run() / run_until() in progress after the current event.
-  void request_stop() noexcept { stop_requested_ = true; }
-
   // Pre-warms pool slabs and the heap vector for `events` concurrent
   // pending events, so bursts (Fig 2c) hit no allocation at schedule time.
   void reserve(std::size_t events) { queue_.reserve(events); }
@@ -77,7 +74,6 @@ class Engine final : public Scheduler {
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace tsn::sim

@@ -144,6 +144,4 @@ std::size_t Rng::weighted_index(std::span<const double> weights) noexcept {
   return weights.size() - 1;
 }
 
-Rng Rng::split() noexcept { return Rng{next_u64()}; }
-
 }  // namespace tsn::sim

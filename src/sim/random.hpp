@@ -61,9 +61,6 @@ class Rng {
   // the weight. Weights must be non-negative with a positive sum.
   [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) noexcept;
 
-  // Derives an independent child generator (stream splitting).
-  [[nodiscard]] Rng split() noexcept;
-
  private:
   std::array<std::uint64_t, 4> state_{};
 };

@@ -122,9 +122,8 @@ std::uint64_t ShardedEngine::run() {
 }
 
 std::uint64_t ShardedEngine::run_golden(Time deadline) {
-  stop_requested_.store(false, std::memory_order_relaxed);
   std::uint64_t count = 0;
-  while (!stop_requested_.load(std::memory_order_relaxed)) {
+  for (;;) {
     // Global (time, seq) minimum across shards — the event a plain Engine's
     // heap would surface next.
     Domain* best = nullptr;
@@ -146,7 +145,6 @@ std::uint64_t ShardedEngine::run_golden(Time deadline) {
 }
 
 std::uint64_t ShardedEngine::run_windowed(Time deadline) {
-  stop_requested_.store(false, std::memory_order_relaxed);
   // Helpers start on the first windowed run, not while a rig is built.
   for (auto t = static_cast<std::uint32_t>(helpers_.size()) + 1; t < threads_; ++t) {
     helpers_.emplace_back([this, t] { helper_loop(t); });
@@ -155,7 +153,7 @@ std::uint64_t ShardedEngine::run_windowed(Time deadline) {
   // are exclusive at the top, so the horizon sits one tick past it.
   const Time horizon = saturating_add(deadline, Duration{1});
   const std::uint64_t fired_before = events_fired();
-  while (!stop_requested_.load(std::memory_order_relaxed)) {
+  for (;;) {
     Time t_min = Time::max();
     for (auto& d : domains_) {
       const EventQueue::HeapEntry* entry = d->peek();

@@ -79,11 +79,9 @@ class ShardedEngine {
   // propagation delay). The lookahead window is the minimum of all
   // registered delays; every post_to must honor it.
   void note_cross_domain_delay(Duration delay);
-  [[nodiscard]] Duration lookahead() const noexcept { return lookahead_; }
 
   // True when this engine executes in golden (merged reference) mode.
   [[nodiscard]] bool golden() const noexcept { return golden_; }
-  [[nodiscard]] std::uint32_t num_workers() const noexcept { return config_.num_workers; }
   // Helper threads started (on the first windowed run); at most domains - 1.
   [[nodiscard]] std::size_t helper_threads() const noexcept { return helpers_.size(); }
 
@@ -93,10 +91,6 @@ class ShardedEngine {
 
   // Runs until every queue (and mailbox) drains. Returns events fired.
   std::uint64_t run();
-
-  // Stops a run in progress: after the current event in golden mode, at the
-  // next window boundary in windowed mode.
-  void request_stop() noexcept { stop_requested_.store(true, std::memory_order_relaxed); }
 
   // Pre-warms every shard's pool and heap for `events_per_domain`.
   void reserve(std::size_t events_per_domain);
@@ -153,7 +147,6 @@ class ShardedEngine {
   std::vector<std::vector<Post>> mailboxes_;  // [src * n + dst]
   std::vector<PostRef> scratch_refs_;
   std::uint64_t shared_seq_ = 1;  // golden mode: one counter across shards
-  std::atomic<bool> stop_requested_{false};
 
   // Windowed-mode helpers (started lazily). The coordinator publishes
   // window_end_ and its drained queues by bumping round_; each helper

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -15,7 +14,6 @@ void Histogram::add(double value) {
   samples_.push_back(value);
   sorted_ = false;
   sum_ += value;
-  sum_sq_ += value * value;
   min_ = std::min(min_, value);
   max_ = std::max(max_, value);
 }
@@ -28,7 +26,6 @@ void Histogram::clear() noexcept {
   samples_.clear();
   sorted_ = true;
   sum_ = 0.0;
-  sum_sq_ = 0.0;
   min_ = std::numeric_limits<double>::infinity();
   max_ = -std::numeric_limits<double>::infinity();
 }
@@ -38,14 +35,6 @@ double Histogram::max() const noexcept { return samples_.empty() ? 0.0 : max_; }
 
 double Histogram::mean() const noexcept {
   return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
-}
-
-double Histogram::stddev() const noexcept {
-  const auto n = static_cast<double>(samples_.size());
-  if (n < 2) return 0.0;
-  const double m = sum_ / n;
-  const double var = (sum_sq_ - n * m * m) / (n - 1);
-  return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
 double Histogram::percentile(double p) const {
@@ -66,33 +55,11 @@ double Histogram::percentile(double p) const {
   return samples_[rank - 1];
 }
 
-std::string Histogram::table_row() const {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "%10.0f %10.1f %10.0f %10.0f", min(), mean(), median(), max());
-  return buf;
-}
-
-Counter& Registry::counter(const std::string& name) { return counters_[name]; }
-Histogram& Registry::histogram(const std::string& name) { return histograms_[name]; }
-
 void Registry::histogram_ref(const std::string& name, const Histogram& h) {
   histogram_refs_[name] = &h;
 }
 
 void Registry::gauge(const std::string& name, GaugeFn fn) { gauges_[name] = std::move(fn); }
-
-const Counter* Registry::find_counter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Histogram* Registry::find_histogram(const std::string& name) const {
-  if (const auto it = histograms_.find(name); it != histograms_.end()) return &it->second;
-  if (const auto it = histogram_refs_.find(name); it != histogram_refs_.end()) {
-    return it->second;
-  }
-  return nullptr;
-}
 
 double Registry::gauge_value(const std::string& name) const {
   const auto it = gauges_.find(name);
@@ -106,7 +73,6 @@ std::string Registry::to_json(sim::Time at) const {
   w.field("at_ps", at.picos());
   w.key("counters");
   w.begin_object();
-  for (const auto& [name, c] : counters_) w.field(name, c.value());
   w.end_object();
   w.key("gauges");
   w.begin_object();
@@ -114,12 +80,7 @@ std::string Registry::to_json(sim::Time at) const {
   w.end_object();
   w.key("histograms");
   w.begin_object();
-  // Owned and referenced histograms export identically, merged into one
-  // name-sorted object.
-  std::map<std::string, const Histogram*> all;
-  for (const auto& [name, h] : histograms_) all.emplace(name, &h);
-  for (const auto& [name, h] : histogram_refs_) all.emplace(name, h);
-  for (const auto& [name, h] : all) {
+  for (const auto& [name, h] : histogram_refs_) {
     w.key(name);
     w.begin_object();
     w.field("count", static_cast<std::uint64_t>(h->count()));

@@ -32,9 +32,7 @@ class Histogram {
   [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
   [[nodiscard]] double min() const noexcept;
   [[nodiscard]] double max() const noexcept;
-  [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
 
   // Exact percentile by nearest-rank. Sorts lazily. Edge cases are defined
   // and pinned in test_sim_stats.cpp:
@@ -46,62 +44,41 @@ class Histogram {
   [[nodiscard]] double percentile(double p) const;
   [[nodiscard]] double median() const { return percentile(50.0); }
 
-  // "min avg median max" row matching the layout of the paper's Table 1.
-  [[nodiscard]] std::string table_row() const;
-
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// A monotonically increasing event count.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-// Named metrics for one run. Entities register counters/histograms they own
-// (references stay valid for the registry's lifetime: node-based map) or
-// gauges — callbacks sampled at snapshot time, which lets existing stats
-// structs (LinkStats, SwitchStats, MrouteStats, ...) be exported without
-// rewriting them. Names sort lexicographically in the export, so snapshots
-// of identical runs are byte-identical.
+// Named metrics for one run. Entities register gauges — callbacks sampled
+// at snapshot time, which lets existing stats structs (LinkStats,
+// SwitchStats, MrouteStats, ...) be exported without rewriting them — and
+// references to the histograms they own. Names sort lexicographically in
+// the export, so snapshots of identical runs are byte-identical.
 class Registry {
  public:
-  [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] Histogram& histogram(const std::string& name);
   // Exports an entity-owned histogram without copying it; `h` must outlive
-  // the registry. Appears alongside owned histograms in the snapshot.
+  // the registry.
   void histogram_ref(const std::string& name, const Histogram& h);
   using GaugeFn = std::function<double()>;
   void gauge(const std::string& name, GaugeFn fn);
 
-  [[nodiscard]] const Counter* find_counter(const std::string& name) const;
-  [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
   // Samples a gauge now; 0.0 when absent.
   [[nodiscard]] double gauge_value(const std::string& name) const;
 
   [[nodiscard]] std::size_t size() const noexcept {
-    return counters_.size() + histograms_.size() + gauges_.size();
+    return histogram_refs_.size() + gauges_.size();
   }
 
   // Deterministic snapshot at simulation time `at`:
-  // {"schema":"tsn-metrics-v1","at_ps":...,"counters":{...},"gauges":{...},
-  //  "histograms":{name:{count,min,mean,p50,p99,max},...}}.
+  // {"schema":"tsn-metrics-v1","at_ps":...,"counters":{},"gauges":{...},
+  //  "histograms":{name:{count,min,mean,p50,p99,max},...}}. Every count is
+  // a gauge; the empty counters object keeps the schema's shape.
   [[nodiscard]] std::string to_json(sim::Time at) const;
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Histogram> histograms_;
   std::map<std::string, const Histogram*> histogram_refs_;
   std::map<std::string, GaugeFn> gauges_;
 };

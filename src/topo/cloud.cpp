@@ -29,7 +29,6 @@ net::PortId CloudRegion::attach_with_latency(net::Nic& nic, sim::Duration latenc
   link.queue_capacity_bytes = 4 << 20;
   fabric_.connect(*core_, port, nic, 0, link);
   core_->bind_host(nic.ip(), nic.mac(), port);
-  port_latency_.push_back(latency);
   return port;
 }
 
@@ -45,10 +44,6 @@ net::PortId CloudRegion::attach_tenant(net::Nic& nic, sim::Duration native_laten
 
 net::PortId CloudRegion::attach_external(net::Nic& nic) {
   return attach_with_latency(nic, kCloudExternalWanLatency);
-}
-
-sim::Duration CloudRegion::attachment_latency(net::PortId port) const {
-  return port_latency_.at(port);
 }
 
 }  // namespace tsn::topo

@@ -41,19 +41,12 @@ class CloudRegion {
   // Attaches an endpoint outside the region across the WAN.
   net::PortId attach_external(net::Nic& nic);
 
-  // The latency a given attachment actually experiences one-way (for
-  // fairness verification).
-  [[nodiscard]] sim::Duration attachment_latency(net::PortId port) const;
-
-  [[nodiscard]] l2::CommoditySwitch& core() noexcept { return *core_; }
-
  private:
   net::PortId attach_with_latency(net::Nic& nic, sim::Duration latency);
 
   net::Fabric& fabric_;
   std::unique_ptr<l2::CommoditySwitch> core_;
   net::PortId next_port_ = 0;
-  std::vector<sim::Duration> port_latency_;
 };
 
 }  // namespace tsn::topo

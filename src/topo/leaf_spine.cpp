@@ -78,11 +78,4 @@ void LeafSpineFabric::attach_host(std::size_t rack, net::Nic& nic) {
   leaves_[rack]->bind_host(nic.ip(), nic.mac(), port);
 }
 
-std::size_t LeafSpineFabric::total_software_groups() const noexcept {
-  std::size_t total = 0;
-  for (const auto& leaf : leaves_) total += leaf->mroutes().software_group_count();
-  for (const auto& spine : spines_) total += spine->mroutes().software_group_count();
-  return total;
-}
-
 }  // namespace tsn::topo

@@ -23,7 +23,10 @@ struct LeafSpineConfig {
   std::size_t spine_count = 4;
   std::size_t leaf_count = 26;
   std::size_t ports_per_leaf = 48;  // uplinks + hosts
+  // Per-tier switch settings. Design runs use the defaults.
+  // tsn-lint: allow(unset-option) a Deploy test runs IGMP queriers across the fabric
   l2::CommoditySwitchConfig leaf_switch;
+  // tsn-lint: allow(unset-option) a Deploy test runs IGMP queriers across the fabric
   l2::CommoditySwitchConfig spine_switch;
   // tsn-lint: allow(unset-option) read by perfbench, which changes only with the benchmark
   net::LinkConfig host_link{10'000'000'000, sim::nanos(std::int64_t{50}), 1 << 20, 0.0};
@@ -47,15 +50,6 @@ class LeafSpineFabric {
   [[nodiscard]] std::size_t leaf_count() const noexcept { return leaves_.size(); }
   [[nodiscard]] std::size_t spine_count() const noexcept { return spines_.size(); }
   [[nodiscard]] const LeafSpineConfig& config() const noexcept { return config_; }
-
-  // Switch hops a frame crosses between two racks (1 within a rack,
-  // 3 across racks: leaf, spine, leaf).
-  [[nodiscard]] static std::size_t switch_hops(std::size_t rack_a, std::size_t rack_b) noexcept {
-    return rack_a == rack_b ? 1 : 3;
-  }
-
-  // Aggregate multicast state across all switches (for the M1 bench).
-  [[nodiscard]] std::size_t total_software_groups() const noexcept;
 
  private:
   net::Fabric& fabric_;

@@ -5,10 +5,9 @@
 
 namespace tsn::topo {
 
-QuadL1Fabric::QuadL1Fabric(net::Fabric& fabric, QuadL1Config config)
-    : fabric_(fabric), config_(config) {
+QuadL1Fabric::QuadL1Fabric(net::Fabric& fabric) : fabric_(fabric) {
   l1s::L1SwitchConfig sw_cfg;
-  sw_cfg.port_count = config_.ports_per_switch;
+  sw_cfg.port_count = kQuadPortsPerSwitch;
   static constexpr const char* kNames[4] = {"l1s-feeds", "l1s-normdist", "l1s-orderagg",
                                             "l1s-toexch"};
   for (std::size_t i = 0; i < 4; ++i) {
@@ -19,7 +18,7 @@ QuadL1Fabric::QuadL1Fabric(net::Fabric& fabric, QuadL1Config config)
 
 net::PortId QuadL1Fabric::attach(Stage stage, net::Nic& nic) {
   const auto index = static_cast<std::size_t>(stage);
-  if (next_port_[index] >= config_.ports_per_switch) {
+  if (next_port_[index] >= kQuadPortsPerSwitch) {
     throw std::length_error{"L1S stage out of ports"};
   }
   const net::PortId port = next_port_[index]++;

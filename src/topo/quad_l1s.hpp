@@ -26,13 +26,12 @@ enum class Stage : std::uint8_t {
   kToExchange = 3,  // gateways -> exchange
 };
 
-struct QuadL1Config {
-  std::size_t ports_per_switch = 64;
-};
+// Ports on each stage's switch.
+inline constexpr std::size_t kQuadPortsPerSwitch = 64;
 
 class QuadL1Fabric {
  public:
-  QuadL1Fabric(net::Fabric& fabric, QuadL1Config config);
+  explicit QuadL1Fabric(net::Fabric& fabric);
   QuadL1Fabric(const QuadL1Fabric&) = delete;
   QuadL1Fabric& operator=(const QuadL1Fabric&) = delete;
 
@@ -50,7 +49,6 @@ class QuadL1Fabric {
 
  private:
   net::Fabric& fabric_;
-  QuadL1Config config_;
   std::unique_ptr<l1s::Layer1Switch> switches_[4];
   net::PortId next_port_[4] = {0, 0, 0, 0};
 };

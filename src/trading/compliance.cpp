@@ -80,42 +80,4 @@ std::optional<Nbbo> MarketStateMonitor::nbbo(const proto::Symbol& symbol) const 
   return nbbo_of(it->second);
 }
 
-VenueQuote MarketStateMonitor::venue_quote(std::uint8_t venue,
-                                           const proto::Symbol& symbol) const {
-  const auto it = symbols_.find(symbol);
-  if (it == symbols_.end()) return {};
-  const auto venue_it = it->second.venues.find(venue);
-  return venue_it == it->second.venues.end() ? VenueQuote{} : venue_it->second;
-}
-
-bool MarketStateMonitor::is_locked(const proto::Symbol& symbol) const {
-  const auto best = nbbo(symbol);
-  return best && best->locked();
-}
-
-bool MarketStateMonitor::is_crossed(const proto::Symbol& symbol) const {
-  const auto best = nbbo(symbol);
-  return best && best->crossed();
-}
-
-bool MarketStateMonitor::quote_would_lock_or_cross(const proto::Symbol& symbol,
-                                                   proto::Side side,
-                                                   proto::Price price) const {
-  const auto best = nbbo(symbol);
-  if (!best) return false;
-  if (side == proto::Side::kBuy) {
-    return best->ask > 0 && price >= best->ask;
-  }
-  return best->bid > 0 && price <= best->bid;
-}
-
-proto::Price MarketStateMonitor::clamp_to_compliant(const proto::Symbol& symbol,
-                                                    proto::Side side, proto::Price price,
-                                                    proto::Price tick) const {
-  if (!quote_would_lock_or_cross(symbol, side, price)) return price;
-  const auto best = nbbo(symbol);
-  if (side == proto::Side::kBuy) return best->ask - tick;
-  return best->bid + tick;
-}
-
 }  // namespace tsn::trading

@@ -10,9 +10,8 @@
 // best prices, everywhere, now.
 //
 // MarketStateMonitor maintains per-venue best bid/offer per symbol (fed
-// from normalized updates), derives the NBBO, detects locked and crossed
-// states, and answers the pre-quote question a market maker must ask
-// before posting: would this quote lock or cross another venue?
+// from normalized updates), derives the NBBO, and counts entries into
+// locked and crossed states and trade-throughs.
 #pragma once
 
 #include <cstdint>
@@ -65,19 +64,6 @@ class MarketStateMonitor {
   void on_update(const proto::norm::Update& update);
 
   [[nodiscard]] std::optional<Nbbo> nbbo(const proto::Symbol& symbol) const;
-  [[nodiscard]] VenueQuote venue_quote(std::uint8_t venue, const proto::Symbol& symbol) const;
-  [[nodiscard]] bool is_locked(const proto::Symbol& symbol) const;
-  [[nodiscard]] bool is_crossed(const proto::Symbol& symbol) const;
-
-  // The pre-quote gate: posting (side, price) on any venue must not lock
-  // or cross another venue's displayed opposite side.
-  [[nodiscard]] bool quote_would_lock_or_cross(const proto::Symbol& symbol, proto::Side side,
-                                               proto::Price price) const;
-  // The most aggressive compliant price for a new quote (one tick away
-  // from locking), or the requested price if already compliant.
-  [[nodiscard]] proto::Price clamp_to_compliant(const proto::Symbol& symbol, proto::Side side,
-                                                proto::Price price,
-                                                proto::Price tick = 100) const;
 
   [[nodiscard]] const ComplianceStats& stats() const noexcept { return stats_; }
 

@@ -8,9 +8,7 @@
 namespace tsn::trading {
 
 Gateway::Gateway(sim::Scheduler& engine, GatewayConfig config)
-    : engine_(engine),
-      config_(std::move(config)),
-      risk_(config_.risk_limits) {
+    : engine_(engine), config_(std::move(config)) {
   host_ = std::make_unique<net::Host>(engine_, config_.name, config_.software_latency);
   client_nic_ = &host_->add_nic("clients", config_.client_mac, config_.client_ip);
   upstream_nic_ = &host_->add_nic("exchange", config_.upstream_mac, config_.upstream_ip);

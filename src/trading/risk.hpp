@@ -64,7 +64,6 @@ class RiskEngine {
   [[nodiscard]] std::int64_t firm_gross_position() const noexcept;
   [[nodiscard]] std::size_t open_orders() const noexcept { return open_.size(); }
   [[nodiscard]] const RiskStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const RiskLimits& limits() const noexcept { return limits_; }
 
  private:
   struct OpenOrder {

@@ -297,7 +297,6 @@ class DrillRig {
     injector_.register_switch(*xsw_);
 
     // Ground truth: every A-line feed datagram as published, pre-loss.
-    tap_->set_record_limit(1u << 20);
     const net::Ipv4Addr a_group = venue_.unit_group(0);
     const std::uint16_t feed_port = venue_.config().feed_port;
     tap_->set_packet_hook([this, a_group, feed_port](const net::PacketPtr& packet,
@@ -498,7 +497,7 @@ class DrillRig {
           osw(engine, "osw", switch_config()),
           stream(engine, primary, replica_config("repl-pri", 5, 6)),
           applier(engine, backup, replica_config("repl-bak", 6, 5)),
-          controller(engine, backup, applier, failover_config()) {
+          controller(engine, backup, applier) {
       // Hot standby: feed muted (sequences advance, datagrams dropped) and
       // the order listener refuses accepts until the controller promotes it.
       backup.set_feed_muted(true);
@@ -526,15 +525,6 @@ class DrillRig {
       config.peer_ip = net::Ipv4Addr{10, 2, 0, peer};
       config.local_port = static_cast<std::uint16_t>(36000 + local - 5);
       config.peer_port = static_cast<std::uint16_t>(36000 + peer - 5);
-      return config;
-    }
-
-    static exchange::FailoverConfig failover_config() {
-      exchange::FailoverConfig config;
-      config.poll_interval = sim::micros(std::int64_t{200});
-      config.suspect_after = sim::millis(std::int64_t{2});
-      config.promote_after = sim::millis(std::int64_t{1});
-      config.promote_replay = sim::micros(std::int64_t{200});
       return config;
     }
   };

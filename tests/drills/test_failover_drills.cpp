@@ -98,8 +98,8 @@ TEST(FailoverDrills, CrashPrimaryMidBurstPromotesWithParity) {
   add_failover_parts(rig);
   rig.run(primary_crash(), failover_script());
 
-  // The backup promoted within the detector's budget: suspect_after (2ms)
-  // + promote_after (1ms) + promote_replay (0.2ms) + one heartbeat gap and
+  // The backup promoted within the detector's budget: kSuspectAfter (2ms)
+  // + kPromoteAfter (1ms) + kPromoteReplay (0.2ms) + one heartbeat gap and
   // poll-quantization slack.
   ASSERT_EQ(rig.controller().state(), exchange::FailoverState::kActive);
   EXPECT_EQ(rig.controller().stats().promotions, 1u);

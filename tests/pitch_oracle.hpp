@@ -139,4 +139,34 @@ bool for_each_message(std::span<const std::byte> payload, Fn&& fn) {
   return r.remaining() == 0;
 }
 
+// The variant `Message` of a `decode_batch` row, so tests can compare the
+// columnar decode with the scalar one message by message.
+inline Message message_at(const DecodedBatch& batch, std::size_t i) {
+  switch (batch.kind[i]) {
+    case DecodedKind::kTime:
+      return Time{batch.u32a[i]};
+    case DecodedKind::kAddOrder:
+      return AddOrder{batch.u32a[i],   batch.order_id[i], batch.side[i], batch.quantity[i],
+                      batch.symbol[i], batch.price[i],    batch.flags[i]};
+    case DecodedKind::kOrderExecuted:
+      return OrderExecuted{batch.u32a[i], batch.order_id[i], batch.quantity[i],
+                           batch.execution_id[i]};
+    case DecodedKind::kReduceSize:
+      return ReduceSize{batch.u32a[i], batch.order_id[i], batch.quantity[i]};
+    case DecodedKind::kModifyOrder:
+      return ModifyOrder{batch.u32a[i], batch.order_id[i], batch.quantity[i], batch.price[i],
+                         batch.flags[i]};
+    case DecodedKind::kDeleteOrder:
+      return DeleteOrder{batch.u32a[i], batch.order_id[i]};
+    case DecodedKind::kTrade:
+      return Trade{batch.u32a[i],   batch.order_id[i], batch.side[i], batch.quantity[i],
+                   batch.symbol[i], batch.price[i],    batch.execution_id[i]};
+    case DecodedKind::kSnapshotBegin:
+      return SnapshotBegin{batch.flags[i], batch.u32a[i]};
+    case DecodedKind::kSnapshotEnd:
+      return SnapshotEnd{batch.flags[i], batch.u32a[i]};
+  }
+  return Time{};  // unreachable: kind only ever holds the enumerators above
+}
+
 }  // namespace tsn::proto::pitch::oracle

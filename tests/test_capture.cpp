@@ -91,13 +91,5 @@ TEST(Tap, DriftAccumulatesOverTime) {
   EXPECT_NEAR(static_cast<double>(late_err.picos()), 1000e3, 1.0);  // 1 us
 }
 
-TEST(Tap, RecordLimitBoundsMemory) {
-  TapRig rig;
-  rig.tap.set_record_limit(10);
-  for (int i = 0; i < 25; ++i) rig.send_a_to_b();
-  rig.engine.run();
-  EXPECT_LE(rig.tap.records().size(), 10u);
-}
-
 }  // namespace
 }  // namespace tsn::capture

@@ -9,6 +9,7 @@
 #include "exchange/activity.hpp"
 #include "exchange/exchange.hpp"
 #include "net/fabric.hpp"
+#include "net/wire.hpp"
 #include "trading/normalizer.hpp"
 
 namespace tsn::capture {
@@ -163,6 +164,19 @@ TEST(Replay, DeserializeRejectsGarbage) {
   auto blob = recorder.serialize();
   blob.resize(blob.size() - 10);  // truncate
   EXPECT_THROW((void)FrameRecorder::deserialize(blob), std::invalid_argument);
+}
+
+TEST(Replay, DeserializeRejectsLyingFrameCount) {
+  // Magic and a frame count, with no frames after them: a count far past
+  // what the blob holds must fail as a truncated blob, not as a failed
+  // allocation.
+  for (const std::uint64_t count : {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    std::vector<std::byte> blob;
+    net::WireWriter w{blob};
+    w.u32(0x7ca97e01);
+    w.u64(count);
+    EXPECT_THROW((void)FrameRecorder::deserialize(blob), std::invalid_argument) << count;
+  }
 }
 
 TEST(Replay, SpeedScalesInterArrivalTimes) {

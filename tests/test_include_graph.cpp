@@ -242,6 +242,25 @@ TEST(Reachability, APerfbenchOnlyUserCountsAsAUser) {
   EXPECT_TRUE(sink.findings.empty()) << "perfbench constructs Engine";
 }
 
+TEST(Reachability, AMemberOnlyTestsCallIsReportedUnlessAPlainObserver) {
+  const Tree tree{
+      {"bench/b.cpp", {"#include \"a/x.hpp\"", "int main() { tsn::a::Pump p; p.run(); }"}},
+      {"tests/test_x.cpp",
+       {"#include \"a/x.hpp\"", "void t(tsn::a::Pump& p) { p.drain(); (void)p.depth(); }"}},
+      {"src/a/x.hpp",
+       {"#pragma once", "namespace tsn::a {", "class Pump {", " public:",
+        "  void run() { step(); }", "  void drain();",
+        "  [[nodiscard]] int depth() const { return depth_; }", "  void reset();",
+        " private:", "  void step() {}", "  int depth_ = 0;", "};", "}  // namespace tsn::a"}},
+  };
+  Sink sink;
+  // run, drain, depth, reset and step; step is called from run's body.
+  EXPECT_EQ(check_reachability(keys_of(tree), "src", provider_for(tree), "src", sink), 5U);
+  ASSERT_EQ(rules_of(sink), (std::vector<std::string>{"unreached-member", "unreached-member"}));
+  EXPECT_EQ(sink.findings[0].line, 6);  // drain: only a test calls it
+  EXPECT_EQ(sink.findings[1].line, 8);  // reset: nothing calls it
+}
+
 TEST(Reachability, ReachOnlyThroughATestOnlyModuleStaysUnreached) {
   const Tree tree{
       {"bench/b.cpp", {"#include \"a/x.hpp\""}},
@@ -328,7 +347,7 @@ TEST(Options, PositionalAggregateInitializationCoversLeadingFields) {
   EXPECT_EQ(writes.members, (std::set<std::string>{"cable", "loss"}));
 }
 
-TEST(Options, TestsSetOptionsAndTheAnalyzerCorpusDoesNot) {
+TEST(Options, NeitherTestsNorTheAnalyzerCorpusSetOptions) {
   const Tree tree{
       {"src/a/x.hpp",
        {"#pragma once", "struct XConfig {", "  int shown = 1;", "  int tested = 2;",
@@ -340,17 +359,31 @@ TEST(Options, TestsSetOptionsAndTheAnalyzerCorpusDoesNot) {
       {"tools/tsn_analyze/corpus/options/t/bench/b.cpp",
        {"void b(XConfig& c) { c.corpus_only = 1; }"}},
   };
-  EXPECT_TRUE(is_option_setter("tests/test_x.cpp"));
-  EXPECT_TRUE(is_option_setter("perfbench/src/w.cpp"));
-  EXPECT_FALSE(is_option_setter("tools/tsn_analyze/corpus/options/t/bench/b.cpp"));
-  EXPECT_FALSE(is_option_setter("docs/x.cpp"));
+  // The setters are the reachability roots.
+  EXPECT_FALSE(is_reach_root("tests/test_x.cpp"));
+  EXPECT_TRUE(is_reach_root("perfbench/src/w.cpp"));
+  EXPECT_FALSE(is_reach_root("tools/tsn_analyze/corpus/options/t/bench/b.cpp"));
+  EXPECT_FALSE(is_reach_root("docs/x.cpp"));
   Sink sink;
   EXPECT_EQ(check_options(keys_of(tree), "src", provider_for(tree), "src", sink), 4U);
-  ASSERT_EQ(sink.findings.size(), 2U);
+  ASSERT_EQ(sink.findings.size(), 3U);
   EXPECT_EQ(sink.findings[0].file, "src/a/x.hpp");
-  EXPECT_EQ(sink.findings[0].line, 5);
-  EXPECT_EQ(sink.findings[1].line, 6);
-  EXPECT_EQ(sink.findings[1].rule, "unset-option");
+  EXPECT_EQ(sink.findings[0].line, 4);
+  EXPECT_EQ(sink.findings[1].line, 5);
+  EXPECT_EQ(sink.findings[2].line, 6);
+  EXPECT_EQ(sink.findings[2].rule, "unset-option");
+}
+
+TEST(Options, AModuleKeptByAllowIsOutOfScope) {
+  const Tree tree{
+      {"src/a/kept.hpp",
+       {"// tsn-lint: allow(unreached-module) the drills in tests/ are its users", "#pragma once",
+        "struct KeptConfig {", "  int tested = 1;", "};"}},
+      {"tests/test_kept.cpp", {"TEST(K, K) { KeptConfig c; c.tested = 2; }"}},
+  };
+  Sink sink;
+  EXPECT_EQ(check_options(keys_of(tree), "src", provider_for(tree), "src", sink), 0U);
+  EXPECT_TRUE(sink.findings.empty());
 }
 
 TEST(Baseline, AbsorbsUpToCountThenReportsRemainder) {

@@ -157,10 +157,10 @@ TEST(EndToEnd, LeafSpinePipelineTradesOnMarketData) {
 TEST(EndToEnd, QuadL1sPipelineHasNanosecondFabricLatency) {
   // The same application stack over Design 3's circuit fabrics. One stage
   // is exercised end to end: exchange feed -> normalizer over the feeds
-  // L1S, with hardware timestamps proving the fabric adds only nanoseconds.
+  // L1S.
   sim::Engine engine;
   net::Fabric fabric{engine};
-  topo::QuadL1Fabric quad{fabric, topo::QuadL1Config{}};
+  topo::QuadL1Fabric quad{fabric};
 
   exchange::ExchangeConfig xconfig;
   xconfig.name = "EXCH";
@@ -190,19 +190,13 @@ TEST(EndToEnd, QuadL1sPipelineHasNanosecondFabricLatency) {
   // group's MAC.
   normalizer.in_nic().subscribe_multicast_mac(net::multicast_mac(exch.unit_group(0)));
 
-  std::vector<sim::Time> stamps;
-  quad.stage_switch(topo::Stage::kFeeds)
-      .set_timestamp_hook([&](const net::PacketPtr&, net::PortId, sim::Time at) {
-        stamps.push_back(at);
-      });
-
   exchange::MarketActivityDriver driver{exch, exchange::ActivityConfig{}, 3};
   driver.run_until(sim::Time::zero() + sim::millis(std::int64_t{5}));
   engine.run();
 
   EXPECT_GT(normalizer.stats().messages_in, 50u);
   EXPECT_EQ(normalizer.stats().sequence_gaps, 0u);
-  EXPECT_FALSE(stamps.empty());  // built-in timestamping saw the feed
+  EXPECT_GT(quad.stage_switch(topo::Stage::kFeeds).stats().frames_forwarded, 0u);
   EXPECT_EQ(quad.stage_switch(topo::Stage::kFeeds).stats().frames_unpatched, 0u);
 }
 

@@ -45,7 +45,6 @@ TEST(XpressOverL1s, MergedStreamsDemultiplexCleanly) {
   fabric.connect(sw, 2, consumer, 0, link);
   sw.patch(0, 2);
   sw.patch(1, 2);  // the merge
-  ASSERT_TRUE(sw.is_merge_output(2));
 
   proto::xpress::Decompressor rx;
   std::vector<std::pair<std::uint16_t, std::uint32_t>> received;  // (stream, seq)

@@ -57,36 +57,32 @@ TEST(Layer1Switch, FanOutDeliversToAllPatchedOutputs) {
 }
 
 TEST(Layer1Switch, FanOutLatencyIsNanoseconds) {
-  L1SwitchConfig config;
-  config.fanout_latency = sim::nanos(std::int64_t{6});
+  static_assert(kL1sFanoutLatency == sim::nanos(std::int64_t{6}));
   net::LinkConfig link;
   link.rate_bps = 0;  // isolate switch latency from serialization
   link.propagation = sim::Duration::zero();
-  L1Rig rig{config, 2, link};
+  L1Rig rig{L1SwitchConfig{}, 2, link};
   rig.sw.patch(0, 1);
   sim::Time arrival;
   rig.nic(1).set_rx_handler([&](const net::PacketPtr&, sim::Time at) { arrival = at; });
   rig.nic(0).send_frame(rig.frame(0));
   rig.engine.run();
-  EXPECT_EQ(arrival, sim::Time::zero() + sim::nanos(std::int64_t{6}));
+  EXPECT_EQ(arrival, sim::Time::zero() + kL1sFanoutLatency);
 }
 
 TEST(Layer1Switch, MergeAddsFiftyNanoseconds) {
-  L1SwitchConfig config;
-  config.fanout_latency = sim::nanos(std::int64_t{6});
-  config.merge_latency = sim::nanos(std::int64_t{50});
+  static_assert(kL1sMergeLatency == sim::nanos(std::int64_t{50}));
   net::LinkConfig link;
   link.rate_bps = 0;
   link.propagation = sim::Duration::zero();
-  L1Rig rig{config, 3, link};
+  L1Rig rig{L1SwitchConfig{}, 3, link};
   rig.sw.patch(0, 2);
   rig.sw.patch(1, 2);  // two inputs on one output: a merge
-  EXPECT_TRUE(rig.sw.is_merge_output(2));
   sim::Time arrival;
   rig.nic(2).set_rx_handler([&](const net::PacketPtr&, sim::Time at) { arrival = at; });
   rig.nic(0).send_frame(rig.frame(0));
   rig.engine.run();
-  EXPECT_EQ(arrival, sim::Time::zero() + sim::nanos(std::int64_t{56}));
+  EXPECT_EQ(arrival, sim::Time::zero() + kL1sFanoutLatency + kL1sMergeLatency);
   EXPECT_EQ(rig.sw.stats().merged_frames, 1u);
 }
 
@@ -97,37 +93,10 @@ TEST(Layer1Switch, UnpatchedInputDrops) {
   EXPECT_EQ(rig.sw.stats().frames_unpatched, 1u);
 }
 
-TEST(Layer1Switch, UnpatchRemovesCircuitAndMergeState) {
-  L1Rig rig;
-  rig.sw.patch(0, 2);
-  rig.sw.patch(1, 2);
-  rig.sw.unpatch(1, 2);
-  EXPECT_FALSE(rig.sw.is_merge_output(2));
-  EXPECT_EQ(rig.sw.circuit_count(), 1u);
-  rig.sw.unpatch(1, 2);  // idempotent
-  EXPECT_EQ(rig.sw.circuit_count(), 1u);
-}
-
 TEST(Layer1Switch, PatchOutOfRangeThrows) {
   L1Rig rig;
   EXPECT_THROW(rig.sw.patch(99, 0), std::out_of_range);
   EXPECT_THROW(rig.sw.patch(0, 99), std::out_of_range);
-}
-
-TEST(Layer1Switch, TimestampHookSeesEveryIngressFrame) {
-  // §4.3: L1Ses have built-in accurate timestamping.
-  L1Rig rig;
-  rig.sw.patch(0, 1);
-  std::vector<std::pair<net::PortId, sim::Time>> stamps;
-  rig.sw.set_timestamp_hook([&](const net::PacketPtr&, net::PortId port, sim::Time at) {
-    stamps.emplace_back(port, at);
-  });
-  rig.nic(0).send_frame(rig.frame(0));
-  rig.nic(2).send_frame(rig.frame(2));  // unpatched, but still stamped
-  rig.engine.run();
-  EXPECT_EQ(stamps.size(), 2u);
-  EXPECT_EQ(stamps[0].first, 0u);
-  EXPECT_EQ(stamps[1].first, 2u);
 }
 
 TEST(Layer1Switch, MergeContentionQueuesAtEgressLink) {
@@ -182,37 +151,27 @@ TEST(FpgaSwitch, MulticastForwardingWithFilters) {
   EXPECT_EQ(got1, 1);
   EXPECT_EQ(got2, 1);
 
-  // Ingress filter on port 0 excluding this group: traffic dies at line rate.
-  sw.add_ingress_filter(0, net::Ipv4Addr{239, 60, 0, 0}, net::Ipv4Addr{239, 60, 0, 255});
-  nics[0]->send_frame(
-      net::build_multicast_frame(nics[0]->mac(), nics[0]->ip(), group, 30001, {}));
+  // The group table is the filter: a group no port joined dies at line rate.
+  nics[0]->send_frame(net::build_multicast_frame(nics[0]->mac(), nics[0]->ip(),
+                                                 net::Ipv4Addr{239, 60, 0, 1}, 30001, {}));
   engine.run();
   EXPECT_EQ(got1, 1);
-  EXPECT_EQ(sw.stats().frames_filtered, 1u);
-  sw.clear_ingress_filters(0);
-  nics[0]->send_frame(
-      net::build_multicast_frame(nics[0]->mac(), nics[0]->ip(), group, 30001, {}));
-  engine.run();
-  EXPECT_EQ(got1, 2);
+  EXPECT_EQ(got2, 1);
+  EXPECT_EQ(sw.stats().no_group_drops, 1u);
 }
 
 TEST(FpgaSwitch, GroupTableIsHardCapped) {
   // §5: FPGA-augmented switches have small forwarding tables; there is no
   // software fallback — the join is simply refused.
   sim::Engine engine;
-  FpgaSwitchConfig config;
-  config.group_table_capacity = 4;
-  FpgaSwitch sw{engine, "fpga", config};
-  for (std::uint32_t i = 0; i < 4; ++i) {
+  FpgaSwitch sw{engine, "fpga", FpgaSwitchConfig{}};
+  for (std::uint32_t i = 0; i < kFpgaGroupTableCapacity; ++i) {
     EXPECT_TRUE(sw.join_group(net::Ipv4Addr{0xef000000u + i}, 0));
   }
-  EXPECT_FALSE(sw.join_group(net::Ipv4Addr{0xef000099u}, 0));
-  EXPECT_EQ(sw.group_count(), 4u);
+  EXPECT_FALSE(sw.join_group(net::Ipv4Addr{0xef001000u}, 0));
+  EXPECT_EQ(sw.group_count(), kFpgaGroupTableCapacity);
   // An existing group can still add ports.
   EXPECT_TRUE(sw.join_group(net::Ipv4Addr{0xef000001u}, 2));
-  // Leaving frees a slot.
-  sw.leave_group(net::Ipv4Addr{0xef000000u}, 0);
-  EXPECT_TRUE(sw.join_group(net::Ipv4Addr{0xef000099u}, 0));
 }
 
 TEST(FpgaSwitch, NonMulticastTrafficDropped) {

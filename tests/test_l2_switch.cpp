@@ -58,16 +58,15 @@ TEST(CommoditySwitch, RoutesUnicastByIpAndRewritesMac) {
 }
 
 TEST(CommoditySwitch, ForwardingLatencyIsCharged) {
-  CommoditySwitchConfig config;
-  config.forwarding_latency = sim::nanos(std::int64_t{500});
-  SwitchRig rig{config};
+  static_assert(kSwitchForwardingLatency == sim::nanos(std::int64_t{500}));
+  SwitchRig rig;
   sim::Time direct_estimate;
   sim::Time arrival;
   rig.nic(1).set_rx_handler([&](const net::PacketPtr&, sim::Time at) { arrival = at; });
   rig.nic(0).send_frame(udp_to(rig.nic(0), rig.nic(1).ip()));
   rig.engine.run();
   // Two link traversals (~50 ns prop each + serialization) + 500 ns pipeline.
-  direct_estimate = sim::Time::zero() + sim::nanos(std::int64_t{500});
+  direct_estimate = sim::Time::zero() + kSwitchForwardingLatency;
   EXPECT_GT(arrival, direct_estimate);
   EXPECT_LT(arrival, sim::Time::zero() + sim::micros(std::int64_t{2}));
 }
@@ -155,7 +154,8 @@ TEST(CommoditySwitch, IgmpLeaveStopsDelivery) {
   rig.nic(1).set_rx_handler([&](const net::PacketPtr&, sim::Time) { ++got; });
   mcast::join_group(rig.nic(1), group);
   rig.engine.run();
-  mcast::leave_group(rig.nic(1), group);
+  rig.nic(1).send_frame(mcast::build_igmp_frame(
+      rig.nic(1).mac(), rig.nic(1).ip(), mcast::IgmpMessage{mcast::IgmpType::kLeaveGroup, group}));
   rig.engine.run();
   rig.nic(0).send_frame(
       net::build_multicast_frame(rig.nic(0).mac(), rig.nic(0).ip(), group, 30001, {}));
@@ -165,10 +165,9 @@ TEST(CommoditySwitch, IgmpLeaveStopsDelivery) {
 }
 
 TEST(CommoditySwitch, SoftwareFallbackAddsLatencyAndDrops) {
+  static_assert(kSoftwareServiceTime == sim::micros(std::int64_t{40}));
   CommoditySwitchConfig config;
   config.mroute_hardware_capacity = 1;
-  config.software_service_time = sim::micros(std::int64_t{40});
-  config.software_queue_packets = 4;
   SwitchRig rig{config};
   const net::Ipv4Addr hw_group{239, 1, 0, 1};
   const net::Ipv4Addr sw_group{239, 1, 0, 2};
@@ -190,8 +189,8 @@ TEST(CommoditySwitch, SoftwareFallbackAddsLatencyAndDrops) {
   // Software path is dramatically slower (§3: "cripples performance").
   EXPECT_GT(sw_arrival - hw_arrival, sim::micros(std::int64_t{30}));
 
-  // Flood the software path: its bounded queue must drop.
-  for (int i = 0; i < 50; ++i) {
+  // Flood the software path past its queue: the overflow must drop.
+  for (std::size_t i = 0; i < kSoftwareQueuePackets + 50; ++i) {
     rig.nic(0).send_frame(
         net::build_multicast_frame(rig.nic(0).mac(), rig.nic(0).ip(), sw_group, 30001, {}));
   }

@@ -16,9 +16,6 @@ TEST(GroupAllocator, AllocatesConsecutiveBlocks) {
   const auto& block = alloc.block("exchA");
   EXPECT_EQ(block.group(0), first);
   EXPECT_EQ(block.group(7).value(), first.value() + 7);
-  EXPECT_TRUE(block.contains(block.group(3)));
-  EXPECT_FALSE(block.contains(second));
-  EXPECT_EQ(block.index_of(block.group(5)), 5u);
 }
 
 TEST(GroupAllocator, RejectsBadInput) {
@@ -30,7 +27,6 @@ TEST(GroupAllocator, RejectsBadInput) {
 TEST(GroupAllocator, MissingBlockThrows) {
   GroupAllocator alloc;
   EXPECT_THROW((void)alloc.block("nope"), std::out_of_range);
-  EXPECT_FALSE(alloc.has_block("nope"));
 }
 
 TEST(GroupAllocator, GroupIndexOutOfRangeThrows) {
@@ -101,20 +97,6 @@ TEST(Mroute, FreedHardwareSlotReusedByNextJoin) {
   table.join(g3, 1);
   EXPECT_TRUE(table.lookup(g3).hardware);   // took the freed slot
   EXPECT_FALSE(table.lookup(g2).hardware);  // no automatic promotion
-}
-
-TEST(Mroute, ReprogramPromotesDeterministically) {
-  MrouteTable table{2};
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    table.join(net::Ipv4Addr{0xef000000u + i}, 1);
-  }
-  table.leave(net::Ipv4Addr{0xef000000u}, 1);  // free a hardware slot
-  table.reprogram();
-  // After reprogramming, the numerically lowest remaining groups hold the
-  // hardware slots.
-  EXPECT_TRUE(table.lookup(net::Ipv4Addr{0xef000001u}).hardware);
-  EXPECT_TRUE(table.lookup(net::Ipv4Addr{0xef000002u}).hardware);
-  EXPECT_FALSE(table.lookup(net::Ipv4Addr{0xef000003u}).hardware);
 }
 
 TEST(Igmp, MessageRoundTrip) {

@@ -105,7 +105,6 @@ TEST(Link, RandomLossDropsExpectedFraction) {
   config.loss_probability = 0.3;
   Link link{engine, "l", config};
   link.connect_to(sink, 0);
-  link.seed_loss(42);
   PacketFactory factory;
   constexpr int kFrames = 10'000;
   for (int i = 0; i < kFrames; ++i) link.transmit(make_packet(factory, 100, engine.now()));
@@ -135,7 +134,6 @@ TEST(Link, LossAccountingIsExact) {
   config.loss_probability = 0.25;
   Link link{engine, "l", config};
   link.connect_to(sink, 0);
-  link.seed_loss(7);
   PacketFactory factory;
   constexpr std::uint64_t kFrames = 5'000;
   for (std::uint64_t i = 0; i < kFrames; ++i) {

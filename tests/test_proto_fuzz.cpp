@@ -410,7 +410,7 @@ TEST_P(FuzzTest, PitchRandomMessagesRoundTripThroughFrames) {
     proto::pitch::DecodedBatch batch;
     for (const auto& frame : frames) {
       ASSERT_TRUE(proto::pitch::decode_batch(frame, batch));
-      for (std::size_t i = 0; i < batch.count; ++i) got.push_back(batch.message_at(i));
+      for (std::size_t i = 0; i < batch.count; ++i) got.push_back(proto::pitch::oracle::message_at(batch, i));
     }
     ASSERT_EQ(got.size(), sent.size());
     for (std::size_t i = 0; i < sent.size(); ++i) {
@@ -539,7 +539,7 @@ TEST_P(FuzzTest, BatchDecodeMatchesVariantDecoderOnValidFrames) {
       EXPECT_EQ(batch.header.unit, header->unit);
       for (std::size_t i = 0; i < batch.count; ++i) {
         // Row-by-row: the SoA columns must reconstruct the exact message.
-        EXPECT_EQ(reencoded(batch.message_at(i)), reencoded(oracle_messages[i]))
+        EXPECT_EQ(reencoded(proto::pitch::oracle::message_at(batch, i)), reencoded(oracle_messages[i]))
             << "message " << i;
       }
     }
@@ -574,7 +574,7 @@ TEST_P(FuzzTest, BatchDecodeBitFlipParityWithForEachMessage) {
     EXPECT_EQ(batch_ok, oracle_ok);
     ASSERT_EQ(batch.count, oracle_messages.size());
     for (std::size_t i = 0; i < batch.count; ++i) {
-      EXPECT_EQ(reencoded(batch.message_at(i)), reencoded(oracle_messages[i]));
+      EXPECT_EQ(reencoded(proto::pitch::oracle::message_at(batch, i)), reencoded(oracle_messages[i]));
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "pitch_oracle.hpp"
+
 namespace tsn::proto::pitch {
 namespace {
 
@@ -94,8 +96,8 @@ TEST(Pitch, RoundTripAllMessageTypes) {
     // true means every byte the header covers was consumed.
     ASSERT_TRUE(decode_batch(one_message_datagram(bytes), batch));
     ASSERT_EQ(batch.count, 1u);
-    EXPECT_EQ(batch.message_at(0).index(), original.index());
-    EXPECT_EQ(encode_to_bytes(batch.message_at(0)), bytes);
+    EXPECT_EQ(oracle::message_at(batch, 0).index(), original.index());
+    EXPECT_EQ(encode_to_bytes(oracle::message_at(batch, 0)), bytes);
   }
 }
 

@@ -290,17 +290,5 @@ TEST(ShardedEngine, ShardContextKeepsSpansAcrossWorkerThreads) {
   }
 }
 
-TEST(ShardedEngine, StopRequestHaltsAllShards) {
-  ShardedEngine engine{{.domains = 2, .num_workers = 1}};
-  int hits = 0;
-  engine.domain(0).schedule_at(Time{100}, [&engine, &hits] {
-    ++hits;
-    engine.request_stop();
-  });
-  engine.domain(1).schedule_at(Time{200}, [&hits] { ++hits; });
-  engine.run();
-  EXPECT_EQ(hits, 1);
-}
-
 }  // namespace
 }  // namespace tsn::sim

@@ -124,19 +124,6 @@ TEST(Engine, EventsScheduledDuringRunAreExecuted) {
   EXPECT_EQ(depth, 100);
 }
 
-TEST(Engine, RequestStopHaltsRun) {
-  Engine engine;
-  int fired = 0;
-  engine.schedule_at(Time{1}, [&] {
-    ++fired;
-    engine.request_stop();
-  });
-  engine.schedule_at(Time{2}, [&] { ++fired; });
-  engine.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(engine.pending_events(), 1u);
-}
-
 TEST(Engine, StepExecutesExactlyOneEvent) {
   Engine engine;
   int fired = 0;

@@ -162,15 +162,5 @@ TEST(Rng, WeightedIndexDegenerateCases) {
   EXPECT_EQ(rng.weighted_index(single), 0u);
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng parent{59};
-  Rng child = parent.split();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.next_u64() == child.next_u64()) ++same;
-  }
-  EXPECT_LT(same, 2);
-}
-
 }  // namespace
 }  // namespace tsn::sim

@@ -58,7 +58,6 @@ TEST(Histogram, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.01);  // sample stddev
 }
 
 TEST(Histogram, PercentilesAreExactNearestRank) {
@@ -95,16 +94,6 @@ TEST(Histogram, ClearResets) {
   EXPECT_TRUE(s.empty());
   s.add(7.0);
   EXPECT_DOUBLE_EQ(s.mean(), 7.0);
-}
-
-TEST(Histogram, TableRowFormatsFourColumns) {
-  Histogram s;
-  s.add(73.0);
-  s.add(89.0);
-  s.add(1514.0);
-  const std::string row = s.table_row();
-  EXPECT_NE(row.find("73"), std::string::npos);
-  EXPECT_NE(row.find("1514"), std::string::npos);
 }
 
 }  // namespace

@@ -137,37 +137,30 @@ TEST(JsonWriter, NonFiniteBecomesNull) {
 
 // --- Registry -----------------------------------------------------------------
 
-TEST(Registry, CountersGaugesAndHistogramsRoundTrip) {
+TEST(Registry, GaugesAndHistogramRefsRoundTrip) {
   Registry registry;
-  registry.counter("drops").add(3);
-  registry.counter("drops").add(1);
-  registry.gauge("depth", [] { return 7.0; });
-  registry.histogram("lat_ns").add(100.0);
-  registry.histogram("lat_ns").add(300.0);
+  std::uint64_t drops = 3;
+  registry.gauge("drops", [&drops] { return static_cast<double>(drops); });
+  ++drops;  // sampled when read, not when registered
   Histogram owned;
-  owned.add(5.0);
-  registry.histogram_ref("external", owned);
+  owned.add(100.0);
+  owned.add(300.0);
+  registry.histogram_ref("lat_ns", owned);
 
-  ASSERT_NE(registry.find_counter("drops"), nullptr);
-  EXPECT_EQ(registry.find_counter("drops")->value(), 4u);
-  EXPECT_EQ(registry.find_counter("missing"), nullptr);
-  EXPECT_DOUBLE_EQ(registry.gauge_value("depth"), 7.0);
+  EXPECT_DOUBLE_EQ(registry.gauge_value("drops"), 4.0);
   EXPECT_DOUBLE_EQ(registry.gauge_value("missing"), 0.0);
-  ASSERT_NE(registry.find_histogram("lat_ns"), nullptr);
-  EXPECT_EQ(registry.find_histogram("lat_ns")->count(), 2u);
-  ASSERT_NE(registry.find_histogram("external"), nullptr);
-  EXPECT_EQ(registry.find_histogram("external")->count(), 1u);
-  EXPECT_EQ(registry.size(), 3u);
+  owned.add(200.0);  // a reference: later samples show in the snapshot
+  EXPECT_NE(registry.to_json(sim::Time{}).find("\"lat_ns\":{\"count\":3"), std::string::npos);
+  EXPECT_EQ(registry.size(), 2u);
 }
 
 TEST(Registry, SnapshotIsDeterministicAndSorted) {
   auto build = [] {
     auto registry = std::make_unique<Registry>();
     // Registration order differs from name order on purpose.
-    registry->counter("zeta").add(1);
-    registry->counter("alpha").add(2);
+    registry->gauge("zeta", [] { return 1.0; });
+    registry->gauge("alpha", [] { return 2.0; });
     registry->gauge("mid", [] { return 1.5; });
-    registry->histogram("h").add(10.0);
     return registry;
   };
   const auto a = build();
@@ -306,8 +299,7 @@ TEST(Telemetry, RecordedSwitchTimeMatchesAnalyticalModel) {
   config.symbol_count = 4;
   config.events_per_second = 20'000;
   deploy::LeafSpineDeployment deployment{config};
-  const auto hop_latency =
-      deploy::LeafSpineDeployment::default_topo().leaf_switch.forwarding_latency;
+  const auto hop_latency = l2::kSwitchForwardingLatency;
 
   TraceSink sink;
   ScopedTraceSink attach{sink};

@@ -28,20 +28,18 @@ TEST(Compliance, NbboAggregatesAcrossVenues) {
 TEST(Compliance, UnknownSymbolHasNoNbbo) {
   MarketStateMonitor monitor;
   EXPECT_FALSE(monitor.nbbo(kSym).has_value());
-  EXPECT_FALSE(monitor.is_locked(kSym));
-  EXPECT_FALSE(monitor.is_crossed(kSym));
 }
 
 TEST(Compliance, DetectsLockedMarket) {
   MarketStateMonitor monitor;
   monitor.set_quote(1, kSym, Side::kSell, proto::price_from_dollars(100.00));
   monitor.set_quote(2, kSym, Side::kBuy, proto::price_from_dollars(100.00));
-  EXPECT_TRUE(monitor.is_locked(kSym));
-  EXPECT_FALSE(monitor.is_crossed(kSym));
+  EXPECT_TRUE(monitor.nbbo(kSym)->locked());
+  EXPECT_FALSE(monitor.nbbo(kSym)->crossed());
   EXPECT_EQ(monitor.stats().locked_transitions, 1u);
   // Leaving and re-entering counts again.
   monitor.set_quote(2, kSym, Side::kBuy, proto::price_from_dollars(99.99));
-  EXPECT_FALSE(monitor.is_locked(kSym));
+  EXPECT_FALSE(monitor.nbbo(kSym)->locked());
   monitor.set_quote(2, kSym, Side::kBuy, proto::price_from_dollars(100.00));
   EXPECT_EQ(monitor.stats().locked_transitions, 2u);
 }
@@ -50,7 +48,7 @@ TEST(Compliance, DetectsCrossedMarket) {
   MarketStateMonitor monitor;
   monitor.set_quote(1, kSym, Side::kSell, proto::price_from_dollars(100.00));
   monitor.set_quote(2, kSym, Side::kBuy, proto::price_from_dollars(100.05));
-  EXPECT_TRUE(monitor.is_crossed(kSym));
+  EXPECT_TRUE(monitor.nbbo(kSym)->crossed());
   EXPECT_EQ(monitor.stats().crossed_transitions, 1u);
 }
 
@@ -60,38 +58,8 @@ TEST(Compliance, SameVenueTouchIsNotLocked) {
   MarketStateMonitor monitor;
   monitor.set_quote(1, kSym, Side::kBuy, proto::price_from_dollars(100.00));
   monitor.set_quote(1, kSym, Side::kSell, proto::price_from_dollars(100.00));
-  EXPECT_FALSE(monitor.is_locked(kSym));
-}
-
-TEST(Compliance, PreQuoteGateBlocksLockingQuotes) {
-  MarketStateMonitor monitor;
-  monitor.set_quote(1, kSym, Side::kSell, proto::price_from_dollars(100.02));
-  monitor.set_quote(1, kSym, Side::kBuy, proto::price_from_dollars(99.98));
-  // A bid at/through the away ask locks/crosses.
-  EXPECT_TRUE(
-      monitor.quote_would_lock_or_cross(kSym, Side::kBuy, proto::price_from_dollars(100.02)));
-  EXPECT_TRUE(
-      monitor.quote_would_lock_or_cross(kSym, Side::kBuy, proto::price_from_dollars(100.05)));
-  EXPECT_FALSE(
-      monitor.quote_would_lock_or_cross(kSym, Side::kBuy, proto::price_from_dollars(100.01)));
-  // Same for offers against the away bid.
-  EXPECT_TRUE(
-      monitor.quote_would_lock_or_cross(kSym, Side::kSell, proto::price_from_dollars(99.98)));
-  EXPECT_FALSE(
-      monitor.quote_would_lock_or_cross(kSym, Side::kSell, proto::price_from_dollars(99.99)));
-}
-
-TEST(Compliance, ClampProducesMostAggressiveCompliantPrice) {
-  MarketStateMonitor monitor;
-  monitor.set_quote(1, kSym, Side::kSell, proto::price_from_dollars(100.02));
-  monitor.set_quote(1, kSym, Side::kBuy, proto::price_from_dollars(99.98));
-  EXPECT_EQ(monitor.clamp_to_compliant(kSym, Side::kBuy, proto::price_from_dollars(100.10)),
-            proto::price_from_dollars(100.01));
-  EXPECT_EQ(monitor.clamp_to_compliant(kSym, Side::kSell, proto::price_from_dollars(99.90)),
-            proto::price_from_dollars(99.99));
-  // Already compliant prices pass through unchanged.
-  EXPECT_EQ(monitor.clamp_to_compliant(kSym, Side::kBuy, proto::price_from_dollars(99.50)),
-            proto::price_from_dollars(99.50));
+  EXPECT_FALSE(monitor.nbbo(kSym)->locked());
+  EXPECT_EQ(monitor.stats().locked_transitions, 0u);
 }
 
 TEST(Compliance, NormUpdateAdapterMovesQuotes) {
@@ -104,11 +72,14 @@ TEST(Compliance, NormUpdateAdapterMovesQuotes) {
   update.price = proto::price_from_dollars(50.00);
   update.quantity = 100;
   monitor.on_update(update);
-  EXPECT_EQ(monitor.venue_quote(3, kSym).bid, proto::price_from_dollars(50.00));
-  // Zero quantity clears the side.
+  const auto best = monitor.nbbo(kSym);
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(best->bid, proto::price_from_dollars(50.00));
+  EXPECT_EQ(best->bid_venue, 3);
+  // Zero quantity clears the side, and with it venue 3's only quote.
   update.quantity = 0;
   monitor.on_update(update);
-  EXPECT_EQ(monitor.venue_quote(3, kSym).bid, 0);
+  EXPECT_FALSE(monitor.nbbo(kSym).has_value());
 }
 
 TEST(Compliance, TradeThroughDetection) {

@@ -156,18 +156,18 @@ TEST(Strategy, TickToTradeIsMeasuredAndPlausible) {
 }
 
 TEST(Strategy, GatewayRiskGateRejectsOversizedOrders) {
-  // Gateway with a per-order cap below the taker's 100-share clip: every
-  // order dies at the gateway with a risk reject; nothing reaches the
-  // exchange.
-  auto gw_config = StrategyRig::gateway_config();
-  gw_config.risk_limits.max_order_quantity = 50;
-  StrategyRig rig{gw_config};
-  MomentumTaker strategy{rig.engine, StrategyRig::strategy_config()};
+  // A taker whose clip is one share over the gateway's per-order cap:
+  // every order dies at the gateway with a risk reject; nothing reaches
+  // the exchange.
+  StrategyRig rig;
+  MomentumTaker strategy{rig.engine, StrategyRig::strategy_config(), 100,
+                         RiskLimits{}.max_order_quantity + 1};
   rig.wire(strategy);
   for (int i = 0; i < 3; ++i) rig.inject(rig.trade_print(100.00 + 0.01 * i));
   EXPECT_EQ(strategy.stats().orders_sent, 1u);
   EXPECT_EQ(strategy.stats().rejects, 1u);
   EXPECT_EQ(rig.gateway.stats().orders_rejected_risk, 1u);
+  EXPECT_EQ(rig.gateway.risk().stats().rejected_size, 1u);
   EXPECT_EQ(rig.gateway.stats().orders_forwarded, 0u);
   EXPECT_EQ(rig.exch.stats().orders_received, 0u);
 }

@@ -20,11 +20,12 @@
 //                    std::string construction, or local container builds)
 //   layering         include-cycle, layer-violation, include-missing,
 //                    unknown-module over the `#include` graph of src/
-//   reachability     unreached-module, unreached-symbol: every src/ module
-//                    and public symbol has a user under bench/, examples/,
-//                    perfbench/ or tools/ (tests/ do not count)
+//   reachability     unreached-module, unreached-symbol, unreached-member:
+//                    every src/ module, public symbol and member function
+//                    has a user under bench/, examples/, perfbench/ or
+//                    tools/ (tests/ do not count)
 //   options          unset-option: every *Config field has a setter under
-//                    src/, tests/, bench/, examples/, perfbench/ or tools/
+//                    src/, bench/, examples/, perfbench/ or tools/
 //   suppression      allow-no-reason: every allow() gives its reason
 //
 // Shared infrastructure: a line-oriented scanner over comment-stripped

@@ -1,0 +1,5 @@
+#include "a/switch.hpp"
+int main() {
+  demo::a::Switch sw;
+  sw.patch(0, 1);
+}

@@ -132,12 +132,15 @@ int run_root_scan(const std::string& root, const std::string& baseline_path,
   const std::string src_dir = src_path.filename().string();
   std::map<std::string, std::vector<std::string>> tree_lines;  // keyed by path in `tree`
   for (const auto& [rel, raw] : raw_by_rel) tree_lines[src_dir + "/" + rel] = raw;
-  // The option setters, which include every reachability root.
-  for (const std::string_view dir : kSetterDirs) {
+  // The reachability roots, which are also the option setters, and the
+  // tests, which unreached-member reads.
+  std::vector<std::string_view> dirs(kReachRootDirs.begin(), kReachRootDirs.end());
+  dirs.push_back(kTestDir);
+  for (const std::string_view dir : dirs) {
     if (!fs::is_directory(tree / dir)) continue;
     for (const auto& file : collect_files(tree / dir)) {
       const std::string rel = relative_path(file, tree);
-      if (is_option_setter(rel)) tree_lines[rel] = read_lines(file);
+      if (is_reach_root(rel) || dir == kTestDir) tree_lines[rel] = read_lines(file);
     }
   }
   std::vector<std::string> tree_files;
@@ -149,7 +152,8 @@ int run_root_scan(const std::string& root, const std::string& baseline_path,
     out = it->second;
     return true;
   };
-  check_reachability(tree_files, src_dir, tree_provider, root, report.sink);
+  report.member_functions =
+      check_reachability(tree_files, src_dir, tree_provider, root, report.sink);
   report.option_fields = check_options(tree_files, src_dir, tree_provider, root, report.sink);
 
   if (!baseline_path.empty()) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string_view>
+
+#include "reachability.hpp"
 
 namespace tsn::analyze {
 
@@ -288,26 +291,20 @@ OptionWrites harvest_option_writes(const std::vector<std::string>& code,
   return out;
 }
 
-bool is_option_setter(std::string_view tree_path) {
-  if (under(tree_path, "tools/tsn_analyze/corpus")) return false;
-  return std::any_of(kSetterDirs.begin(), kSetterDirs.end(),
-                     [&](std::string_view dir) { return under(tree_path, dir); });
-}
-
 std::size_t check_options(const std::vector<std::string>& tree_files,
                           const std::string& src_dir, const FileProvider& provider,
                           const std::string& display_prefix, Sink& sink) {
   std::map<std::string, CleanSource> clean;  // tree path -> code
   for (const auto& file : tree_files) {
     std::vector<std::string> lines;
-    if ((under(file, src_dir) || is_option_setter(file)) && provider(file, lines)) {
+    if ((under(file, src_dir) || is_reach_root(file)) && provider(file, lines)) {
       clean.emplace(file, strip_comments(lines));
     }
   }
   std::vector<std::pair<std::string, ConfigStruct>> structs;  // header -> struct
   std::set<std::string> struct_names;
   for (const auto& [file, src] : clean) {
-    if (!under(file, src_dir) || !is_header(file)) continue;
+    if (!under(file, src_dir) || !is_header(file) || module_kept_by_allow(src)) continue;
     for (auto& config : config_structs_in(Text(src.lines))) {
       struct_names.insert(config.name);
       structs.emplace_back(file, std::move(config));
@@ -337,8 +334,9 @@ std::size_t check_options(const std::vector<std::string>& tree_files,
       sink.emit(Finding{display_prefix.empty() ? rel : display_prefix + "/" + rel, field.line,
                         "unset-option",
                         "'" + config.name + "::" + field.name +
-                            "' is assigned by no file under src/, tests/, bench/, examples/, "
-                            "perfbench/ or tools/ (an owner's config_ copy does not count); "
+                            "' is assigned by no file under src/, bench/, examples/, "
+                            "perfbench/ or tools/ (tests/ and an owner's config_ copy do not "
+                            "count); "
                             "fold it into a named constant beside its reader, or put "
                             "`// tsn-lint: allow(unset-option) <reason>` on its declaration"});
     }

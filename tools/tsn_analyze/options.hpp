@@ -3,8 +3,11 @@
 //   unset-option  a data member of a `struct` whose name ends in `Config`,
 //                 declared in a header under the scan root, that no file
 //                 assigns. The setters are every file under the scan root
-//                 and under tests/, bench/, examples/, perfbench/ and
-//                 tools/ beside it, except tools/tsn_analyze/corpus/.
+//                 and the reachability roots beside it (bench/, examples/,
+//                 perfbench/ and tools/, except tools/tsn_analyze/corpus/).
+//                 Structs in a module
+//                 kept by `allow(unreached-module)` are out of scope: that
+//                 module's reason already says tests are its users.
 //
 // A field counts as assigned when a setter writes it through an instance:
 //
@@ -13,8 +16,8 @@
 // (the last is a designated initializer; `->` works like `.`), or when a
 // positional aggregate initialization `XConfig{a, b}` or `XConfig x{a, b}`
 // covers it. A write whose object chain names `config_` does not count:
-// an owner adjusting its own copy is not a caller turning the knob. Tests
-// count as setters, because a test that sets a second value exercises it.
+// an owner adjusting its own copy is not a caller turning the knob. Nor
+// does a test: a knob only a test turns is a constant that test can read.
 //
 // Names are matched, not resolved, as in unreached-symbol: a write to
 // `f` through any object counts for every `*Config::f`. When the rule was
@@ -26,23 +29,16 @@
 // ports, credentials, identities) are the expected allows.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analyzer.hpp"
 #include "include_graph.hpp"
 
 namespace tsn::analyze {
-
-// The directories beside the scan root whose files are setters: the
-// reachability roots, and tests/.
-inline constexpr std::array<std::string_view, 5> kSetterDirs = {"bench", "examples",
-                                                                "perfbench", "tests", "tools"};
 
 // What one file writes: member names, and for each `*Config` struct the
 // most fields a positional aggregate initialization of it covers.
@@ -55,10 +51,6 @@ struct OptionWrites {
 // structs whose positional initializations are counted.
 OptionWrites harvest_option_writes(const std::vector<std::string>& code,
                                    const std::set<std::string>& config_structs);
-
-// True when `tree_path` (relative to the directory holding the scan root)
-// is a setter outside the scan root.
-bool is_option_setter(std::string_view tree_path);
 
 // Emits unset-option findings for the `*Config` fields declared in headers
 // under `src_dir`, displayed as `display_prefix/<path under src_dir>`.

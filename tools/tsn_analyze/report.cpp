@@ -27,6 +27,7 @@ const std::vector<RuleInfo>& all_rules() {
       {"unknown-module", "layering"},
       {"unreached-module", "reachability"},
       {"unreached-symbol", "reachability"},
+      {"unreached-member", "reachability"},
       {"unset-option", "options"},
       {"allow-no-reason", "suppression"}};
   return kRules;
@@ -72,6 +73,9 @@ std::size_t print_summary(const RunReport& report) {
                   entry.file.c_str(), entry.rule.c_str(), entry.count, entry.matched);
     }
   }
+  if (report.member_functions > 0) {
+    std::printf("reachability: %zu member function(s) scanned\n", report.member_functions);
+  }
   if (report.option_fields > 0) {
     std::printf("options: %zu *Config field(s) scanned\n", report.option_fields);
   }
@@ -87,6 +91,7 @@ std::string findings_to_json(const RunReport& report) {
   w.field("root", report.root);
   w.field("files_scanned", static_cast<std::uint64_t>(report.files_scanned));
   w.field("option_fields", static_cast<std::uint64_t>(report.option_fields));
+  w.field("member_functions", static_cast<std::uint64_t>(report.member_functions));
   w.key("findings");
   w.begin_array();
   for (const auto& f : report.active) {
@@ -139,6 +144,9 @@ bool validate_findings_json(const std::string& text, std::string* error) {
   }
   if (const JsonValue* v = doc->get("option_fields"); v == nullptr || !v->is_number()) {
     return fail("missing numeric 'option_fields'");
+  }
+  if (const JsonValue* v = doc->get("member_functions"); v == nullptr || !v->is_number()) {
+    return fail("missing numeric 'member_functions'");
   }
   const JsonValue* findings = doc->get("findings");
   if (findings == nullptr || !findings->is_array()) return fail("missing 'findings' array");

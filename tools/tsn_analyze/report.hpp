@@ -19,7 +19,8 @@ inline constexpr std::string_view kFindingsSchema = "tsn-analyze-findings-v1";
 struct RunReport {
   std::string root;               // scan root as given on the command line
   std::size_t files_scanned = 0;
-  std::size_t option_fields = 0;  // *Config fields the options rule scanned
+  std::size_t option_fields = 0;     // *Config fields the options rule scanned
+  std::size_t member_functions = 0;  // member functions unreached-member scanned
   std::vector<Finding> active;    // after baseline subtraction
   Sink sink;                      // raw findings + allow() counts
   Baseline baseline;              // entries with match counts filled in

@@ -182,7 +182,7 @@ void run_tree_case(const std::string& rule, Family family, const fs::path& tree,
     return true;
   };
   if (family == Family::kReachability) {
-    check_reachability(files, "src", provider, "src", sink);
+    (void)check_reachability(files, "src", provider, "src", sink);
   } else if (family == Family::kOptions) {
     (void)check_options(files, "src", provider, "src", sink);
   } else {
