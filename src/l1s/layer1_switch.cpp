@@ -12,7 +12,6 @@ namespace tsn::l1s {
 Layer1Switch::Layer1Switch(sim::Scheduler& engine, std::string name, L1SwitchConfig config)
     : engine_(engine),
       name_(std::move(name)),
-      config_(config),
       egress_(config.port_count, nullptr),
       patch_map_(config.port_count),
       feeders_(config.port_count, 0) {

@@ -59,7 +59,6 @@ class Layer1Switch final : public net::PortedDevice, public net::FaultHook {
   void receive(const net::PacketPtr& packet, net::PortId in_port) override;
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
   [[nodiscard]] const L1Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const L1SwitchConfig& config() const noexcept { return config_; }
 
   // Registers forwarding counters as gauges under "<prefix>.<name>".
   void register_metrics(telemetry::Registry& registry, const std::string& prefix) const {
@@ -81,7 +80,6 @@ class Layer1Switch final : public net::PortedDevice, public net::FaultHook {
  private:
   sim::Scheduler& engine_;
   std::string name_;
-  L1SwitchConfig config_;
   std::vector<net::Link*> egress_;
   std::vector<std::vector<net::PortId>> patch_map_;  // in-port -> out-ports
   std::vector<std::uint32_t> feeders_;               // out-port -> #inputs patched to it

@@ -119,7 +119,6 @@ class CommoditySwitch final : public net::PortedDevice, public net::FaultHook {
   [[nodiscard]] std::uint64_t memberships_aged_out() const noexcept { return aged_out_; }
   [[nodiscard]] const mcast::MrouteTable& mroutes() const noexcept { return mroutes_; }
   [[nodiscard]] mcast::MrouteTable& mroutes() noexcept { return mroutes_; }
-  [[nodiscard]] const CommoditySwitchConfig& config() const noexcept { return config_; }
 
  private:
   struct Route {

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "net/packet.hpp"
+#include "sim/scheduler.hpp"
 
 namespace tsn::net {
 
@@ -19,6 +20,16 @@ class Device {
 
   // Called by the attached Link when a frame finishes arriving on `port`.
   virtual void receive(const PacketPtr& packet, PortId port) = 0;
+
+  // Asked by a local Link, on `link_domain`, before it schedules receive()
+  // at `arrival`. A device with a delay of its own past arrival may instead
+  // schedule the one event that ends it, on its own scheduler, and return
+  // true: the frame then costs one event, not two. Nic does this for a
+  // software hop; the default declines.
+  virtual bool schedule_receive(const PacketPtr& /*packet*/, PortId /*port*/,
+                                sim::Time /*arrival*/, sim::DomainId /*link_domain*/) {
+    return false;
+  }
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };

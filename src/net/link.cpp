@@ -33,6 +33,7 @@ sim::Duration Link::current_backlog() const noexcept {
   return egress_free_at_ > now ? egress_free_at_ - now : sim::Duration::zero();
 }
 
+// tsn-lint: hotpath
 void Link::transmit(const PacketPtr& packet) {
   assert((destination_ != nullptr || remote_delivery_) && "link not connected");
   if (!admin_up_) {
@@ -72,6 +73,7 @@ void Link::transmit(const PacketPtr& packet) {
   }
   Device* dst = destination_;
   const PortId port = destination_port_;
+  if (dst->schedule_receive(packet, port, arrival, engine_.domain_id())) return;
   engine_.schedule_at(arrival, [dst, port, packet] { dst->receive(packet, port); });
 }
 

@@ -58,7 +58,9 @@ class Link : public FaultHook {
   using RemoteDelivery = std::function<void(sim::Time arrival, const PacketPtr& packet)>;
   void set_remote_delivery(RemoteDelivery deliver) { remote_delivery_ = std::move(deliver); }
 
-  // Hands one frame to the egress. Never blocks; drops on overflow.
+  // Hands one frame to the egress. Never blocks; drops on overflow. The far
+  // device's receive() runs at arrival, unless it schedules its own
+  // delivery (Device::schedule_receive).
   void transmit(const PacketPtr& packet);
 
   // Queueing delay a frame handed over right now would experience.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/check.hpp"
 #include "net/headers.hpp"
 #include "telemetry/trace.hpp"
 
@@ -40,7 +41,26 @@ PacketPtr Nic::send_frame(std::span<const std::byte> frame) {
   return packet;
 }
 
-void Nic::receive(const PacketPtr& packet, PortId /*port*/) {
+void Nic::receive(const PacketPtr& packet, PortId port) {
+  if (!schedule_receive(packet, port, engine_.now(), engine_.domain_id())) {
+    deliver(packet, engine_.now());
+  }
+}
+
+bool Nic::schedule_receive(const PacketPtr& packet, PortId /*port*/, sim::Time arrival,
+                           [[maybe_unused]] sim::DomainId link_domain) {
+  if (rx_delay_ == sim::Duration::zero()) return false;
+  // A link into another shard hands frames to net/bridge.hpp instead.
+  TSN_DCHECK(link_domain == engine_.domain_id(), "link and NIC on different domains");
+  // On the NIC's own scheduler, not the link's: a facade over the engine
+  // then charges the software hop to the NIC's owner.
+  engine_.schedule_at(arrival + rx_delay_,
+                      [this, packet, arrival] { deliver(packet, arrival); });
+  return true;
+}
+
+// tsn-lint: hotpath
+void Nic::deliver(const PacketPtr& packet, sim::Time arrival) {
   if (!promiscuous_) {
     const EthernetHeader* eth = packet->ethernet();
     const bool accept =
@@ -54,24 +74,13 @@ void Nic::receive(const PacketPtr& packet, PortId /*port*/) {
   }
   ++rx_frames_;
   if (!rx_handler_) return;
-  const sim::Time arrival = engine_.now();
   // Auxiliary span (nested inside the host's software span): NIC arrival to
   // handler run. The handler executes inside the frame's trace scope so any
   // frames it sends — or work it defers — stay on the same trace.
   telemetry::record_span(packet->trace(), name_, telemetry::SpanKind::kNicRx, arrival,
                          arrival + rx_delay_);
-  if (rx_delay_ == sim::Duration::zero()) {
-    telemetry::TraceScope scope{packet->trace()};
-    rx_handler_(packet, arrival);
-    return;
-  }
-  // Capture by value: the handler may be replaced while deliveries are in
-  // flight; the frame still goes to the handler installed at arrival time.
-  auto handler = rx_handler_;
-  engine_.schedule_in(rx_delay_, [handler, packet, arrival] {
-    telemetry::TraceScope scope{packet->trace()};
-    handler(packet, arrival);
-  });
+  telemetry::TraceScope scope{packet->trace()};
+  rx_handler_(packet, arrival);
 }
 
 Host::Host(sim::Scheduler& engine, std::string name, sim::Duration software_latency)

@@ -6,6 +6,14 @@
 // software hop: a configurable delay between a frame arriving at the NIC
 // and the application handler running (kernel-bypass stacks put this below
 // one microsecond, §3).
+//
+// A frame reaches software in one event. Over a local link with a software
+// hop, the NIC schedules that event itself, at arrival + rx delay, in place
+// of the link's delivery at arrival (Device::schedule_receive); receive()
+// keeps two events for callers without a link, such as bridged cross-shard
+// deliveries. Either way the MAC filter and the rx counters run when
+// software sees the frame, not at arrival: a multicast subscribe or
+// unsubscribe inside that window decides the frame's fate.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +34,15 @@ namespace tsn::net {
 class Nic final : public PortedDevice {
  public:
   // Handler invoked when a frame is delivered to software (after the host's
-  // software latency, if the NIC belongs to a host).
+  // software latency, if the NIC belongs to a host), with the frame's
+  // arrival time at the NIC.
   using RxHandler = std::function<void(const PacketPtr&, sim::Time arrival)>;
 
   Nic(sim::Scheduler& engine, std::string name, MacAddr mac, Ipv4Addr ip);
 
   void attach_port(PortId port, Link& egress) noexcept override;
+  // Installed once at set-up (in src/, only by NetStack's constructor), so
+  // the handler a frame reaches is the one installed when it arrived.
   void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
   // Extra delay between NIC arrival and the handler running (software hop).
   void set_rx_delay(sim::Duration delay) noexcept { rx_delay_ = delay; }
@@ -54,6 +65,11 @@ class Nic final : public PortedDevice {
   [[nodiscard]] PacketFactory& packets() noexcept { return factory_; }
 
   void receive(const PacketPtr& packet, PortId port) override;
+  // With a software hop, schedules the one event that delivers the frame
+  // to software at arrival + rx delay; without one, declines. receive()
+  // calls it with arrival = now, and delivers at once when it declines.
+  bool schedule_receive(const PacketPtr& packet, PortId port, sim::Time arrival,
+                        sim::DomainId link_domain) override;
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
 
   [[nodiscard]] MacAddr mac() const noexcept { return mac_; }
@@ -64,6 +80,10 @@ class Nic final : public PortedDevice {
   [[nodiscard]] sim::Scheduler& engine() noexcept { return engine_; }
 
  private:
+  // The frame reaching software: MAC filter, counters, the kNicRx span over
+  // [arrival, arrival + rx delay], then the handler.
+  void deliver(const PacketPtr& packet, sim::Time arrival);
+
   sim::Scheduler& engine_;
   std::string name_;
   MacAddr mac_;

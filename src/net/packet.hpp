@@ -8,19 +8,21 @@
 // Hot-path memory model: the paper's workloads are tiny frames at extreme
 // rates (26 B new-order / 14 B cancel, ≥500k events/s — PAPER §3, Table 1),
 // so frames up to `Packet::kInlineCapacity` live inside the Packet object
-// itself, and `PacketFactory` recycles the shared_ptr control block + Packet
-// allocation through a freelist (`detail::BlockPool`). Once the pool is
-// warm, a make → fan-out → drop cycle performs zero heap allocations; only
-// MTU-scale frames (PITCH unit batches) fall back to heap payload storage.
+// itself, and `PacketFactory` recycles Packet-sized blocks through a
+// freelist (`detail::BlockPool`). Once the pool is warm, a make → fan-out →
+// drop cycle performs zero heap allocations; only MTU-scale frames (PITCH
+// unit batches) fall back to heap payload storage. A `PacketPtr` is a
+// counted reference whose count lives in the Packet; the counts are plain
+// integers because a packet never leaves its thread (see `parse_` below).
 // Recycling is reference-safe by construction: a block returns to the
-// freelist only when the last PacketPtr (and weak ref) drops, so a recycled
-// frame can never alias through a still-held pointer.
+// freelist only when the last PacketPtr drops, so a recycled frame can
+// never alias through a still-held pointer.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -38,6 +40,10 @@ namespace tsn::net {
 inline constexpr std::size_t kPreambleSfdBytes = 8;
 inline constexpr std::size_t kInterPacketGapBytes = 12;
 inline constexpr std::size_t kWireOverheadBytes = kPreambleSfdBytes + kInterPacketGapBytes;
+
+namespace detail {
+class BlockPool;
+}  // namespace detail
 
 class Packet {
  public:
@@ -119,6 +125,9 @@ class Packet {
   }
 
  private:
+  friend class PacketPtr;
+  friend class PacketFactory;
+
   enum class Parse : std::uint8_t { kPending, kNoEthernet, kEthernetOnly, kDecoded };
 
   void parse() const {
@@ -142,6 +151,10 @@ class Packet {
   std::uint64_t id_;
   telemetry::TraceId trace_ = 0;
   std::uint32_t size_ = 0;
+  // PacketPtr references, and the pool the block returns to when the last
+  // one drops. A plain count, for the same reason as the parse cache below.
+  std::uint32_t refs_ = 0;
+  detail::BlockPool* pool_ = nullptr;
   bool inline_stored_ = true;
   // Parse cache behind decoded()/ethernet(). Filled lazily, not at
   // construction, so packets no hop parses (pool warm-up, drops) never pay
@@ -153,119 +166,122 @@ class Packet {
   mutable DecodedFrame parsed_;
 };
 
-using PacketPtr = std::shared_ptr<const Packet>;
+// A counted reference to a pooled Packet: copying it shares the frame,
+// never the bytes. Only PacketFactory makes non-null ones.
+class PacketPtr {
+ public:
+  PacketPtr() noexcept = default;
+  PacketPtr(const PacketPtr& other) noexcept : p_(other.p_) {
+    if (p_ != nullptr) ++p_->refs_;
+  }
+  PacketPtr(PacketPtr&& other) noexcept : p_(std::exchange(other.p_, nullptr)) {}
+  // By value: the old reference drops when `other` goes out of scope.
+  PacketPtr& operator=(PacketPtr other) noexcept {
+    std::swap(p_, other.p_);
+    return *this;
+  }
+  ~PacketPtr() { reset(); }
+
+  void reset() noexcept;
+
+  [[nodiscard]] const Packet* operator->() const noexcept { return p_; }
+  [[nodiscard]] explicit operator bool() const noexcept { return p_ != nullptr; }
+
+ private:
+  friend class PacketFactory;
+  // Takes the first reference to a Packet just built in a pooled block.
+  explicit PacketPtr(Packet* packet) noexcept : p_(packet) { ++p_->refs_; }
+
+  Packet* p_ = nullptr;
+};
 
 namespace detail {
 
-// Freelist of fixed-size blocks backing pooled shared_ptr allocations. The
-// block size is pinned by the first allocation (the allocate_shared
-// control-block-plus-Packet node); other sizes fall through to the global
-// allocator untracked. Single-threaded by design, like the simulator.
+// Freelist of Packet-sized blocks. It counts its own references by hand:
+// one for the owning factory and one for every block out of the freelist,
+// so a block released after its factory is gone still returns to a live
+// pool, and whichever drops the last reference frees the pool.
+// Single-threaded by design, like the simulator.
 class BlockPool {
  public:
   BlockPool() = default;
   BlockPool(const BlockPool&) = delete;
   BlockPool& operator=(const BlockPool&) = delete;
 
-  ~BlockPool() {
-    for (void* block : free_) ::operator delete(block);
-  }
-
   // tsn-lint: hotpath
-  [[nodiscard]] void* allocate(std::size_t bytes) {
-    if (block_size_ == 0) block_size_ = bytes;
-    if (bytes != block_size_) {
-      ++fallback_allocations_;
-      // tsn-lint: allow(hotpath-alloc) off-size fallback: MTU-scale frames only, counted
-      return ::operator new(bytes);
-    }
+  [[nodiscard]] void* acquire() {
     if (!free_.empty()) {
       void* block = free_.back();
       free_.pop_back();
       ++reused_;
+      ++refs_;
       return block;
     }
-    ++allocated_;
+    // Sized before the block exists, so release() can never allocate: the
+    // freelist's capacity covers every block this pool has handed out.
+    free_.reserve(allocated_ + 1);
     // tsn-lint: allow(hotpath-alloc) cold-start growth: never taken once the pool is warm
-    return ::operator new(bytes);
+    void* block = ::operator new(sizeof(Packet));
+    ++allocated_;
+    ++refs_;
+    return block;
   }
 
   // tsn-lint: hotpath
-  void deallocate(void* block, std::size_t bytes) noexcept {
-    if (bytes != block_size_) {
-      // tsn-lint: allow(hotpath-alloc) off-size fallback release, pairs with the fallback new
-      ::operator delete(block);
-      return;
-    }
-    // push_back cannot allocate here: capacity was reserved to cover every
-    // block this pool has ever handed out.
+  void release(void* block) noexcept {
     free_.push_back(block);
+    drop();
   }
 
-  // Called after each fresh allocation to keep the freelist pre-sized.
-  void reserve_freelist() { free_.reserve(allocated_); }
+  // Drops one reference; the last one frees the pool and every block in it.
+  void drop() noexcept {
+    if (--refs_ == 0) delete this;
+  }
 
   [[nodiscard]] std::uint64_t blocks_allocated() const noexcept { return allocated_; }
   [[nodiscard]] std::uint64_t blocks_reused() const noexcept { return reused_; }
 
  private:
+  ~BlockPool() {
+    for (void* block : free_) ::operator delete(block);
+  }
+
   std::vector<void*> free_;
-  std::size_t block_size_ = 0;
+  std::uint64_t refs_ = 1;  // the owning factory's
   std::uint64_t allocated_ = 0;
   std::uint64_t reused_ = 0;
-  std::uint64_t fallback_allocations_ = 0;
-};
-
-// Minimal allocator over a shared BlockPool. Copies (including the one the
-// shared_ptr control block keeps) share the pool and keep it alive, so
-// blocks released after the factory is gone still return safely.
-template <typename T>
-class PoolAllocator {
- public:
-  using value_type = T;
-
-  explicit PoolAllocator(std::shared_ptr<BlockPool> pool) noexcept : pool_(std::move(pool)) {}
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>& other) noexcept : pool_(other.pool_) {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    static_assert(alignof(T) <= alignof(std::max_align_t),
-                  "pooled blocks are max_align_t-aligned");
-    T* p = static_cast<T*>(pool_->allocate(n * sizeof(T)));
-    pool_->reserve_freelist();
-    return p;
-  }
-  void deallocate(T* p, std::size_t n) noexcept { pool_->deallocate(p, n * sizeof(T)); }
-
-  template <typename U>
-  [[nodiscard]] bool operator==(const PoolAllocator<U>& other) const noexcept {
-    return pool_ == other.pool_;
-  }
-
- private:
-  template <typename U>
-  friend class PoolAllocator;
-  std::shared_ptr<BlockPool> pool_;
 };
 
 }  // namespace detail
+
+// tsn-lint: hotpath
+inline void PacketPtr::reset() noexcept {
+  Packet* packet = std::exchange(p_, nullptr);
+  if (packet == nullptr || --packet->refs_ != 0) return;
+  detail::BlockPool* pool = packet->pool_;
+  packet->~Packet();
+  pool->release(packet);
+}
 
 // Process-wide monotonic packet ids; simulation determinism does not depend
 // on ids, only uniqueness within a run. Packets are carved out of a
 // per-factory freelist pool; see the file header for the recycling contract.
 class PacketFactory {
  public:
+  PacketFactory() = default;
+  PacketFactory(const PacketFactory&) = delete;
+  PacketFactory& operator=(const PacketFactory&) = delete;
+  ~PacketFactory() { pool_->drop(); }
+
   // New frames are stamped with the ambient trace id, so a packet sent from
   // inside a TraceScope joins that scope's trace with no per-call plumbing.
   // tsn-lint: hotpath
   [[nodiscard]] PacketPtr make(std::vector<std::byte> frame, sim::Time created) {
-    return std::allocate_shared<Packet>(alloc(), std::move(frame), created, next_id_++,
-                                        telemetry::current_trace());
+    return emplace(std::move(frame), created, next_id_++, telemetry::current_trace());
   }
   // tsn-lint: hotpath
   [[nodiscard]] PacketPtr make(std::span<const std::byte> frame, sim::Time created) {
-    return std::allocate_shared<Packet>(alloc(), frame, created, next_id_++,
-                                        telemetry::current_trace());
+    return emplace(frame, created, next_id_++, telemetry::current_trace());
   }
 
   // Rewritten copy of an existing frame (e.g. a switch's last-hop MAC
@@ -274,7 +290,7 @@ class PacketFactory {
   // tsn-lint: hotpath
   [[nodiscard]] PacketPtr remake(std::span<const std::byte> frame, sim::Time created,
                                  std::uint64_t id, telemetry::TraceId trace) {
-    return std::allocate_shared<Packet>(alloc(), frame, created, id, trace);
+    return emplace(frame, created, id, trace);
   }
 
   // Pre-warms the freelist to at least `packets` recycled blocks.
@@ -295,12 +311,25 @@ class PacketFactory {
   }
 
  private:
-  [[nodiscard]] detail::PoolAllocator<Packet> alloc() const noexcept {
-    return detail::PoolAllocator<Packet>{pool_};
+  // Builds a Packet in a pooled block; the block goes back if it throws.
+  // tsn-lint: hotpath
+  template <typename Frame>
+  [[nodiscard]] PacketPtr emplace(Frame&& frame, sim::Time created, std::uint64_t id,
+                                  telemetry::TraceId trace) {
+    void* block = pool_->acquire();
+    Packet* packet = nullptr;
+    try {
+      packet = ::new (block) Packet(std::forward<Frame>(frame), created, id, trace);
+    } catch (...) {
+      pool_->release(block);
+      throw;
+    }
+    packet->pool_ = pool_;
+    return PacketPtr{packet};
   }
 
   std::uint64_t next_id_ = 1;
-  std::shared_ptr<detail::BlockPool> pool_ = std::make_shared<detail::BlockPool>();
+  detail::BlockPool* pool_ = new detail::BlockPool;
 };
 
 }  // namespace tsn::net

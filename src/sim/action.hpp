@@ -4,12 +4,13 @@
 // The simulator schedules one callable per event at rates of 500k+ events/s
 // (PAPER §3), so the per-event `std::function` heap allocation dominated
 // wall-clock before the network models ran at all. Every capture used across
-// src/ fits the inline buffer (the largest is a NIC rx deferral: a
-// std::function handler + PacketPtr + Time, 56 bytes), so steady-state
-// scheduling performs zero heap allocations. Oversized or alignment-exotic
-// callables still work — they fall back to a heap-held box — but the
-// capture-size budget is part of the hot-path contract (see DESIGN.md
-// "Hot-path memory model") and test_hotpath_alloc.cpp enforces it.
+// src/ fits the inline buffer (the largest is Exchange::deliver_direct's:
+// the exchange, a connection index and a copied 48-byte boe::Message, 64
+// bytes), so steady-state scheduling performs zero heap allocations.
+// Oversized or alignment-exotic callables still work — they fall back to a
+// heap-held box — but the capture-size budget is part of the hot-path
+// contract (see DESIGN.md "Hot-path memory model"), which
+// test_sim_action.cpp pins and test_hotpath_alloc.cpp enforces.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +22,8 @@ namespace tsn::sim {
 
 class InlineAction {
  public:
-  // Sized for the largest hot-path capture (56 B) with headroom; keeping the
-  // whole object at one cache line + ops pointer.
+  // Exactly the largest hot-path capture (64 B); keeping the whole object
+  // at one cache line + ops pointer.
   static constexpr std::size_t kInlineCapacity = 64;
 
   InlineAction() noexcept = default;

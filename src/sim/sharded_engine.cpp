@@ -79,12 +79,6 @@ std::uint64_t ShardedEngine::events_fired() const noexcept {
   return total;
 }
 
-std::size_t ShardedEngine::pending_events() const noexcept {
-  std::size_t total = 0;
-  for (const auto& d : domains_) total += d->pending_events();
-  return total;
-}
-
 Time ShardedEngine::now() const noexcept {
   Time earliest = Time::max();
   for (const auto& d : domains_) earliest = std::min(earliest, d->now_);

@@ -96,7 +96,6 @@ class ShardedEngine {
   void reserve(std::size_t events_per_domain);
 
   [[nodiscard]] std::uint64_t events_fired() const noexcept;
-  [[nodiscard]] std::size_t pending_events() const noexcept;
   // Earliest shard clock (== the deadline between runs).
   [[nodiscard]] Time now() const noexcept;
 

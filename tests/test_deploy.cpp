@@ -34,6 +34,22 @@ TEST(Deploy, LeafSpineEndToEnd) {
   EXPECT_LT(report.feed_path_ns.mean(), 8'000.0);
 }
 
+TEST(Deploy, LeafSpineEventCountIsExact) {
+  // bench_design1_leafspine's run, counted: engine events are a noise-free
+  // cost proxy (ROADMAP items 1 and 11), so a change to how many events a
+  // frame costs must move this number on purpose. 598,718 since a frame
+  // into a NIC with a software hop costs one event, not two (754,112
+  // before); the feed message count is a model output and must not move.
+  DeploymentConfig config;
+  config.strategy_count = 8;
+  config.events_per_second = 60'000;
+  LeafSpineDeployment deployment{config};
+  deployment.start();
+  deployment.run(sim::millis(std::int64_t{200}));
+  EXPECT_EQ(deployment.report().feed_messages, 14'436u);
+  EXPECT_EQ(deployment.engine().events_fired(), 598'718u);
+}
+
 TEST(Deploy, QuadL1sEndToEnd) {
   QuadL1sDeployment deployment{small_config()};
   deployment.start();

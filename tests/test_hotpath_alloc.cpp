@@ -139,8 +139,9 @@ TEST(HotPathAlloc, EndToEndUdpDeliveryIsAllocationFree) {
   net::Nic a{engine, "a", net::MacAddr::from_host_id(1), net::Ipv4Addr{10, 0, 0, 1}};
   net::Nic b{engine, "b", net::MacAddr::from_host_id(2), net::Ipv4Addr{10, 0, 0, 2}};
   fabric.connect(a, 0, b, 0, net::LinkConfig{});
-  // A software hop on the receiver exercises the deferred-rx capture — the
-  // largest InlineAction payload on any hot path.
+  // A software hop on the receiver exercises the NIC's folded delivery: one
+  // event at arrival + rx delay whose capture (NIC, packet, arrival) must
+  // stay inline, like every hot-path capture (test_sim_action.cpp).
   b.set_rx_delay(sim::nanos(std::int64_t{500}));
   net::NetStack stack_a{a};
   net::NetStack stack_b{b};

@@ -4,10 +4,13 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
 
+#include "net/packet.hpp"
+#include "proto/boe.hpp"
 #include "sim/time.hpp"
 
 namespace tsn::sim {
@@ -30,18 +33,29 @@ TEST(InlineAction, InvokesStoredCallable) {
 TEST(InlineAction, HotPathCaptureSizesStayInline) {
   // The capture-size contract from DESIGN.md "Hot-path memory model": every
   // scheduling site across src/ must fit the inline buffer. The largest is
-  // the NIC rx deferral (std::function + PacketPtr + Time = 56 bytes).
-  struct NicRxCapture {
-    std::function<void()> handler;
-    std::shared_ptr<const int> packet;
+  // Exchange::deliver_direct's (the exchange, a connection index and a
+  // copied boe::Message), which fills it exactly.
+  struct DeliverDirectCapture {
+    void* exchange;
+    std::uint32_t conn;
+    proto::boe::Message message;
+  };
+  static_assert(sizeof(DeliverDirectCapture) == InlineAction::kInlineCapacity);
+  static_assert(InlineAction::stores_inline<DeliverDirectCapture>());
+
+  // The NIC's software hop, folded into the link delivery: the NIC, the
+  // frame and its arrival time (24 bytes).
+  struct NicDeliveryCapture {
+    void* nic;
+    net::PacketPtr packet;
     Time arrival;
   };
-  static_assert(InlineAction::stores_inline<NicRxCapture>());
+  static_assert(InlineAction::stores_inline<NicDeliveryCapture>());
 
   struct LinkDeliveryCapture {
     void* dst;
     std::uint32_t port;
-    std::shared_ptr<const int> packet;
+    net::PacketPtr packet;
   };
   static_assert(InlineAction::stores_inline<LinkDeliveryCapture>());
 

@@ -9,8 +9,9 @@
 //   new / delete            including `::operator new`; placement-new into a
 //                           pool slot (`new (slot) T{...}`) is allowed.
 //   malloc family           malloc / calloc / realloc / strdup.
-//   make_unique/make_shared fresh control blocks; pooled allocate_shared
-//                           through a PoolAllocator is the sanctioned idiom.
+//   make_unique/make_shared fresh control blocks; placement-new into a
+//                           pooled block (PacketFactory's BlockPool) is the
+//                           sanctioned idiom.
 //   push_back/emplace_back  unless the same file reserves that container
 //                           (`X.reserve(...)` anywhere in the file — warm-up
 //                           methods like Engine::reserve count as evidence).
