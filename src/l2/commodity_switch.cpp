@@ -113,7 +113,24 @@ void CommoditySwitch::transmit_on(net::PortId port, const net::PacketPtr& packet
   egress_[port]->transmit(packet);
 }
 
+bool CommoditySwitch::schedule_receive(const net::PacketPtr& packet, net::PortId in_port,
+                                       sim::Time arrival,
+                                       [[maybe_unused]] sim::DomainId link_domain) {
+  // A link into another shard hands frames to net/bridge.hpp instead.
+  TSN_DCHECK(link_domain == engine_.domain_id(), "link and switch on different domains");
+  // On the switch's own scheduler, not the link's: a facade over the engine
+  // then charges the hop to the switch's owner.
+  engine_.schedule_at(arrival + kSwitchForwardingLatency,
+                      [this, packet, in_port, arrival] { forward(packet, in_port, arrival); });
+  return true;
+}
+
 void CommoditySwitch::receive(const net::PacketPtr& packet, net::PortId in_port) {
+  schedule_receive(packet, in_port, engine_.now(), engine_.domain_id());
+}
+
+// tsn-lint: hotpath
+void CommoditySwitch::forward(const net::PacketPtr& packet, net::PortId in_port, sim::Time rx) {
   TSN_DCHECK(egress_.size() == config_.port_count && router_port_.size() == config_.port_count,
              "port tables must stay sized to the configured port count");
   if (!admin_up_) {
@@ -131,19 +148,20 @@ void CommoditySwitch::receive(const net::PacketPtr& packet, net::PortId in_port)
   }
   if (frame->ip->protocol == net::kIpProtoIgmp) {
     if (auto igmp = mcast::IgmpMessage::decode(frame->payload)) {
-      handle_igmp(packet, *igmp, in_port);
+      handle_igmp(packet, *igmp, in_port, rx);
     }
     return;
   }
   if (frame->ip->dst.is_multicast()) {
-    forward_multicast(packet, frame->ip->dst, in_port);
+    forward_multicast(packet, frame->ip->dst, in_port, rx);
   } else {
-    forward_unicast(packet, *frame, in_port);
+    forward_unicast(packet, *frame, in_port, rx);
   }
 }
 
 void CommoditySwitch::forward_unicast(const net::PacketPtr& packet,
-                                      const net::DecodedFrame& frame, net::PortId in_port) {
+                                      const net::DecodedFrame& frame, net::PortId in_port,
+                                      sim::Time rx) {
   const Route* route = lookup_route(frame.ip->dst);
   if (route == nullptr || route->ports.empty()) {
     ++stats_.no_route_drops;
@@ -168,20 +186,14 @@ void CommoditySwitch::forward_unicast(const net::PacketPtr& packet,
     out = factory_.remake(rewrite_scratch_, packet->created(), packet->id(), packet->trace());
   }
   ++stats_.unicast_forwarded;
-  const sim::Duration delay = kSwitchForwardingLatency;
-  auto self = this;
-  const sim::Time rx = engine_.now();
-  engine_.schedule_in(delay, [self, out, out_port, rx] {
-    // Switch span: frame rx to egress hand-off; the route/mroute lookup and
-    // pipeline latency are inside it.
-    telemetry::record_span(out->trace(), self->name_, telemetry::SpanKind::kSwitch, rx,
-                           self->engine_.now());
-    self->transmit_on(out_port, out);
-  });
+  // Switch span: frame rx to egress hand-off; the route/mroute lookup and
+  // pipeline latency are inside it.
+  telemetry::record_span(out->trace(), name_, telemetry::SpanKind::kSwitch, rx, engine_.now());
+  transmit_on(out_port, out);
 }
 
 void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4Addr group,
-                                        net::PortId in_port) {
+                                        net::PortId in_port, sim::Time rx) {
   // IGMP-snooping forwarding rule with split horizon: multicast arriving on
   // a non-router port is always pushed toward the router ports (the
   // multicast tree root), so sources reach subscribed subtrees; traffic
@@ -211,29 +223,41 @@ void CommoditySwitch::forward_multicast(const net::PacketPtr& packet, net::Ipv4A
   const bool hardware = entry.ports == nullptr || entry.hardware;
   if (hardware) {
     ++stats_.multicast_hw_forwarded;
-    replicate(packet, in_port, kSwitchForwardingLatency);
+    fan_out(packet, in_port, rx);
     return;
   }
   // Software path: single-server queue with bounded depth. Queue depth is
-  // derived from how far ahead the server is booked.
-  const sim::Time now = engine_.now();
+  // derived from how far ahead the server is booked when the frame
+  // arrived.
   const sim::Duration backlog =
-      software_free_at_ > now ? software_free_at_ - now : sim::Duration::zero();
+      software_free_at_ > rx ? software_free_at_ - rx : sim::Duration::zero();
   const auto queued = static_cast<std::size_t>(backlog / kSoftwareServiceTime);
   if (queued >= kSoftwareQueuePackets) {
     ++stats_.software_queue_drops;
     return;
   }
-  const sim::Time done = (software_free_at_ > now ? software_free_at_ : now) +
+  const sim::Time done = (software_free_at_ > rx ? software_free_at_ : rx) +
                          kSoftwareServiceTime;
-  TSN_DCHECK(done >= now, "software service completion cannot precede now");
+  TSN_DCHECK(done >= engine_.now(), "software service completion cannot precede now");
   software_free_at_ = done;
   ++stats_.multicast_sw_forwarded;
-  replicate(packet, in_port, done - now);
+  replicate(packet, in_port, done, rx);
+}
+
+void CommoditySwitch::fan_out(const net::PacketPtr& packet, net::PortId in_port, sim::Time rx) {
+  // transmit_on only schedules, and so does the far device's
+  // schedule_receive, so egress_scratch_ cannot change inside this loop.
+  for (net::PortId port : egress_scratch_) {
+    if (port == in_port) continue;
+    ++stats_.replications;
+    telemetry::record_span(packet->trace(), name_, telemetry::SpanKind::kSwitch, rx,
+                           engine_.now());
+    transmit_on(port, packet);
+  }
 }
 
 void CommoditySwitch::replicate(const net::PacketPtr& packet, net::PortId in_port,
-                                sim::Duration extra_delay) {
+                                sim::Time done, sim::Time rx) {
   std::uint32_t fanout = 0;
   if (free_fanouts_.empty()) {
     fanout = static_cast<std::uint32_t>(fanouts_.size());
@@ -257,8 +281,7 @@ void CommoditySwitch::replicate(const net::PacketPtr& packet, net::PortId in_por
   // between them; doing their work in port order inside one event keeps
   // every delivery, span and random draw where it was.
   auto self = this;
-  const sim::Time rx = engine_.now();
-  engine_.schedule_in(extra_delay,
+  engine_.schedule_at(done,
                       [self, packet, fanout, rx] { self->fire_fanout(packet, fanout, rx); });
 }
 
@@ -275,12 +298,13 @@ void CommoditySwitch::fire_fanout(const net::PacketPtr& packet, std::uint32_t fa
 }
 
 void CommoditySwitch::handle_igmp(const net::PacketPtr& packet,
-                                  const mcast::IgmpMessage& message, net::PortId in_port) {
+                                  const mcast::IgmpMessage& message, net::PortId in_port,
+                                  sim::Time rx) {
   ++stats_.igmp_processed;
   switch (message.type) {
     case mcast::IgmpType::kMembershipReport:
       mroutes_.join(message.group, in_port);
-      last_report_[MembershipKey{message.group.value(), in_port}] = engine_.now();
+      last_report_[MembershipKey{message.group.value(), in_port}] = rx;
       break;
     case mcast::IgmpType::kLeaveGroup:
       mroutes_.leave(message.group, in_port);
@@ -295,7 +319,7 @@ void CommoditySwitch::handle_igmp(const net::PacketPtr& packet,
   for (net::PortId p = 0; p < router_port_.size(); ++p) {
     if (router_port_[p] && p != in_port) egress_scratch_.push_back(p);
   }
-  replicate(packet, in_port, kSwitchForwardingLatency);
+  fan_out(packet, in_port, rx);
 }
 
 void CommoditySwitch::register_metrics(telemetry::Registry& registry,

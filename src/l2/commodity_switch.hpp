@@ -16,6 +16,13 @@
 //  - IGMPv2 snooping to learn receiver ports, with report propagation
 //    toward configured router (uplink) ports.
 //  - Last-hop MAC rewrite for routed unicast so host NIC filters behave.
+//
+// A frame costs one engine event per switch: the pipeline's end, at
+// arrival + kSwitchForwardingLatency, makes every ingress decision (admin
+// state, loss override, IGMP snooping, route and mroute lookups, MAC
+// rewrite) and transmits on the egress ports. So a fault, a join_group() or
+// the querier's aging tick that lands while a frame is inside the pipeline
+// decides that frame's fate too.
 #pragma once
 
 #include <cstdint>
@@ -109,6 +116,11 @@ class CommoditySwitch final : public net::PortedDevice, public net::FaultHook {
   [[nodiscard]] bool port_stalled(net::PortId port) const noexcept;
 
   // --- data plane ----------------------------------------------------------
+  // Schedules the one event that forwards the frame at the pipeline's end,
+  // on this switch's scheduler, and accepts. receive() calls it with
+  // arrival = now.
+  bool schedule_receive(const net::PacketPtr& packet, net::PortId in_port, sim::Time arrival,
+                        sim::DomainId link_domain) override;
   void receive(const net::PacketPtr& packet, net::PortId in_port) override;
 
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
@@ -127,15 +139,22 @@ class CommoditySwitch final : public net::PortedDevice, public net::FaultHook {
     std::vector<net::PortId> ports;  // ECMP set
   };
 
+  // The pipeline's end for a frame that arrived on `in_port` at `rx`: all of
+  // the ingress work, then the egress.
+  void forward(const net::PacketPtr& packet, net::PortId in_port, sim::Time rx);
   void forward_unicast(const net::PacketPtr& packet, const net::DecodedFrame& frame,
-                       net::PortId in_port);
-  void forward_multicast(const net::PacketPtr& packet, net::Ipv4Addr group, net::PortId in_port);
-  // Copies `egress_scratch_` minus `in_port` into a pending fan-out and
-  // schedules the one event that transmits on all of them.
-  void replicate(const net::PacketPtr& packet, net::PortId in_port, sim::Duration extra_delay);
+                       net::PortId in_port, sim::Time rx);
+  void forward_multicast(const net::PacketPtr& packet, net::Ipv4Addr group, net::PortId in_port,
+                         sim::Time rx);
+  // Transmits now on every port of `egress_scratch_` but `in_port`.
+  void fan_out(const net::PacketPtr& packet, net::PortId in_port, sim::Time rx);
+  // Software path: copies `egress_scratch_` minus `in_port` into a pending
+  // fan-out and schedules the one event, at `done`, that transmits on all
+  // of them.
+  void replicate(const net::PacketPtr& packet, net::PortId in_port, sim::Time done, sim::Time rx);
   void fire_fanout(const net::PacketPtr& packet, std::uint32_t fanout, sim::Time rx);
   void handle_igmp(const net::PacketPtr& packet, const mcast::IgmpMessage& message,
-                   net::PortId in_port);
+                   net::PortId in_port, sim::Time rx);
   void transmit_on(net::PortId port, const net::PacketPtr& packet);
   [[nodiscard]] const Route* lookup_route(net::Ipv4Addr dst) const noexcept;
   [[nodiscard]] static std::uint64_t flow_hash(const net::DecodedFrame& frame) noexcept;
@@ -176,9 +195,9 @@ class CommoditySwitch final : public net::PortedDevice, public net::FaultHook {
   std::vector<std::byte> rewrite_scratch_;
   // Multicast egress ports of the frame being received, in forwarding order.
   std::vector<net::PortId> egress_scratch_;
-  // Egress lists of fan-outs whose event has not fired yet, and the indices
-  // of released ones. Released lists keep their capacity, so a warm fan-out
-  // allocates nothing.
+  // Egress lists of software-path fan-outs whose event has not fired yet,
+  // and the indices of released ones. Released lists keep their capacity,
+  // so a warm fan-out allocates nothing.
   std::vector<std::vector<net::PortId>> fanouts_;
   std::vector<std::uint32_t> free_fanouts_;
   bool querier_running_ = false;

@@ -25,7 +25,8 @@ class Device {
   // at `arrival`. A device with a delay of its own past arrival may instead
   // schedule the one event that ends it, on its own scheduler, and return
   // true: the frame then costs one event, not two. Nic does this for a
-  // software hop; the default declines.
+  // software hop, l2::CommoditySwitch for its pipeline; the default
+  // declines.
   virtual bool schedule_receive(const PacketPtr& /*packet*/, PortId /*port*/,
                                 sim::Time /*arrival*/, sim::DomainId /*link_domain*/) {
     return false;

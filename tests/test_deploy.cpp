@@ -2,6 +2,8 @@
 
 #include "deploy/multicolo.hpp"
 #include "deploy/reference.hpp"
+#include "deploy/sharded_market.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace tsn::deploy {
 namespace {
@@ -37,9 +39,10 @@ TEST(Deploy, LeafSpineEndToEnd) {
 TEST(Deploy, LeafSpineEventCountIsExact) {
   // bench_design1_leafspine's run, counted: engine events are a noise-free
   // cost proxy (ROADMAP items 1 and 11), so a change to how many events a
-  // frame costs must move this number on purpose. 598,718 since a frame
-  // into a NIC with a software hop costs one event, not two (754,112
-  // before); the feed message count is a model output and must not move.
+  // frame costs must move this number on purpose. 400,861 since a frame
+  // into a commodity switch costs one event, not two (598,718 before; 754,112
+  // before a frame into a NIC with a software hop did the same); the feed
+  // message count is a model output and must not move.
   DeploymentConfig config;
   config.strategy_count = 8;
   config.events_per_second = 60'000;
@@ -47,7 +50,24 @@ TEST(Deploy, LeafSpineEventCountIsExact) {
   deployment.start();
   deployment.run(sim::millis(std::int64_t{200}));
   EXPECT_EQ(deployment.report().feed_messages, 14'436u);
-  EXPECT_EQ(deployment.engine().events_fired(), 598'718u);
+  EXPECT_EQ(deployment.engine().events_fired(), 400'861u);
+}
+
+TEST(Deploy, PartitionScalingEventCountIsExact) {
+  // bench_partition_scaling's golden run, counted: the count its committed
+  // baseline holds as shard.events_total (bench/baselines/
+  // BENCH_partition_scaling.json), which no other gate reads. 23,457 since
+  // a frame into a commodity switch costs one event, not two (26,421
+  // before; 29,385 before the NIC's software hop did the same).
+  deploy::ShardedMarketConfig config;
+  config.partitions = 4;
+  config.seed = 5;
+  config.events_per_second = 20'000.0;
+  config.run_for = sim::millis(std::int64_t{40});
+  sim::ShardedEngine engine{{.domains = config.partitions, .mode = sim::SyncMode::kGolden}};
+  deploy::ShardedMarket market{engine, config};
+  market.run();
+  EXPECT_EQ(engine.events_fired(), 23'457u);
 }
 
 TEST(Deploy, QuadL1sEndToEnd) {

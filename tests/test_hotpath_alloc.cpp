@@ -8,9 +8,10 @@
 // and scratch buffers are warm, (a) an Engine schedule → fire (or cancel)
 // cycle, (b) a PacketFactory make → drop cycle for small frames, (c) a
 // full NIC → link → NIC UDP delivery, (d) a NIC → commodity switch →
-// three-receiver multicast fan-out, (e) SoA book updates, (f) the session
-// store's lifecycle and (g) a PITCH batch decode perform zero heap
-// allocations.
+// three-receiver multicast fan-out, a software-path fan-out and a NIC →
+// commodity switch (MAC rewrite) → NIC unicast hop, (e) SoA book updates,
+// (f) the session store's lifecycle and (g) a PITCH batch decode perform
+// zero heap allocations.
 
 #include <gtest/gtest.h>
 
@@ -217,6 +218,88 @@ TEST(HotPathAlloc, WarmMulticastFanOutIsAllocationFree) {
       << "warm NIC -> switch -> 3-receiver multicast fan-out must not touch the heap";
   EXPECT_EQ(delivered, 3u * 128u);
   EXPECT_EQ(sw.stats().replications, 3u * 128u);
+}
+
+TEST(HotPathAlloc, WarmSoftwareFanOutIsAllocationFree) {
+  // A group past the ASIC's mroute capacity fans out on the software path:
+  // one deferred event per frame, whose egress list comes from the switch's
+  // pooled lists. Bursts keep several fan-outs pending at once.
+  sim::Engine engine;
+  net::Fabric fabric{engine};
+  l2::CommoditySwitch sw{engine, "sw",
+                         l2::CommoditySwitchConfig{.port_count = 4, .mroute_hardware_capacity = 1}};
+  net::Nic source{engine, "src", net::MacAddr::from_host_id(1), net::Ipv4Addr{10, 0, 0, 1}};
+  fabric.connect(sw, 0, source, 0, net::LinkConfig{});
+  const net::Ipv4Addr group{239, 1, 1, 2};
+  sw.join_group(net::Ipv4Addr{239, 1, 1, 1}, 1);  // fills the hardware table
+  std::vector<std::unique_ptr<net::Nic>> receivers;
+  std::uint64_t delivered = 0;
+  for (std::uint32_t r = 2; r <= 3; ++r) {
+    receivers.push_back(std::make_unique<net::Nic>(engine, "rx" + std::to_string(r),
+                                                   net::MacAddr::from_host_id(r + 1),
+                                                   net::Ipv4Addr{10, 0, 0, static_cast<std::uint8_t>(r + 1)}));
+    fabric.connect(sw, r, *receivers.back(), 0, net::LinkConfig{});
+    receivers.back()->subscribe_multicast_mac(net::multicast_mac(group));
+    receivers.back()->set_rx_handler(
+        [&delivered](const net::PacketPtr&, sim::Time) { ++delivered; });
+    sw.join_group(group, r);
+  }
+  ASSERT_TRUE(sw.mroutes().overflowed());
+  const std::array<std::byte, 18> payload{};
+  const auto frame = net::build_multicast_frame(source.mac(), source.ip(), group, 30001,
+                                                std::span<const std::byte>{payload});
+  auto send_bursts = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      for (int k = 0; k < 4; ++k) source.send_frame(std::span<const std::byte>{frame});
+      engine.run();
+    }
+  };
+  send_bursts(16);  // warm: pooled fan-out lists, packet pools, engine heap
+  ASSERT_EQ(delivered, 2u * 64u);
+
+  const std::uint64_t before = allocations();
+  send_bursts(16);
+  EXPECT_EQ(allocations() - before, 0u)
+      << "warm software-path multicast fan-outs must not touch the heap";
+  EXPECT_EQ(delivered, 2u * 128u);
+  EXPECT_EQ(sw.stats().multicast_sw_forwarded, 128u);
+}
+
+TEST(HotPathAlloc, WarmUnicastSwitchHopIsAllocationFree) {
+  // The switch's pipeline is one event at arrival + 500 ns whose capture
+  // (switch, packet, port, arrival) stays inline (test_sim_action.cpp); it
+  // routes, rewrites the destination MAC through the switch's scratch
+  // buffer and pooled factory, and transmits.
+  sim::Engine engine;
+  net::Fabric fabric{engine};
+  l2::CommoditySwitch sw{engine, "sw", l2::CommoditySwitchConfig{.port_count = 2}};
+  net::Nic a{engine, "a", net::MacAddr::from_host_id(1), net::Ipv4Addr{10, 0, 0, 1}};
+  net::Nic b{engine, "b", net::MacAddr::from_host_id(2), net::Ipv4Addr{10, 0, 0, 2}};
+  fabric.connect(sw, 0, a, 0, net::LinkConfig{});
+  fabric.connect(sw, 1, b, 0, net::LinkConfig{});
+  sw.bind_host(b.ip(), b.mac(), 1);
+  std::uint64_t delivered = 0;
+  b.set_rx_handler([&delivered](const net::PacketPtr&, sim::Time) { ++delivered; });
+  // Addressed to the switch's MAC, not b's: the last hop rewrites it.
+  const std::array<std::byte, 18> payload{};
+  const auto frame = net::build_udp_frame(a.mac(), net::MacAddr::from_host_id(0xfe), a.ip(),
+                                          b.ip(), 6'000, 7'000,
+                                          std::span<const std::byte>{payload});
+  auto send_batch = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      a.send_frame(std::span<const std::byte>{frame});
+      engine.run();
+    }
+  };
+  send_batch(64);  // warm: pools, rewrite scratch, engine heap, link path
+  ASSERT_EQ(delivered, 64u);
+
+  const std::uint64_t before = allocations();
+  send_batch(64);
+  EXPECT_EQ(allocations() - before, 0u)
+      << "warm NIC -> switch (MAC rewrite) -> NIC unicast hop must not touch the heap";
+  EXPECT_EQ(delivered, 128u);
+  EXPECT_EQ(sw.stats().unicast_forwarded, 128u);
 }
 
 TEST(HotPathAlloc, WarmBookUpdateMixIsAllocationFree) {

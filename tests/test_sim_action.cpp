@@ -52,6 +52,17 @@ TEST(InlineAction, HotPathCaptureSizesStayInline) {
   };
   static_assert(InlineAction::stores_inline<NicDeliveryCapture>());
 
+  // The commodity switch's pipeline, folded into the link delivery: the
+  // switch, the frame, its ingress port and its arrival time (32 bytes).
+  struct SwitchPipelineCapture {
+    void* sw;
+    net::PacketPtr packet;
+    std::uint32_t port;
+    Time arrival;
+  };
+  static_assert(sizeof(SwitchPipelineCapture) == 32);
+  static_assert(InlineAction::stores_inline<SwitchPipelineCapture>());
+
   struct LinkDeliveryCapture {
     void* dst;
     std::uint32_t port;

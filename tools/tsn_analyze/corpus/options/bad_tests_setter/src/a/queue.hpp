@@ -8,6 +8,6 @@ struct QueueConfig {
   std::vector<int> priorities;  // lint-expect: unset-option
   struct Limits {
     int burst = 4;
-  } limits;
+  } limits;  // lint-expect: unset-option
 };
 }  // namespace demo::a

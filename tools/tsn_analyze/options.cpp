@@ -92,7 +92,17 @@ std::pair<std::string, std::size_t> field_of(const std::string& decl) {
     }
   }
   if (i >= decl.size() || !ident_start(decl[i])) return {};
-  if (not_data_keywords().count(decl.substr(i, ident_end(decl, i) - i)) > 0) return {};
+  const std::string first = decl.substr(i, ident_end(decl, i) - i);
+  if (first == "struct" || first == "class" || first == "union" || first == "enum") {
+    // A type defined in place declares a member with the name after its
+    // body (`struct Limits { int burst = 4; } limits;`), or none.
+    const std::size_t body = decl.find('{', i);
+    if (body == std::string::npos) return {};
+    const std::size_t name = skip_space(decl, close_of(decl, body));
+    if (name >= decl.size() || !ident_start(decl[name])) return {};
+    return {decl.substr(name, ident_end(decl, name) - name), name};
+  }
+  if (not_data_keywords().count(first) > 0) return {};
   int angle = 0;
   std::size_t stop = decl.size();
   for (std::size_t k = i; k < decl.size(); ++k) {

@@ -9,6 +9,9 @@
 //                 kept by `allow(unreached-module)` are out of scope: that
 //                 module's reason already says tests are its users.
 //
+// A member declared after a type defined in place (`struct Limits { ... }
+// limits;`) is a field like any other.
+//
 // A field counts as assigned when a setter writes it through an instance:
 //
 //   x.f = v   x.f += v   x.f{v}   x.f.g = v   x.f.push_back(v)   .f = v
