@@ -253,6 +253,13 @@ OrderBook::SubmitOutcome OrderBook::submit(const Order& order, bool immediate_or
 }
 
 // tsn-lint: hotpath
+bool OrderBook::rest(const Order& order) {
+  if (order.quantity == 0 || index_.find(order.id) != nullptr) return false;
+  rest_order(order);
+  return true;
+}
+
+// tsn-lint: hotpath
 std::optional<Quantity> OrderBook::cancel(OrderId id) {
   const std::uint32_t* found = index_.find(id);
   if (found == nullptr) return std::nullopt;

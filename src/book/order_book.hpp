@@ -102,6 +102,12 @@ class OrderBook {
   // unless `immediate_or_cancel`.
   SubmitOutcome submit(const Order& order, bool immediate_or_cancel = false);
 
+  // Rests an order at the back of its level without matching; false for a
+  // live id or a zero quantity. This is how a feed replica mirrors an
+  // exchange's resting orders: one that missed a delete may hold a stale
+  // order the next add crosses, and a replica must not invent that trade.
+  bool rest(const Order& order);
+
   // Cancels a resting order in full, returning the cancelled quantity.
   // nullopt if unknown (e.g. already filled: the cancel/fill race of §2
   // surfaces here).

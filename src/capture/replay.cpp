@@ -88,56 +88,34 @@ std::uint64_t BookReplayer::apply(const proto::pitch::DecodedBatch& batch) {
   for (std::size_t i = 0; i < batch.count; ++i) {
     ++stats_.messages;
     switch (batch.kind[i]) {
-      case DecodedKind::kAddOrder: {
-        // Feed adds describe orders already resting on the exchange book,
-        // so they never cross; submit() rests them directly.
-        (void)book_.submit(book::Order{batch.order_id[i], batch.side[i], batch.price[i],
-                                       batch.quantity[i]});
+      case DecodedKind::kAddOrder:
+        // A replica rests what the exchange rested and never matches: a
+        // stale order left by a lost message must not trade (OrderBook::rest).
+        (void)book_.rest(book::Order{batch.order_id[i], batch.side[i], batch.price[i],
+                                     batch.quantity[i]});
         ++applied;
         break;
-      }
-      case DecodedKind::kOrderExecuted: {
-        const auto resting = book_.find(batch.order_id[i]);
-        if (!resting) {
-          ++stats_.unknown_orders;
-          break;
-        }
-        const proto::Quantity traded = std::min(batch.quantity[i], resting->quantity);
-        if (traded == resting->quantity) {
-          (void)book_.cancel(batch.order_id[i]);
-        } else {
-          (void)book_.reduce(batch.order_id[i], resting->quantity - traded);
-        }
-        ++applied;
-        break;
-      }
-      case DecodedKind::kReduceSize: {
-        const auto resting = book_.find(batch.order_id[i]);
-        if (!resting) {
-          ++stats_.unknown_orders;
-          break;
-        }
-        const proto::Quantity cut = std::min(batch.quantity[i], resting->quantity);
-        if (cut == resting->quantity) {
-          (void)book_.cancel(batch.order_id[i]);
-        } else {
-          (void)book_.reduce(batch.order_id[i], resting->quantity - cut);
-        }
-        ++applied;
-        break;
-      }
-      case DecodedKind::kModifyOrder: {
-        if (!book_.replace(batch.order_id[i], batch.quantity[i], batch.price[i])) {
-          ++stats_.unknown_orders;
-          break;
-        }
-        ++applied;
-        break;
-      }
+      case DecodedKind::kOrderExecuted:
+      case DecodedKind::kReduceSize:
+      case DecodedKind::kModifyOrder:
       case DecodedKind::kDeleteOrder: {
-        if (!book_.cancel(batch.order_id[i])) {
+        const proto::OrderId id = batch.order_id[i];
+        const auto resting = book_.find(id);
+        if (!resting) {
           ++stats_.unknown_orders;
           break;
+        }
+        if (batch.kind[i] == DecodedKind::kModifyOrder) {
+          // Cancel, then rest at the back of the new level.
+          (void)book_.cancel(id);
+          (void)book_.rest(book::Order{id, resting->side, batch.price[i], batch.quantity[i]});
+        } else if (batch.kind[i] == DecodedKind::kDeleteOrder) {
+          (void)book_.cancel(id);
+        } else {
+          // An execute or a reduce takes at most what rests; reducing to 0
+          // cancels.
+          const proto::Quantity cut = std::min(batch.quantity[i], resting->quantity);
+          (void)book_.reduce(id, resting->quantity - cut);
         }
         ++applied;
         break;

@@ -80,9 +80,8 @@ class BookReplayer {
   struct Stats {
     std::uint64_t datagrams = 0;
     std::uint64_t messages = 0;        // decoded rows seen
-    std::uint64_t applied = 0;         // rows that mutated the book
     std::uint64_t malformed_datagrams = 0;
-    std::uint64_t unknown_orders = 0;  // executes/reduces/deletes for unseen ids
+    std::uint64_t unknown_orders = 0;  // executes/reduces/modifies/deletes for unseen ids
   };
 
   // Applies one recorded Ethernet frame (non-UDP frames are counted

@@ -11,8 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
-#include <vector>
 
 #include "net/fabric.hpp"
 #include "sim/scheduler.hpp"
@@ -44,18 +44,12 @@ class CaptureClock {
   sim::Rng rng_{0x7a95};
 };
 
-struct CaptureRecord {
-  std::uint64_t packet_id = 0;
-  std::uint32_t frame_bytes = 0;
-  net::PortId port = 0;        // which side of the tap saw it
-  sim::Time true_time;         // simulation truth
-  sim::Time stamped_time;      // what the capture clock recorded
-};
-
 class Tap final : public net::PortedDevice {
  public:
-  // Optional hook receiving every tapped packet (e.g. a FrameRecorder).
-  using PacketHook = std::function<void(const net::PacketPtr&, net::PortId, sim::Time)>;
+  // Receives every tapped frame, the side of the tap that saw it, and the
+  // capture clock's stamp for it. The hook is the capture: a FrameRecorder
+  // keeps what it is handed.
+  using PacketHook = std::function<void(const net::PacketPtr&, net::PortId, sim::Time stamp)>;
 
   Tap(sim::Scheduler& engine, std::string name, CaptureClock clock = {});
 
@@ -65,13 +59,8 @@ class Tap final : public net::PortedDevice {
 
   void set_packet_hook(PacketHook hook) { packet_hook_ = std::move(hook); }
 
-  [[nodiscard]] const std::vector<CaptureRecord>& records() const noexcept { return records_; }
-  void clear() noexcept { records_.clear(); }
-
   // Registers capture-volume gauges under "<prefix>".
   void register_metrics(telemetry::Registry& registry, const std::string& prefix) const {
-    registry.gauge(prefix + ".records",
-                   [this] { return static_cast<double>(records_.size()); });
     registry.gauge(prefix + ".frames_tapped",
                    [this] { return static_cast<double>(frames_tapped_); });
     registry.gauge(prefix + ".bytes_tapped",
@@ -84,8 +73,6 @@ class Tap final : public net::PortedDevice {
   CaptureClock clock_;
   net::Link* egress_[2] = {nullptr, nullptr};
   PacketHook packet_hook_;
-  std::vector<CaptureRecord> records_;
-  // Totals survive record eviction/clear, so gauges stay monotonic.
   std::uint64_t frames_tapped_ = 0;
   std::uint64_t bytes_tapped_ = 0;
 };

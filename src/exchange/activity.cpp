@@ -78,7 +78,7 @@ const SymbolSpec& MarketActivityDriver::pick_symbol() {
 
 proto::Price& MarketActivityDriver::mid_of(const proto::Symbol& symbol,
                                            proto::Price reference) {
-  auto [it, inserted] = mids_.emplace(symbol, reference);
+  auto [it, inserted] = mids_.try_emplace(symbol, reference);
   if (!inserted && rng_.bernoulli(0.05)) {
     // Gentle random walk keeps prices live without trending off to zero.
     it->second += rng_.bernoulli(0.5) ? kTick : -kTick;

@@ -78,13 +78,7 @@ void DatagramBuilder::flush() {
     buffer_[10 + static_cast<std::size_t>(i)] =
         static_cast<std::byte>((first_time_ns_ >> (8 * i)) & 0xff);
   }
-  DatagramHeader header;
-  header.partition = partition_;
-  header.count = static_cast<std::uint16_t>(count_);
-  header.sequence = sequence_ - static_cast<std::uint32_t>(count_);
-  header.send_time_ns = first_time_ns_;
-  sink_(std::move(buffer_), header);
-  buffer_ = {};
+  sink_(buffer_);
   begin();
 }
 

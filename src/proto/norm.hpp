@@ -58,10 +58,12 @@ struct DatagramHeader {
   std::uint64_t send_time_ns = 0;  // normalizer's transmit stamp
 };
 
-// Packs updates into bounded datagrams, like pitch::FrameBuilder.
+// Packs updates into bounded datagrams, like pitch::FrameBuilder. The sink
+// sees each datagram in the builder's own buffer, which is reused for the
+// next one: a warm builder never allocates.
 class DatagramBuilder {
  public:
-  using Sink = std::function<void(std::vector<std::byte> payload, const DatagramHeader& header)>;
+  using Sink = std::function<void(std::span<const std::byte> payload)>;
 
   DatagramBuilder(std::uint16_t partition, std::size_t max_payload, Sink sink);
 

@@ -1,5 +1,6 @@
 #include "trading/normalizer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -13,8 +14,7 @@ struct Normalizer::Partition {
   Partition(Normalizer& owner, std::uint16_t index)
       : group(owner.partition_group(index)),
         builder(index, net::kMaxDatagramPayload,
-                [&owner, this](std::vector<std::byte> payload,
-                               const proto::norm::DatagramHeader&) {
+                [&owner, this](std::span<const std::byte> payload) {
                   owner.out_stack_->send_multicast(group, owner.config_.out_port, payload);
                   ++owner.stats_.datagrams_out;
                 }) {}
@@ -74,7 +74,7 @@ void Normalizer::on_feed_datagram(std::span<const std::byte> payload, sim::Time 
   current_input_arrival_ = arrival;
   ++stats_.datagrams_in;
   // Gap detection per unit.
-  auto [it, inserted] = expected_seq_.emplace(header->unit, header->sequence);
+  auto [it, inserted] = expected_seq_.try_emplace(header->unit, header->sequence);
   if (!inserted) {
     if (header->sequence > it->second) {
       ++stats_.sequence_gaps;
@@ -123,36 +123,51 @@ void Normalizer::on_feed_datagram(std::span<const std::byte> payload, sim::Time 
   apply_batch(batch_, first);
 }
 
+namespace {
+
+// A side's best (price, depth); zeros for an empty side.
+std::pair<proto::Price, proto::Quantity> top_of(const book::OrderBook& book, proto::Side side) {
+  const book::BestQuote quote = book.best();
+  if (side == proto::Side::kBuy) return {quote.bid_price.value_or(0), quote.bid_quantity};
+  return {quote.ask_price.value_or(0), quote.ask_quantity};
+}
+
+}  // namespace
+
 // tsn-lint: hotpath
 void Normalizer::apply_batch(const proto::pitch::DecodedBatch& batch, std::size_t first) {
+  using proto::norm::UpdateKind;
   using proto::pitch::DecodedKind;
   for (std::size_t i = first; i < batch.count; ++i) {
     ++stats_.messages_in;
+    // The exchange's stamp: the last Time message plus the row's offset.
+    const std::uint64_t time_ns =
+        std::uint64_t{clock_seconds_} * 1'000'000'000ULL + batch.u32a[i];
     switch (batch.kind[i]) {
       case DecodedKind::kTime:
-        handle_time(batch.u32a[i]);
+        clock_seconds_ = batch.u32a[i];  // clock messages are not republished
         break;
-      case DecodedKind::kAddOrder:
-        handle_add({batch.u32a[i], batch.order_id[i], batch.side[i], batch.quantity[i],
-                    batch.symbol[i], batch.price[i], batch.flags[i]});
+      case DecodedKind::kAddOrder: {
+        BookEntry& entry = *books_.try_emplace(batch.symbol[i], batch.symbol[i]).first;
+        const book::Order order{batch.order_id[i], batch.side[i], batch.price[i],
+                                batch.quantity[i]};
+        const Top before = top_of(entry.second, order.side);
+        rest(entry, order);
+        emit(UpdateKind::kOrderAdd, entry.first, order, time_ns);
+        emit_bbo(entry, order.side, before, time_ns);
         break;
+      }
       case DecodedKind::kOrderExecuted:
-        handle_exec({batch.u32a[i], batch.order_id[i], batch.quantity[i],
-                     batch.execution_id[i]});
-        break;
       case DecodedKind::kReduceSize:
-        handle_reduce({batch.u32a[i], batch.order_id[i], batch.quantity[i]});
-        break;
       case DecodedKind::kModifyOrder:
-        handle_modify({batch.u32a[i], batch.order_id[i], batch.quantity[i], batch.price[i],
-                       batch.flags[i]});
-        break;
       case DecodedKind::kDeleteOrder:
-        handle_delete({batch.u32a[i], batch.order_id[i]});
+        apply_order(batch, i, time_ns);
         break;
       case DecodedKind::kTrade:
-        handle_trade({batch.u32a[i], batch.order_id[i], batch.side[i], batch.quantity[i],
-                      batch.symbol[i], batch.price[i], batch.execution_id[i]});
+        // An off-book print: republished, and no book holds it.
+        emit(UpdateKind::kTradePrint, batch.symbol[i],
+             book::Order{batch.order_id[i], batch.side[i], batch.price[i], batch.quantity[i]},
+             time_ns);
         break;
       case DecodedKind::kSnapshotBegin:
       case DecodedKind::kSnapshotEnd:
@@ -162,23 +177,68 @@ void Normalizer::apply_batch(const proto::pitch::DecodedBatch& batch, std::size_
   }
 }
 
+// tsn-lint: hotpath
+void Normalizer::rest(BookEntry& entry, const book::Order& order) {
+  // A live id, here or in another symbol's book, leaves the books as they are.
+  if (book_of_.find(order.id) == nullptr && entry.second.rest(order)) {
+    book_of_.insert(order.id, &entry);
+  }
+}
+
+// tsn-lint: hotpath
+void Normalizer::apply_order(const proto::pitch::DecodedBatch& batch, std::size_t i,
+                             std::uint64_t exchange_time_ns) {
+  using proto::norm::UpdateKind;
+  using proto::pitch::DecodedKind;
+  const proto::OrderId id = batch.order_id[i];
+  BookEntry* const* found = book_of_.find(id);
+  if (found == nullptr) {
+    ++stats_.unknown_orders;
+    return;
+  }
+  BookEntry& entry = **found;
+  book::OrderBook& book = entry.second;
+  const book::Order order = *book.find(id);
+  const Top before = top_of(book, order.side);
+  // The order once the message applies; quantity 0 drops it.
+  book::Order next = order;
+  UpdateKind kind = UpdateKind::kOrderModify;
+  switch (batch.kind[i]) {
+    case DecodedKind::kModifyOrder:
+      // Cancel, then rest at the back of the new level.
+      next.price = batch.price[i];
+      next.quantity = batch.quantity[i];
+      (void)book.cancel(id);
+      (void)book.rest(next);
+      break;
+    case DecodedKind::kDeleteOrder:
+      kind = UpdateKind::kOrderDelete;
+      next.quantity = 0;
+      (void)book.cancel(id);
+      break;
+    default:  // an execute or a reduce takes at most what rests
+      if (batch.kind[i] == DecodedKind::kOrderExecuted) kind = UpdateKind::kTradePrint;
+      next.quantity -= std::min(batch.quantity[i], order.quantity);
+      (void)book.reduce(id, next.quantity);  // reducing to 0 cancels
+      break;
+  }
+  if (next.quantity == 0) book_of_.erase(id);
+  // A print carries the traded quantity; every other update what rests.
+  if (kind == UpdateKind::kTradePrint) next.quantity = order.quantity - next.quantity;
+  emit(kind, entry.first, next, exchange_time_ns);
+  emit_bbo(entry, order.side, before, exchange_time_ns);
+}
+
 void Normalizer::purge_unit_state(std::uint8_t unit) {
   const auto& scheme = *config_.exchange_partitioning;
   // tsn-lint: allow(unordered-iter) order-independent: filtered erase, same surviving set
-  for (auto it = orders_.begin(); it != orders_.end();) {
-    if (scheme.partition_of(it->second.symbol, proto::InstrumentKind::kEquity) == unit) {
-      it = orders_.erase(it);
-    } else {
+  for (auto it = books_.begin(); it != books_.end();) {
+    if (scheme.partition_of(it->first, proto::InstrumentKind::kEquity) != unit) {
       ++it;
+      continue;
     }
-  }
-  // tsn-lint: allow(unordered-iter) order-independent: filtered erase, same surviving set
-  for (auto it = ladders_.begin(); it != ladders_.end();) {
-    if (scheme.partition_of(it->first, proto::InstrumentKind::kEquity) == unit) {
-      it = ladders_.erase(it);
-    } else {
-      ++it;
-    }
+    it->second.for_each_order([this](const book::Order& order) { book_of_.erase(order.id); });
+    it = books_.erase(it);
   }
 }
 
@@ -203,9 +263,8 @@ void Normalizer::on_snapshot_datagram(std::span<const std::byte> payload) {
         break;
       case DecodedKind::kAddOrder:
         if (!recovery.snapshot_active) break;  // mid-cycle join: wait for the next begin
-        orders_[snap.order_id[i]] =
-            OrderInfo{snap.symbol[i], snap.side[i], snap.price[i], snap.quantity[i]};
-        (void)apply_depth(snap.symbol[i], snap.side[i], snap.price[i], snap.quantity[i]);
+        rest(*books_.try_emplace(snap.symbol[i], snap.symbol[i]).first,
+             book::Order{snap.order_id[i], snap.side[i], snap.price[i], snap.quantity[i]});
         ++stats_.snapshot_orders_applied;
         ++recovery.snapshot_orders;
         break;
@@ -235,221 +294,27 @@ void Normalizer::replay_tail(const Recovery& recovery) {
   // Each stored datagram passed peek_header on arrival, so decoding the
   // rest of the arena decodes exactly the next datagram, and its header
   // length says where the one after it starts.
-  std::span<const std::byte> rest{recovery.tail};
-  while (!rest.empty()) {
-    (void)proto::pitch::decode_batch(rest, batch_);
+  std::span<const std::byte> unread{recovery.tail};
+  while (!unread.empty()) {
+    (void)proto::pitch::decode_batch(unread, batch_);
     const std::size_t first = recovery.rows_in_snapshot(batch_.header.sequence);
     if (first < batch_.count) {
       apply_batch(batch_, first);
       stats_.messages_replayed_after_recovery += batch_.count - first;
     }
-    rest = rest.subspan(batch_.header.length);
+    unread = unread.subspan(batch_.header.length);
   }
 }
 
-Normalizer::TopChange Normalizer::apply_depth(const proto::Symbol& symbol,
-                                              proto::Side side, proto::Price price,
-                                              std::int64_t delta) {
-  Ladder& ladder = ladders_[symbol];
-  auto top_of = [&](auto& book_side) -> std::pair<proto::Price, proto::Quantity> {
-    if (book_side.empty()) return {0, 0};
-    return {book_side.begin()->first, book_side.begin()->second};
-  };
-  auto apply = [&](auto& book_side) {
-    auto level = book_side.find(price);
-    if (level == book_side.end()) {
-      if (delta > 0) book_side.emplace(price, static_cast<proto::Quantity>(delta));
-      return;
-    }
-    const std::int64_t next = static_cast<std::int64_t>(level->second) + delta;
-    if (next <= 0) {
-      book_side.erase(level);
-    } else {
-      level->second = static_cast<proto::Quantity>(next);
-    }
-  };
-  TopChange out;
-  if (side == proto::Side::kBuy) {
-    const auto before = top_of(ladder.bids);
-    apply(ladder.bids);
-    const auto after = top_of(ladder.bids);
-    if (after != before) out = TopChange{true, after.first, after.second};
-  } else {
-    const auto before = top_of(ladder.asks);
-    apply(ladder.asks);
-    const auto after = top_of(ladder.asks);
-    if (after != before) out = TopChange{true, after.first, after.second};
-  }
-  return out;
-}
-
-void Normalizer::emit_bbo(const proto::Symbol& symbol, proto::Side side,
-                          const TopChange& change, std::uint64_t exchange_time_ns) {
-  if (!change.changed) return;
+// tsn-lint: hotpath
+void Normalizer::emit_bbo(const BookEntry& entry, proto::Side side, Top before,
+                          std::uint64_t exchange_time_ns) {
+  const Top after = top_of(entry.second, side);
+  if (after == before) return;
   ++stats_.bbo_updates;
-  proto::norm::Update update;
-  update.kind = proto::norm::UpdateKind::kBboUpdate;
-  update.exchange_id = config_.exchange_id;
-  update.side = side;
-  update.symbol = symbol;
-  update.price = change.best;        // the *new* best (0 = side emptied)
-  update.quantity = change.quantity;  // depth at the new best
-  update.order_id = 0;
-  update.exchange_time_ns = exchange_time_ns;
-  emit(update);
-}
-
-Normalizer::OrderInfo* Normalizer::resolve(proto::OrderId id) {
-  auto it = orders_.find(id);
-  if (it == orders_.end()) {
-    ++stats_.unknown_orders;
-    return nullptr;
-  }
-  return &it->second;
-}
-
-void Normalizer::handle_time(std::uint32_t seconds_since_midnight) {
-  clock_seconds_ = seconds_since_midnight;  // clock messages are not republished
-}
-
-void Normalizer::handle_add(const proto::pitch::AddOrder& add) {
-  orders_[add.order_id] = OrderInfo{add.symbol, add.side, add.price, add.quantity};
-  proto::norm::Update update;
-  update.exchange_id = config_.exchange_id;
-  update.kind = proto::norm::UpdateKind::kOrderAdd;
-  update.side = add.side;
-  update.symbol = add.symbol;
-  update.price = add.price;
-  update.quantity = add.quantity;
-  update.order_id = add.order_id;
-  update.exchange_time_ns =
-      std::uint64_t{clock_seconds_} * 1'000'000'000ULL + add.time_offset_ns;
-  const auto change = apply_depth(add.symbol, add.side, add.price, add.quantity);
-  emit(update);
-  emit_bbo(add.symbol, add.side, change, update.exchange_time_ns);
-}
-
-void Normalizer::handle_exec(const proto::pitch::OrderExecuted& exec) {
-  OrderInfo* info = resolve(exec.order_id);
-  if (info == nullptr) return;
-  const proto::Quantity traded = std::min(exec.executed_quantity, info->quantity);
-  info->quantity -= traded;
-  proto::norm::Update update;
-  update.exchange_id = config_.exchange_id;
-  update.kind = proto::norm::UpdateKind::kTradePrint;
-  update.side = info->side;
-  update.symbol = info->symbol;
-  update.price = info->price;
-  update.quantity = traded;
-  update.order_id = exec.order_id;
-  update.exchange_time_ns =
-      std::uint64_t{clock_seconds_} * 1'000'000'000ULL + exec.time_offset_ns;
-  const auto side = info->side;
-  const auto symbol = info->symbol;
-  const auto change =
-      apply_depth(info->symbol, info->side, info->price, -static_cast<std::int64_t>(traded));
-  if (info->quantity == 0) orders_.erase(exec.order_id);
-  emit(update);
-  emit_bbo(symbol, side, change, update.exchange_time_ns);
-}
-
-void Normalizer::handle_reduce(const proto::pitch::ReduceSize& reduce) {
-  OrderInfo* info = resolve(reduce.order_id);
-  if (info == nullptr) return;
-  const proto::Quantity cut = std::min(reduce.cancelled_quantity, info->quantity);
-  info->quantity -= cut;
-  proto::norm::Update update;
-  update.exchange_id = config_.exchange_id;
-  update.kind = proto::norm::UpdateKind::kOrderModify;
-  update.side = info->side;
-  update.symbol = info->symbol;
-  update.price = info->price;
-  update.quantity = info->quantity;
-  update.order_id = reduce.order_id;
-  update.exchange_time_ns =
-      std::uint64_t{clock_seconds_} * 1'000'000'000ULL + reduce.time_offset_ns;
-  const auto side = info->side;
-  const auto symbol = info->symbol;
-  const auto change =
-      apply_depth(info->symbol, info->side, info->price, -static_cast<std::int64_t>(cut));
-  if (info->quantity == 0) orders_.erase(reduce.order_id);
-  emit(update);
-  emit_bbo(symbol, side, change, update.exchange_time_ns);
-}
-
-void Normalizer::handle_modify(const proto::pitch::ModifyOrder& modify) {
-  OrderInfo* info = resolve(modify.order_id);
-  if (info == nullptr) return;
-  proto::norm::Update update;
-  update.exchange_id = config_.exchange_id;
-  update.kind = proto::norm::UpdateKind::kOrderModify;
-  update.side = info->side;
-  update.symbol = info->symbol;
-  update.price = modify.price;
-  update.quantity = modify.quantity;
-  update.order_id = modify.order_id;
-  update.exchange_time_ns =
-      std::uint64_t{clock_seconds_} * 1'000'000'000ULL + modify.time_offset_ns;
-  // Two ladder edits (leave the old level, enter the new one): emit one
-  // BBO update describing the final top, not the transient middle state.
-  const auto first = apply_depth(info->symbol, info->side, info->price,
-                                 -static_cast<std::int64_t>(info->quantity));
-  info->price = modify.price;
-  info->quantity = modify.quantity;
-  const auto second =
-      apply_depth(info->symbol, info->side, info->price, modify.quantity);
-  emit(update);
-  if (first.changed || second.changed) {
-    TopChange final_top = second;
-    if (!second.changed) {
-      // The second edit left the top where the first edit put it.
-      const auto bbo = best_of(info->symbol);
-      final_top.changed = true;
-      if (info->side == proto::Side::kBuy) {
-        final_top.best = bbo ? bbo->bid : 0;
-      } else {
-        final_top.best = bbo ? bbo->ask : 0;
-      }
-      final_top.quantity = 0;  // unknown without a depth query; price is the signal
-    }
-    emit_bbo(info->symbol, info->side, final_top, update.exchange_time_ns);
-  }
-}
-
-void Normalizer::handle_delete(const proto::pitch::DeleteOrder& del) {
-  OrderInfo* info = resolve(del.order_id);
-  if (info == nullptr) return;
-  proto::norm::Update update;
-  update.exchange_id = config_.exchange_id;
-  update.kind = proto::norm::UpdateKind::kOrderDelete;
-  update.side = info->side;
-  update.symbol = info->symbol;
-  update.price = info->price;
-  update.quantity = 0;
-  update.order_id = del.order_id;
-  update.exchange_time_ns =
-      std::uint64_t{clock_seconds_} * 1'000'000'000ULL + del.time_offset_ns;
-  const auto side = info->side;
-  const auto symbol = info->symbol;
-  const auto change = apply_depth(info->symbol, info->side, info->price,
-                                  -static_cast<std::int64_t>(info->quantity));
-  orders_.erase(del.order_id);
-  emit(update);
-  emit_bbo(symbol, side, change, update.exchange_time_ns);
-}
-
-void Normalizer::handle_trade(const proto::pitch::Trade& trade) {
-  proto::norm::Update update;
-  update.exchange_id = config_.exchange_id;
-  update.kind = proto::norm::UpdateKind::kTradePrint;
-  update.side = trade.side;
-  update.symbol = trade.symbol;
-  update.price = trade.price;
-  update.quantity = trade.quantity;
-  update.order_id = trade.order_id;
-  update.exchange_time_ns =
-      std::uint64_t{clock_seconds_} * 1'000'000'000ULL + trade.time_offset_ns;
-  emit(update);
+  // The new best and its depth (price 0 = side emptied); no order id.
+  emit(proto::norm::UpdateKind::kBboUpdate, entry.first,
+       book::Order{0, side, after.first, after.second}, exchange_time_ns);
 }
 
 void Normalizer::register_metrics(telemetry::Registry& registry,
@@ -486,15 +351,25 @@ void Normalizer::register_metrics(telemetry::Registry& registry,
 
 std::optional<Normalizer::ReconstructedBbo> Normalizer::best_of(
     const proto::Symbol& symbol) const {
-  const auto it = ladders_.find(symbol);
-  if (it == ladders_.end()) return std::nullopt;
-  const auto [bid, ask] = it->second.best();
-  return ReconstructedBbo{bid, ask};
+  const auto it = books_.find(symbol);
+  if (it == books_.end()) return std::nullopt;
+  const book::BestQuote quote = it->second.best();
+  return ReconstructedBbo{quote.bid_price.value_or(0), quote.ask_price.value_or(0)};
 }
 
-void Normalizer::emit(const proto::norm::Update& update) {
-  const std::uint32_t partition = config_.partitioning->partition_of(
-      update.symbol, proto::InstrumentKind::kEquity);
+// tsn-lint: hotpath
+void Normalizer::emit(proto::norm::UpdateKind kind, const proto::Symbol& symbol,
+                      const book::Order& order, std::uint64_t exchange_time_ns) {
+  const proto::norm::Update update{.kind = kind,
+                                   .exchange_id = config_.exchange_id,
+                                   .side = order.side,
+                                   .symbol = symbol,
+                                   .price = order.price,
+                                   .quantity = order.quantity,
+                                   .order_id = order.id,
+                                   .exchange_time_ns = exchange_time_ns};
+  const std::uint32_t partition =
+      config_.partitioning->partition_of(symbol, proto::InstrumentKind::kEquity);
   Partition& out = *partitions_.at(partition);
   const auto now_ns = static_cast<std::uint64_t>(engine_.now().picos() / 1000);
   out.builder.append(update, now_ns);

@@ -7,19 +7,36 @@
 // multicast partitions under the firm's partitioning scheme. This performs
 // the common processing once so dozens of strategy servers don't repeat it.
 //
+// The book state is one `book::OrderBook` per symbol, plus a `FlatIndex`
+// from order id to its book for the messages that carry no symbol. Adds
+// rest without matching (`OrderBook::rest`): a normalizer that missed a
+// delete keeps the stale order beside a later crossing add rather than
+// invent a trade. Each per-order message updates its book and is
+// republished, followed by a BBO update whenever the touched side's best
+// (price, depth) moved. What no producer in this tree sends is handled so:
+//   - a ModifyOrder (the exchange publishes a replace as a delete plus
+//     what the re-entry did) cancels the order and rests it again at the
+//     back of its new level: its BBO update carries the new top's depth,
+//     none follows when the top's price and depth end as they began, and
+//     a modify to quantity 0 drops the order;
+//   - a Trade is republished as a print and leaves the books alone;
+//   - an add with a live id or a zero quantity is republished and leaves
+//     the books as they are.
+//
 // The normalizer also watches feed sequence numbers per unit and counts
 // gaps — the loss signal that matters operationally when mroute tables
 // overflow or merged feeds saturate.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "book/order_book.hpp"
 #include "mcast/responder.hpp"
 #include "net/stack.hpp"
 #include "proto/norm.hpp"
@@ -107,25 +124,13 @@ class Normalizer {
     proto::Price ask = 0;
   };
   [[nodiscard]] std::optional<ReconstructedBbo> best_of(const proto::Symbol& symbol) const;
-  [[nodiscard]] std::size_t tracked_orders() const noexcept { return orders_.size(); }
+  [[nodiscard]] std::size_t tracked_orders() const noexcept { return book_of_.size(); }
 
  private:
-  struct OrderInfo {
-    proto::Symbol symbol;
-    proto::Side side = proto::Side::kBuy;
-    proto::Price price = 0;
-    proto::Quantity quantity = 0;
-  };
-
-  // Aggregated price ladder for BBO detection.
-  struct Ladder {
-    std::map<proto::Price, proto::Quantity, std::greater<>> bids;
-    std::map<proto::Price, proto::Quantity, std::less<>> asks;
-
-    [[nodiscard]] std::pair<proto::Price, proto::Price> best() const noexcept {
-      return {bids.empty() ? 0 : bids.begin()->first, asks.empty() ? 0 : asks.begin()->first};
-    }
-  };
+  using Books = std::unordered_map<proto::Symbol, book::OrderBook>;
+  using BookEntry = Books::value_type;
+  // A side's best (price, depth); zeros for an empty side.
+  using Top = std::pair<proto::Price, proto::Quantity>;
 
   struct Partition;
   struct Recovery;
@@ -133,31 +138,22 @@ class Normalizer {
   void on_feed_datagram(std::span<const std::byte> payload, sim::Time arrival);
   void on_snapshot_datagram(std::span<const std::byte> payload);
   // Flat-column switch over rows [first, count) of one decoded datagram:
-  // counts each message and forwards it to its per-type handler.
+  // counts each message, applies it to the books and republishes it.
   void apply_batch(const proto::pitch::DecodedBatch& batch, std::size_t first = 0);
   // Replays the buffered tail's messages from the resume point on. The
   // tail is left as it is; the next recovery restarts it.
   void replay_tail(const Recovery& recovery);
-  void handle_time(std::uint32_t seconds_since_midnight);
-  void handle_add(const proto::pitch::AddOrder& add);
-  void handle_exec(const proto::pitch::OrderExecuted& exec);
-  void handle_reduce(const proto::pitch::ReduceSize& reduce);
-  void handle_modify(const proto::pitch::ModifyOrder& modify);
-  void handle_delete(const proto::pitch::DeleteOrder& del);
-  void handle_trade(const proto::pitch::Trade& trade);
-  [[nodiscard]] OrderInfo* resolve(proto::OrderId id);
-  void emit(const proto::norm::Update& update);
-  // Applies a depth change; when the side's top of book moved, returns the
-  // new best (price 0 / quantity 0 for an emptied side).
-  struct TopChange {
-    bool changed = false;
-    proto::Price best = 0;
-    proto::Quantity quantity = 0;
-  };
-  TopChange apply_depth(const proto::Symbol& symbol, proto::Side side, proto::Price price,
-                        std::int64_t delta);
-  // Emits the explicit top-of-book update real normalized feeds carry.
-  void emit_bbo(const proto::Symbol& symbol, proto::Side side, const TopChange& change,
+  // Rests an add in `entry`'s book and indexes its id.
+  void rest(BookEntry& entry, const book::Order& order);
+  // Row `i` is an execute, reduce, modify or delete: the messages that
+  // carry only an order id.
+  void apply_order(const proto::pitch::DecodedBatch& batch, std::size_t i,
+                   std::uint64_t exchange_time_ns);
+  void emit(proto::norm::UpdateKind kind, const proto::Symbol& symbol,
+            const book::Order& order, std::uint64_t exchange_time_ns);
+  // Emits the explicit top-of-book update real normalized feeds carry when
+  // `side`'s best moved from `before`.
+  void emit_bbo(const BookEntry& entry, proto::Side side, Top before,
                 std::uint64_t exchange_time_ns);
   void purge_unit_state(std::uint8_t unit);
   [[nodiscard]] bool recovery_enabled() const noexcept {
@@ -178,8 +174,10 @@ class Normalizer {
   // completing cycle replays the live tail through `batch_` mid-loop.
   proto::pitch::DecodedBatch batch_;
   proto::pitch::DecodedBatch snapshot_batch_;
-  std::unordered_map<proto::OrderId, OrderInfo> orders_;
-  std::unordered_map<proto::Symbol, Ladder> ladders_;
+  // A symbol's book lives from its first add until a resync purges its
+  // unit; node-based, so the index's entry pointers survive rehashing.
+  Books books_;
+  book::FlatIndex<proto::OrderId, BookEntry*> book_of_;
   std::unordered_map<std::uint8_t, std::uint32_t> expected_seq_;  // per unit
   std::uint32_t clock_seconds_ = 0;
   // Wire arrival of the feed datagram currently being processed (software

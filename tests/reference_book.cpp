@@ -72,6 +72,16 @@ ReferenceBook::SubmitOutcome ReferenceBook::submit(const Order& order,
   return {filled > 0 ? SubmitResult::kPartialFill : SubmitResult::kRested, filled};
 }
 
+bool ReferenceBook::rest(const Order& order) {
+  if (order.quantity == 0 || index_.contains(order.id)) return false;
+  if (order.side == Side::kBuy) {
+    rest_on(bids_, order);
+  } else {
+    rest_on(asks_, order);
+  }
+  return true;
+}
+
 bool ReferenceBook::erase_located(OrderId id, const Locator& loc) {
   if (loc.side == Side::kBuy) {
     auto level_it = bids_.find(loc.price);

@@ -33,6 +33,8 @@ class ReferenceBook {
 
   // The same contract as OrderBook::submit, order for order.
   SubmitOutcome submit(const Order& order, bool immediate_or_cancel = false);
+  // The same contract as OrderBook::rest: rests without matching.
+  bool rest(const Order& order);
 
   std::optional<Quantity> cancel(OrderId id);
   bool reduce(OrderId id, Quantity new_quantity);

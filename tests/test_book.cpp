@@ -105,6 +105,25 @@ TEST_F(BookFixture, DuplicateIdRejected) {
   EXPECT_EQ(book.open_orders(), 1u);
 }
 
+TEST_F(BookFixture, RestNeverMatches) {
+  EXPECT_TRUE(book.rest({1, Side::kBuy, 10'100, 100}));
+  // Crossing the bid: a replica holds both orders rather than trade them.
+  EXPECT_TRUE(book.rest({2, Side::kSell, 10'000, 40}));
+  EXPECT_TRUE(book.rest({3, Side::kBuy, 10'100, 20}));  // behind 1 at its level
+  EXPECT_TRUE(log.executes.empty());
+  EXPECT_EQ(log.accepts.size(), 3u);
+  const auto best = book.best();
+  EXPECT_EQ(best.bid_price, 10'100);
+  EXPECT_EQ(best.bid_quantity, 120u);
+  EXPECT_EQ(best.ask_price, 10'000);
+  // A live id or a zero quantity leaves the book as it is.
+  EXPECT_FALSE(book.rest({1, Side::kSell, 9'000, 5}));
+  EXPECT_FALSE(book.rest({4, Side::kBuy, 10'200, 0}));
+  EXPECT_EQ(book.open_orders(), 3u);
+  EXPECT_EQ(book.find(1)->price, 10'100);
+  EXPECT_EQ(book.executions(), 0u);
+}
+
 TEST_F(BookFixture, CancelRemovesOrderAndReportsQuantity) {
   book.submit({1, Side::kBuy, 10'000, 100});
   const auto cancelled = book.cancel(1);

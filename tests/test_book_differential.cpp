@@ -1,12 +1,13 @@
 // Differential suite: the pooled SoA OrderBook vs the node-based
 // ReferenceBook (the original std::map/std::list implementation it replaced
 // on the hot path). Both books consume identical operation sequences —
-// randomized soups across many seeds, adversarial hand-built flows, and
+// randomized soups across many seeds (submits mixed with replica-style
+// rests, crossed books included), adversarial hand-built flows, and
 // fuzz-style PITCH datagrams (including truncated/bit-flipped ones decoded
 // through decode_batch) — and every observable must match exactly:
-// submit outcomes, executions (ids, prices, remainders, exec-id order),
-// listener callback streams, best quotes, depth, open-order counts, and
-// full for_each_order iteration order.
+// submit and rest outcomes, executions (ids, prices, remainders, exec-id
+// order), listener callback streams, best quotes, depth, open-order counts,
+// and full for_each_order iteration order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,6 +88,11 @@ class BookPair {
     ASSERT_EQ(static_cast<int>(got.result), static_cast<int>(want.result))
         << "submit id=" << order.id;
     ASSERT_EQ(got.filled, want.filled) << "submit id=" << order.id;
+    check_events();
+  }
+
+  void rest(const Order& order) {
+    ASSERT_EQ(soa_.rest(order), ref_.rest(order)) << "rest id=" << order.id;
     check_events();
   }
 
@@ -198,6 +204,24 @@ TEST(BookDifferentialTest, UnknownIdsAndDoubleCancel) {
   pair.check_state();
 }
 
+TEST(BookDifferentialTest, CrossedRestsThenMatching) {
+  BookPair pair;
+  // A replica's crossed book: rests never match, whatever they cross.
+  pair.rest({1, proto::Side::kBuy, 10'100, 100});
+  pair.rest({2, proto::Side::kSell, 10'000, 60});
+  pair.rest({3, proto::Side::kSell, 10'000, 30});
+  pair.rest({4, proto::Side::kBuy, 10'100, 50});
+  pair.rest({1, proto::Side::kSell, 9'000, 10});  // live id: refused by both
+  pair.rest({5, proto::Side::kBuy, 9'000, 0});    // zero quantity: refused by both
+  pair.check_state();
+  // A submit into the crossed book matches the best opposite levels in
+  // price-time order, as an exchange's book would.
+  pair.submit({6, proto::Side::kSell, 10'050, 120});
+  pair.submit({7, proto::Side::kBuy, 10'000, 200}, true);
+  pair.replace(2, 60, 10'200);
+  pair.check_state();
+}
+
 // The main soup: randomized operation mixes across many seeds, with a full
 // state comparison every 64 operations and per-operation event/outcome
 // comparison throughout.
@@ -211,7 +235,9 @@ TEST(BookDifferentialTest, RandomizedOperationSoup) {
     for (int op = 0; op < 2'000; ++op) {
       const auto roll = rng.next_below(100);
       if (roll < 55 || live.empty()) {
-        // Submit: mostly passive, sometimes crossing, sometimes IOC.
+        // Submit: mostly passive, sometimes crossing, sometimes IOC. A
+        // quarter are rests instead, which leave a crossing order crossed
+        // (and sometimes reuse a live id or carry no quantity).
         Order order;
         order.id = next_id++;
         order.side = (rng.next_below(2) != 0) ? proto::Side::kBuy : proto::Side::kSell;
@@ -220,9 +246,19 @@ TEST(BookDifferentialTest, RandomizedOperationSoup) {
         order.price = 9'500 + static_cast<proto::Price>(band) * 25 +
                       (order.side == proto::Side::kBuy ? 0 : 250);
         order.quantity = static_cast<proto::Quantity>(1 + rng.next_below(300));
-        const bool ioc = rng.next_below(8) == 0;
-        pair.submit(order, ioc);
-        if (!ioc) live.push_back(order.id);
+        if (rng.next_below(4) == 0) {
+          if (!live.empty() && rng.next_below(16) == 0) {
+            order.id = live[rng.next_below(live.size())];
+          } else if (rng.next_below(16) == 0) {
+            order.quantity = 0;
+          }
+          pair.rest(order);
+          if (order.id == next_id - 1 && order.quantity > 0) live.push_back(order.id);
+        } else {
+          const bool ioc = rng.next_below(8) == 0;
+          pair.submit(order, ioc);
+          if (!ioc) live.push_back(order.id);
+        }
       } else if (roll < 75) {
         const auto pick = rng.next_below(live.size());
         pair.cancel(live[pick]);
@@ -279,15 +315,14 @@ TEST(BookDifferentialTest, DrainAndRefillRecyclesSlots) {
 }
 
 // Applies one decoded PITCH datagram to both books the way the replay lane
-// does: adds submit, executes/reduces shrink or cancel, modifies replace,
-// deletes cancel. Everything else is a no-op.
+// does: adds rest, executes/reduces shrink or cancel, modifies cancel and
+// rest again, deletes cancel. Everything else is a no-op.
 template <typename Book>
 void apply_batch_row(Book& book, const proto::pitch::DecodedBatch& batch, std::size_t i) {
   using proto::pitch::DecodedKind;
   switch (batch.kind[i]) {
     case DecodedKind::kAddOrder:
-      (void)book.submit(
-          Order{batch.order_id[i], batch.side[i], batch.price[i], batch.quantity[i]});
+      (void)book.rest(Order{batch.order_id[i], batch.side[i], batch.price[i], batch.quantity[i]});
       break;
     case DecodedKind::kOrderExecuted:
     case DecodedKind::kReduceSize: {
@@ -301,9 +336,13 @@ void apply_batch_row(Book& book, const proto::pitch::DecodedBatch& batch, std::s
       }
       break;
     }
-    case DecodedKind::kModifyOrder:
-      (void)book.replace(batch.order_id[i], batch.quantity[i], batch.price[i]);
+    case DecodedKind::kModifyOrder: {
+      const auto resting = book.find(batch.order_id[i]);
+      if (!resting) break;
+      (void)book.cancel(batch.order_id[i]);
+      (void)book.rest(Order{batch.order_id[i], resting->side, batch.price[i], batch.quantity[i]});
       break;
+    }
     case DecodedKind::kDeleteOrder:
       (void)book.cancel(batch.order_id[i]);
       break;

@@ -11,7 +11,9 @@
 // three-receiver multicast fan-out, a software-path fan-out and a NIC →
 // commodity switch (MAC rewrite) → NIC unicast hop, (e) SoA book updates,
 // (f) the session store's lifecycle and (g) a PITCH batch decode perform
-// zero heap allocations.
+// zero heap allocations, and (h) a feed datagram through the normalizer
+// (NIC → books → NORM datagrams out) allocates only the payload of each
+// frame longer than `net::Packet::kInlineCapacity` it puts on a link.
 
 #include <gtest/gtest.h>
 
@@ -31,11 +33,13 @@
 #include "l2/commodity_switch.hpp"
 #include "mcast/subscribe.hpp"
 #include "net/fabric.hpp"
+#include "net/headers.hpp"
 #include "net/nic.hpp"
 #include "net/packet.hpp"
 #include "net/stack.hpp"
 #include "proto/pitch.hpp"
 #include "sim/engine.hpp"
+#include "trading/normalizer.hpp"
 
 namespace {
 
@@ -172,16 +176,8 @@ TEST(HotPathAlloc, EndToEndUdpDeliveryIsAllocationFree) {
 }
 
 TEST(HotPathAlloc, WarmMulticastFanOutIsAllocationFree) {
-  // The switch's one fan-out event captures the switch, the PacketPtr, the
-  // pending fan-out's index and the rx time; it must stay inline.
-  struct SwitchFanoutCapture {
-    void* self;
-    std::shared_ptr<const int> packet;
-    std::uint32_t fanout;
-    sim::Time rx;
-  };
-  static_assert(sim::InlineAction::stores_inline<SwitchFanoutCapture>());
-
+  // A hardware fan-out runs inside the switch's pipeline event, whose
+  // capture stays inline (InlineAction.HotPathCaptureSizesStayInline).
   sim::Engine engine;
   net::Fabric fabric{engine};
   l2::CommoditySwitch sw{engine, "sw", l2::CommoditySwitchConfig{.port_count = 4}};
@@ -431,6 +427,94 @@ TEST(HotPathAlloc, WarmBatchDecodeIsAllocationFree) {
   EXPECT_EQ(allocations() - before, 0u)
       << "warm batch decode must reuse the SoA columns without heap traffic";
   EXPECT_EQ(batch.count, 50u);
+}
+
+TEST(HotPathAlloc, WarmNormalizerDatagramAllocatesOnlyFrameBuffers) {
+  // One feed datagram of adds, executes and deletes over two symbols goes
+  // NIC -> normalizer -> one NORM datagram per touched output partition.
+  // The books, the id index, the decode columns and the NORM builders are
+  // warm after the first datagram; what remains is the heap payload of each
+  // frame longer than Packet::kInlineCapacity put on a link: the input frame
+  // and each NORM datagram.
+  const proto::Symbol acme{"ACME"};
+  const proto::Symbol widget{"WIDGET"};
+  const auto partitioning = std::make_shared<proto::HashPartition>(4);
+  ASSERT_NE(partitioning->partition_of(acme, proto::InstrumentKind::kEquity),
+            partitioning->partition_of(widget, proto::InstrumentKind::kEquity));
+  sim::Engine engine;
+  net::Fabric fabric{engine};
+  trading::NormalizerConfig config;
+  config.feed_groups = {net::Ipv4Addr{239, 100, 0, 0}};
+  config.partitioning = partitioning;
+  config.in_mac = net::MacAddr::from_host_id(300);
+  config.in_ip = net::Ipv4Addr{10, 1, 0, 1};
+  config.out_mac = net::MacAddr::from_host_id(301);
+  config.out_ip = net::Ipv4Addr{10, 1, 0, 2};
+  trading::Normalizer normalizer{engine, config};
+  net::Nic source{engine, "exch", net::MacAddr::from_host_id(310), net::Ipv4Addr{10, 2, 0, 1}};
+  net::Nic collector{engine, "collector", net::MacAddr::from_host_id(311),
+                     net::Ipv4Addr{10, 2, 0, 2}};
+  fabric.connect(source, 0, normalizer.in_nic(), 0, net::LinkConfig{});
+  fabric.connect(normalizer.out_nic(), 0, collector, 0, net::LinkConfig{});
+  collector.set_promiscuous(true);
+  std::uint64_t norm_frames = 0;
+  collector.set_rx_handler([&norm_frames](const net::PacketPtr& packet, sim::Time) {
+    if (packet->size_bytes() > net::Packet::kInlineCapacity) ++norm_frames;
+  });
+  normalizer.join_feeds();
+  engine.run();
+
+  // Every datagram reuses the same order ids, so the books and the id
+  // index churn through the same slots; only the sequence number moves.
+  constexpr int kDatagrams = 48;
+  std::vector<std::vector<std::byte>> frames;
+  proto::pitch::FrameBuilder feed{0, 1458, [&](std::vector<std::byte> payload,
+                                               const proto::pitch::UnitHeader&) {
+                                    frames.push_back(net::build_multicast_frame(
+                                        source.mac(), source.ip(), net::Ipv4Addr{239, 100, 0, 0},
+                                        30001, payload));
+                                  }};
+  for (int d = 0; d < kDatagrams; ++d) {
+    for (proto::OrderId id = 1; id <= 8; ++id) {
+      proto::pitch::AddOrder add;
+      add.order_id = id;
+      add.side = id % 2 == 0 ? proto::Side::kBuy : proto::Side::kSell;
+      add.symbol = id <= 4 ? acme : widget;
+      add.price = (add.side == proto::Side::kBuy ? 9'000 : 9'100) + static_cast<proto::Price>(id);
+      add.quantity = 100;
+      feed.append(proto::pitch::Message{add});
+    }
+    for (proto::OrderId id = 1; id <= 8; id += 2) {
+      feed.append(proto::pitch::Message{proto::pitch::OrderExecuted{0, id, 40, id}});
+    }
+    for (proto::OrderId id = 1; id <= 8; ++id) {
+      feed.append(proto::pitch::Message{proto::pitch::DeleteOrder{0, id}});
+    }
+    feed.flush();
+  }
+  ASSERT_EQ(frames.size(), static_cast<std::size_t>(kDatagrams));
+  ASSERT_GT(frames.front().size(), net::Packet::kInlineCapacity);
+
+  auto send = [&](int first, int count) {
+    for (int d = first; d < first + count; ++d) {
+      source.send_frame(std::span<const std::byte>{frames[static_cast<std::size_t>(d)]});
+      engine.run();
+    }
+  };
+  send(0, 16);  // warm: books, id index, decode columns, builders, pools
+  ASSERT_EQ(normalizer.stats().messages_in, 16u * 20u);
+  ASSERT_EQ(norm_frames, 16u * 2u);
+
+  const std::uint64_t before = allocations();
+  send(16, kDatagrams - 16);
+  constexpr std::uint64_t kMeasured = kDatagrams - 16;
+  EXPECT_EQ(allocations() - before, kMeasured * (1 + 2))
+      << "a warm normalizer step allocates only the input frame's and each NORM datagram's "
+         "payload";
+  EXPECT_EQ(norm_frames, std::uint64_t{kDatagrams} * 2);
+  EXPECT_EQ(normalizer.stats().unknown_orders, 0u);
+  EXPECT_EQ(normalizer.stats().sequence_gaps, 0u);
+  EXPECT_EQ(normalizer.tracked_orders(), 0u);
 }
 
 }  // namespace

@@ -54,43 +54,48 @@ TEST(Norm, DecodeRejectsBadKindAndTruncation) {
   EXPECT_FALSE(decode_one(r2).has_value());
 }
 
+// Copies each datagram out of the builder's buffer, which the next one reuses.
+DatagramBuilder::Sink collect(std::vector<std::vector<std::byte>>& out) {
+  return [&out](std::span<const std::byte> p) { out.emplace_back(p.begin(), p.end()); };
+}
+
 TEST(Norm, DatagramBuilderPacksWithHeader) {
-  std::vector<std::pair<std::vector<std::byte>, DatagramHeader>> out;
-  DatagramBuilder builder{9, 1458, [&](std::vector<std::byte> p, const DatagramHeader& h) {
-                            out.emplace_back(std::move(p), h);
-                          }};
+  std::vector<std::vector<std::byte>> out;
+  DatagramBuilder builder{9, 1458, collect(out)};
   builder.append(sample_update(), 1'000);
   builder.append(sample_update(), 1'001);
   builder.flush();
   ASSERT_EQ(out.size(), 1u);
-  const auto& [payload, header] = out[0];
-  EXPECT_EQ(header.partition, 9);
-  EXPECT_EQ(header.count, 2);
-  EXPECT_EQ(header.sequence, 1u);
-  EXPECT_EQ(header.send_time_ns, 1'000u);  // stamped with the first append
-  EXPECT_EQ(payload.size(), kHeaderSize + 2 * kMessageSize);
+  const auto header = peek_header(out[0]);
+  ASSERT_TRUE(header.has_value());
+  EXPECT_EQ(header->partition, 9);
+  EXPECT_EQ(header->count, 2);
+  EXPECT_EQ(header->sequence, 1u);
+  EXPECT_EQ(header->send_time_ns, 1'000u);  // stamped with the first append
+  EXPECT_EQ(out[0].size(), kHeaderSize + 2 * kMessageSize);
 }
 
 TEST(Norm, SequenceContinuesAcrossDatagrams) {
-  std::vector<DatagramHeader> headers;
-  DatagramBuilder builder{1, 1458, [&](std::vector<std::byte>, const DatagramHeader& h) {
-                            headers.push_back(h);
-                          }};
+  std::vector<std::vector<std::byte>> out;
+  DatagramBuilder builder{1, 1458, collect(out)};
   builder.append(sample_update(), 1);
   builder.flush();
   builder.append(sample_update(), 2);
   builder.append(sample_update(), 3);
   builder.flush();
-  ASSERT_EQ(headers.size(), 2u);
-  EXPECT_EQ(headers[0].sequence, 1u);
-  EXPECT_EQ(headers[1].sequence, 2u);
-  EXPECT_EQ(headers[1].count, 2);
+  ASSERT_EQ(out.size(), 2u);
+  const auto first = peek_header(out[0]);
+  const auto second = peek_header(out[1]);
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_EQ(first->sequence, 1u);
+  EXPECT_EQ(second->sequence, 2u);
+  EXPECT_EQ(second->count, 2);
 }
 
 TEST(Norm, AutoFlushAtMtu) {
   int flushes = 0;
   DatagramBuilder builder{1, kHeaderSize + kMessageSize,  // fits exactly one
-                          [&](std::vector<std::byte>, const DatagramHeader&) { ++flushes; }};
+                          [&](std::span<const std::byte>) { ++flushes; }};
   builder.append(sample_update(), 1);
   builder.append(sample_update(), 2);
   builder.flush();
@@ -98,12 +103,12 @@ TEST(Norm, AutoFlushAtMtu) {
 }
 
 TEST(Norm, ParseRoundTrip) {
-  std::vector<std::byte> payload;
-  DatagramBuilder builder{4, 1458, [&](std::vector<std::byte> p, const DatagramHeader&) {
-                            payload = std::move(p);
-                          }};
+  std::vector<std::vector<std::byte>> out;
+  DatagramBuilder builder{4, 1458, collect(out)};
   for (int i = 0; i < 5; ++i) builder.append(sample_update(static_cast<std::uint8_t>(i)), 100);
   builder.flush();
+  ASSERT_EQ(out.size(), 1u);
+  const std::vector<std::byte>& payload = out[0];
   const auto header = peek_header(payload);
   ASSERT_TRUE(header.has_value());
   EXPECT_EQ(header->partition, 4);
@@ -117,12 +122,12 @@ TEST(Norm, ParseRoundTrip) {
 }
 
 TEST(Norm, ParseRejectsWrongMagicAndShortBuffers) {
-  std::vector<std::byte> payload;
-  DatagramBuilder builder{4, 1458, [&](std::vector<std::byte> p, const DatagramHeader&) {
-                            payload = std::move(p);
-                          }};
+  std::vector<std::vector<std::byte>> out;
+  DatagramBuilder builder{4, 1458, collect(out)};
   builder.append(sample_update(), 100);
   builder.flush();
+  ASSERT_EQ(out.size(), 1u);
+  const std::vector<std::byte>& payload = out[0];
   auto rejected = [](std::span<const std::byte> bytes) {
     int updates = 0;
     const bool walked = for_each_update(bytes, [&updates](const Update&) { ++updates; });
@@ -139,7 +144,7 @@ TEST(Norm, ParseRejectsWrongMagicAndShortBuffers) {
 }
 
 TEST(Norm, RejectsTinyMtu) {
-  EXPECT_THROW(DatagramBuilder(1, 10, [](std::vector<std::byte>, const DatagramHeader&) {}),
+  EXPECT_THROW(DatagramBuilder(1, 10, [](std::span<const std::byte>) {}),
                std::invalid_argument);
 }
 

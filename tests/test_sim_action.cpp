@@ -63,6 +63,18 @@ TEST(InlineAction, HotPathCaptureSizesStayInline) {
   static_assert(sizeof(SwitchPipelineCapture) == 32);
   static_assert(InlineAction::stores_inline<SwitchPipelineCapture>());
 
+  // The commodity switch's software fan-out, deferred to the end of its
+  // service time: the switch, the frame, the pooled fan-out list's index
+  // and the rx time (32 bytes).
+  struct SwitchSoftwareFanoutCapture {
+    void* self;
+    net::PacketPtr packet;
+    std::uint32_t fanout;
+    Time rx;
+  };
+  static_assert(sizeof(SwitchSoftwareFanoutCapture) == 32);
+  static_assert(InlineAction::stores_inline<SwitchSoftwareFanoutCapture>());
+
   struct LinkDeliveryCapture {
     void* dst;
     std::uint32_t port;

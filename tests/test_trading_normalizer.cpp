@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "net/fabric.hpp"
 #include "net/stack.hpp"
 #include "proto/pitch.hpp"
@@ -36,11 +38,13 @@ struct NormalizerRig {
   std::vector<proto::norm::Update> updates;
   std::vector<std::uint16_t> update_partitions;
   proto::pitch::FrameBuilder feed;
+  bool lose_next = false;
 
   NormalizerRig()
       : normalizer(engine, base_config()),
         feed(0, 1458,
              [this](std::vector<std::byte> payload, const proto::pitch::UnitHeader&) {
+               if (std::exchange(lose_next, false)) return;
                feed_source.send_frame(net::build_multicast_frame(
                    feed_source.mac(), feed_source.ip(), net::Ipv4Addr{239, 100, 0, 0}, 30001,
                    payload));
@@ -67,7 +71,34 @@ struct NormalizerRig {
     feed.flush();
     engine.run();
   }
+
+  // Publishes `message` in a datagram the wire loses: its sequence number
+  // is spent, so the next datagram shows a gap.
+  void lose(const proto::pitch::Message& message) {
+    lose_next = true;
+    publish(message);
+  }
 };
+
+proto::pitch::AddOrder add_of(proto::OrderId id, proto::Side side, proto::Price price,
+                              proto::Quantity quantity) {
+  proto::pitch::AddOrder add;
+  add.order_id = id;
+  add.side = side;
+  add.symbol = proto::Symbol{"ACME"};
+  add.price = price;
+  add.quantity = quantity;
+  return add;
+}
+
+proto::pitch::ModifyOrder modify_of(proto::OrderId id, proto::Price price,
+                                    proto::Quantity quantity) {
+  proto::pitch::ModifyOrder modify;
+  modify.order_id = id;
+  modify.price = price;
+  modify.quantity = quantity;
+  return modify;
+}
 
 TEST(Normalizer, RequiresPartitioning) {
   sim::Engine engine;
@@ -249,6 +280,110 @@ TEST(Normalizer, StatsCountDatagramsAndMessages) {
   EXPECT_EQ(rig.normalizer.stats().updates_out, 4u);
   EXPECT_EQ(rig.normalizer.stats().bbo_updates, 2u);
   EXPECT_GE(rig.normalizer.stats().datagrams_out, 1u);
+}
+
+TEST(Normalizer, LossyReplicaNeverTrades) {
+  // No snapshot channel, so a gap leaves the stale order in place.
+  NormalizerRig rig;
+  rig.publish(proto::pitch::Message{add_of(1, proto::Side::kBuy, 5'000, 100)});
+  rig.lose(proto::pitch::Message{proto::pitch::DeleteOrder{0, 1}});
+  // A legitimate ask at the stale bid's price: the exchange's book no
+  // longer holds the bid, so it rested there. The replica must too.
+  rig.publish(proto::pitch::Message{add_of(2, proto::Side::kSell, 5'000, 100)});
+  EXPECT_EQ(rig.normalizer.stats().sequence_gaps, 1u);
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 2u);
+  const auto crossed = rig.normalizer.best_of(proto::Symbol{"ACME"});
+  ASSERT_TRUE(crossed.has_value());
+  EXPECT_EQ(crossed->bid, 5'000);
+  EXPECT_EQ(crossed->ask, 5'000);
+  // The ask's own delete resolves against the book it rests in.
+  rig.publish(proto::pitch::Message{proto::pitch::DeleteOrder{0, 2}});
+  EXPECT_EQ(rig.updates.back().kind, proto::norm::UpdateKind::kBboUpdate);
+  EXPECT_EQ(rig.updates.back().side, proto::Side::kSell);
+  EXPECT_EQ(rig.updates.back().price, 0);
+  EXPECT_EQ(rig.normalizer.stats().unknown_orders, 0u);
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 1u);
+}
+
+TEST(Normalizer, ModifyBboCarriesTheNewTopsDepth) {
+  NormalizerRig rig;
+  rig.publish(proto::pitch::Message{add_of(1, proto::Side::kBuy, 5'100, 100)});
+  rig.publish(proto::pitch::Message{add_of(2, proto::Side::kBuy, 5'000, 100)});
+  rig.publish(proto::pitch::Message{add_of(3, proto::Side::kBuy, 5'000, 50)});
+  rig.updates.clear();
+  // The best order moves below the next level: the top becomes 5'000 x 150.
+  rig.publish(proto::pitch::Message{modify_of(1, 4'900, 100)});
+  ASSERT_EQ(rig.updates.size(), 2u);
+  EXPECT_EQ(rig.updates[0].kind, proto::norm::UpdateKind::kOrderModify);
+  EXPECT_EQ(rig.updates[0].price, 4'900);
+  EXPECT_EQ(rig.updates[0].quantity, 100u);
+  EXPECT_EQ(rig.updates[1].kind, proto::norm::UpdateKind::kBboUpdate);
+  EXPECT_EQ(rig.updates[1].price, 5'000);
+  EXPECT_EQ(rig.updates[1].quantity, 150u);
+}
+
+TEST(Normalizer, ModifyThatKeepsTheTopEmitsNoBbo) {
+  NormalizerRig rig;
+  rig.publish(proto::pitch::Message{add_of(1, proto::Side::kSell, 5'100, 100)});
+  rig.updates.clear();
+  // Leaving the level and re-entering it at the same price and size: the
+  // top's price and depth end where they began.
+  rig.publish(proto::pitch::Message{modify_of(1, 5'100, 100)});
+  ASSERT_EQ(rig.updates.size(), 1u);
+  EXPECT_EQ(rig.updates[0].kind, proto::norm::UpdateKind::kOrderModify);
+  EXPECT_EQ(rig.normalizer.stats().bbo_updates, 1u);  // the add's alone
+}
+
+TEST(Normalizer, ModifyToZeroDropsTheOrder) {
+  NormalizerRig rig;
+  rig.publish(proto::pitch::Message{add_of(1, proto::Side::kBuy, 5'000, 100)});
+  rig.publish(proto::pitch::Message{modify_of(1, 5'000, 0)});
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 0u);
+  EXPECT_EQ(rig.updates.back().kind, proto::norm::UpdateKind::kBboUpdate);
+  EXPECT_EQ(rig.updates.back().price, 0);  // the bid side emptied
+  rig.publish(proto::pitch::Message{proto::pitch::DeleteOrder{0, 1}});
+  EXPECT_EQ(rig.normalizer.stats().unknown_orders, 1u);
+}
+
+TEST(Normalizer, TradeIsAPrintAndLeavesTheBook) {
+  NormalizerRig rig;
+  proto::pitch::Trade trade;
+  trade.order_id = 77;
+  trade.side = proto::Side::kSell;
+  trade.symbol = proto::Symbol{"ACME"};
+  trade.price = 5'000;
+  trade.quantity = 25;
+  trade.time_offset_ns = 9;
+  rig.publish(proto::pitch::Message{trade});
+  ASSERT_EQ(rig.updates.size(), 1u);
+  EXPECT_EQ(rig.updates[0].kind, proto::norm::UpdateKind::kTradePrint);
+  EXPECT_EQ(rig.updates[0].side, proto::Side::kSell);
+  EXPECT_EQ(rig.updates[0].price, 5'000);
+  EXPECT_EQ(rig.updates[0].quantity, 25u);
+  EXPECT_EQ(rig.updates[0].order_id, 77u);
+  EXPECT_EQ(rig.updates[0].exchange_time_ns, 9u);
+  EXPECT_FALSE(rig.normalizer.best_of(proto::Symbol{"ACME"}).has_value());
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 0u);
+}
+
+TEST(Normalizer, AddWithALiveIdOrNoQuantityLeavesTheBook) {
+  NormalizerRig rig;
+  rig.publish(proto::pitch::Message{add_of(1, proto::Side::kBuy, 5'000, 100)});
+  rig.updates.clear();
+  rig.publish(proto::pitch::Message{add_of(1, proto::Side::kBuy, 5'200, 30)});
+  rig.publish(proto::pitch::Message{add_of(2, proto::Side::kBuy, 5'300, 0)});
+  // Both are republished; neither moves the book, so no BBO follows.
+  ASSERT_EQ(rig.updates.size(), 2u);
+  EXPECT_EQ(rig.updates[0].kind, proto::norm::UpdateKind::kOrderAdd);
+  EXPECT_EQ(rig.updates[0].price, 5'200);
+  EXPECT_EQ(rig.updates[1].kind, proto::norm::UpdateKind::kOrderAdd);
+  EXPECT_EQ(rig.normalizer.tracked_orders(), 1u);
+  EXPECT_EQ(rig.normalizer.best_of(proto::Symbol{"ACME"})->bid, 5'000);
+  // The first add's order is the one a delete finds.
+  rig.publish(proto::pitch::Message{proto::pitch::DeleteOrder{0, 1}});
+  EXPECT_EQ(rig.updates[2].kind, proto::norm::UpdateKind::kOrderDelete);
+  EXPECT_EQ(rig.updates[2].price, 5'000);
+  EXPECT_EQ(rig.normalizer.best_of(proto::Symbol{"ACME"})->bid, 0);
 }
 
 }  // namespace

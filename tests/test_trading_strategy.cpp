@@ -80,7 +80,7 @@ struct StrategyRig {
 
   void inject(const proto::norm::Update& update) {
     proto::norm::DatagramBuilder builder{
-        0, 1458, [this](std::vector<std::byte> payload, const proto::norm::DatagramHeader&) {
+        0, 1458, [this](std::span<const std::byte> payload) {
           injector.send_frame(net::build_multicast_frame(injector.mac(), injector.ip(),
                                                          net::Ipv4Addr{239, 200, 0, 0}, 31001,
                                                          payload));

@@ -79,7 +79,7 @@ const LayerConfig& default_layer_config() {
     c.deps["book"] = {"proto"};
     c.deps["feed"] = {"proto"};
     c.deps["exchange"] = {"book"};
-    c.deps["trading"] = {"proto", "mcast"};
+    c.deps["trading"] = {"proto", "mcast", "book"};
     c.deps["topo"] = {"l2", "l1s"};
     c.deps["core"] = {"l2", "net"};
     c.deps["deploy"] = {"exchange", "trading", "topo", "wan"};
